@@ -23,7 +23,7 @@ from .errors import (ContextMismatch, HypothesisMissing, InvalidExtension,
                      NonIntegrable, NotStable, PrecisionInsufficient,
                      WitnessInvalid)
 from .padic_series import PrecisionContext, integrate
-from .series_matrix import SeriesMatrix
+from .series_matrix import SeriesMatrix, zeros_array
 
 
 @lru_cache(maxsize=None)
@@ -274,8 +274,7 @@ def _readout(ectx: ExtensionContext, f_fin: SeriesMatrix, a_fin: SeriesMatrix,
 
 
 def _const(ctx, rows, cols, ones, minus=()):
-    arr = np.zeros((rows, cols, ctx.M + 1),
-                   dtype=np.int64 if ctx.int64_safe else object)
+    arr = zeros_array(ctx, rows, cols)
     for (i, j) in ones:
         arr[i, j, 0] = 1
     for (i, j) in minus:

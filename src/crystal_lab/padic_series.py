@@ -16,20 +16,35 @@ import numpy as np
 
 from .errors import ContextMismatch, NonIntegrable, PrecisionInsufficient
 
-# Accumulation headroom for the int64 fast path: matrix products sum up to
-# RANK_HEADROOM * (M+1) products of two residues per output coefficient.
-RANK_HEADROOM = 128
 _INT64_MAX = 2**63 - 1
+
+# Miller-Rabin with the first 13 prime bases is deterministic below this
+# bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017); larger p are rejected rather than guessed at.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961981
 
 
 def _is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for odd p below MAX_PRIME."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p in _MR_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -47,13 +62,20 @@ def p_valuation(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precisions: odd prime p, residues mod p^N, series mod t^(M+1)."""
+    """Working precisions: odd prime p, residues mod p^N, series mod t^(M+1).
+
+    Raises ValueError unless p is an odd prime below MAX_PRIME (about
+    3.3e24, the range where the primality test is proven exact), N >= 2
+    and M >= 0.
+    """
 
     p: int
     N: int
     M: int
 
     def __post_init__(self):
+        if self.p >= MAX_PRIME:
+            raise ValueError(f"p must be below {MAX_PRIME}, got {self.p}")
         if not _is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.N < 2:
@@ -67,9 +89,11 @@ class PrecisionContext:
 
     @property
     def int64_safe(self) -> bool:
-        """Whether matrix arithmetic fits int64 without overflow."""
-        bound = (self.M + 1) * RANK_HEADROOM * (self.modulus - 1) ** 2
-        return bound <= _INT64_MAX
+        """Whether coefficients are stored as int64: every elementwise and
+        series operation sums at most M+1 products of two residues, so it
+        fits when (M+1)(p^N - 1)^2 < 2^63.  Matrix products choose their own
+        arithmetic from their operand shapes (see series_matrix)."""
+        return (self.M + 1) * (self.modulus - 1) ** 2 <= _INT64_MAX
 
     def reduce_precision(self, new_n: int) -> "PrecisionContext":
         if new_n > self.N:

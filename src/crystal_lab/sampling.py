@@ -18,23 +18,16 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from .errors import InvalidExtension
 from .extension_group import (ExtensionContext, ExtensionData,
                               TrivializationWitness, from_alpha)
 from .padic_series import PrecisionContext, p_valuation
-from .series_matrix import SeriesMatrix
-
-
-def _zeros(ctx, rows, cols):
-    return np.zeros((rows, cols, ctx.M + 1),
-                    dtype=np.int64 if ctx.int64_safe else object)
+from .series_matrix import SeriesMatrix, zeros_array
 
 
 def random_series_matrix(rng: random.Random, ctx: PrecisionContext, rows: int,
                          cols: int, degrees) -> SeriesMatrix:
-    arr = _zeros(ctx, rows, cols)
+    arr = zeros_array(ctx, rows, cols)
     for i in range(rows):
         for j in range(cols):
             for d in degrees:

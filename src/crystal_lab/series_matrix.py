@@ -1,11 +1,28 @@
 """Dense matrices over the truncated series ring.
 
 Entries are stored as a single (rows, cols, M+1) integer array of canonical
-residues.  Products run over numpy int64 when the context guarantees no
-overflow (see PrecisionContext.int64_safe), otherwise over Python integers
-in an object array.  Matrices of one-form bodies reuse the same class; the
-degree-(M) body coefficient of differentiated data is untrusted and the
-checkers compare through degree M-1 explicitly.
+residues, in numpy int64 when PrecisionContext.int64_safe holds and in an
+object array of Python integers otherwise (``storage_dtype``).
+
+A product picks its arithmetic per call, from a proven bound on the
+magnitude of every partial sum it forms:
+
+    inner dimension x degree pairs x (p^N - 1) x c.
+
+When an operand is constant, it is lifted to balanced representatives in
+(-p^N/2, p^N/2] (so p^N - 1 becomes -1), there is 1 degree pair, and c is
+the largest absolute value of that lift.  Otherwise there are M+1 degree
+pairs and c = p^N - 1.
+
+* bound < 2^53: float64, through BLAS.  Every partial sum is an integer of
+  magnitude below 2^53, and every such integer is a float64, so no rounding
+  happens in any summation order and the result is bit-exact;
+* bound < 2^63 on int64 storage: numpy int64;
+* otherwise: Python integers in an object array.
+
+Matrices of one-form bodies reuse the same class; the degree-(M) body
+coefficient of differentiated data is untrusted and the checkers compare
+through degree M-1 explicitly.
 """
 
 from __future__ import annotations
@@ -15,6 +32,28 @@ import numpy as np
 from .errors import ContextMismatch
 from .padic_series import (OneForm, PrecisionContext, TruncatedSeries,
                            p_valuation)
+
+_FLOAT64_EXACT = 2**53
+_INT64_EXACT = 2**63
+
+
+def storage_dtype(context: PrecisionContext):
+    """The dtype of every coefficient array over this context."""
+    return np.int64 if context.int64_safe else object
+
+
+def zeros_array(context: PrecisionContext, rows: int, cols: int) -> np.ndarray:
+    """A zero (rows, cols, M+1) coefficient array in the storage dtype."""
+    return np.zeros((rows, cols, context.M + 1), dtype=storage_dtype(context))
+
+
+def product_dtype(bound: int, storage) -> type:
+    """The arithmetic of a product whose partial sums stay below `bound`."""
+    if bound < _FLOAT64_EXACT:
+        return np.float64
+    if bound < _INT64_EXACT and storage == np.int64:
+        return np.int64
+    return object
 
 
 class SeriesMatrix:
@@ -30,17 +69,12 @@ class SeriesMatrix:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def _dtype(cls, context):
-        return np.int64 if context.int64_safe else object
-
-    @classmethod
     def zeros(cls, context, rows, cols):
-        return cls(context, np.zeros((rows, cols, context.M + 1),
-                                     dtype=cls._dtype(context)))
+        return cls(context, zeros_array(context, rows, cols))
 
     @classmethod
     def identity(cls, context, n, scale=1):
-        arr = np.zeros((n, n, context.M + 1), dtype=cls._dtype(context))
+        arr = zeros_array(context, n, n)
         arr[np.arange(n), np.arange(n), 0] = scale % context.modulus
         return cls(context, arr)
 
@@ -49,7 +83,7 @@ class SeriesMatrix:
         """Constant matrix from a list of rows of integers."""
         r = len(rows)
         c = len(rows[0]) if r else 0
-        arr = np.zeros((r, c, context.M + 1), dtype=cls._dtype(context))
+        arr = zeros_array(context, r, c)
         mod = context.modulus
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
@@ -60,7 +94,7 @@ class SeriesMatrix:
     def from_series_rows(cls, context, rows):
         r = len(rows)
         c = len(rows[0]) if r else 0
-        arr = np.zeros((r, c, context.M + 1), dtype=cls._dtype(context))
+        arr = zeros_array(context, r, c)
         for i, row in enumerate(rows):
             for j, s in enumerate(row):
                 if isinstance(s, OneForm):
@@ -78,7 +112,7 @@ class SeriesMatrix:
         """Assemble from a 2-D grid of SeriesMatrix blocks."""
         rows = sum(g[0].rows for g in grid)
         cols = sum(b.cols for b in grid[0])
-        arr = np.zeros((rows, cols, context.M + 1), dtype=cls._dtype(context))
+        arr = zeros_array(context, rows, cols)
         i0 = 0
         for grow in grid:
             j0 = 0
@@ -158,28 +192,42 @@ class SeriesMatrix:
     def __matmul__(self, other):
         self._check(other)
         mod = self.context.modulus
-        m = self.context.M
-        if self.is_constant():
-            a0 = self.arr[:, :, 0]
-            out = np.tensordot(a0, other.arr, axes=(1, 0))
-            return SeriesMatrix(self.context, out % mod)
-        if other.is_constant():
-            b0 = other.arr[:, :, 0]
-            # (r, k, D) x (k, c) summed over k -> (r, D, c) -> (r, c, D)
-            out = np.tensordot(self.arr, b0, axes=(1, 0))
-            out = out.transpose(0, 2, 1)
-            return SeriesMatrix(self.context, np.ascontiguousarray(out) % mod)
-        out = np.zeros((self.rows, other.cols, m + 1), dtype=self.arr.dtype)
-        nz_a = [d for d in range(m + 1) if self.arr[:, :, d].any()]
-        nz_b = [d for d in range(m + 1) if other.arr[:, :, d].any()]
-        for a in nz_a:
-            aa = self.arr[:, :, a]
-            for b in nz_b:
-                d = a + b
-                if d > m:
-                    break
-                out[:, :, d] += np.dot(aa, other.arr[:, :, b])
-        return SeriesMatrix(self.context, out % mod)
+        d = self.context.M + 1
+        r, k, c = self.rows, self.cols, other.cols
+        left = self.is_constant()
+        if left or other.is_constant():
+            const = _balanced((self if left else other).arr[:, :, 0], mod)
+            top = int(np.abs(const).max(initial=0))
+            bound = k * (mod - 1) * top
+        else:
+            const = None
+            bound = k * d * (mod - 1) ** 2
+        if bound == 0:
+            # an empty inner dimension or a zero constant operand
+            return SeriesMatrix.zeros(self.context, r, c)
+        dtype = product_dtype(bound, self.arr.dtype)
+        if const is None:
+            if dtype is np.float64:
+                out = _convolve_float(self.arr, other.arr)
+            else:
+                out = _convolve_pairs(self.arr.astype(dtype, copy=False),
+                                      other.arr.astype(dtype, copy=False))
+        elif left:
+            # (r, k) x (k, c*D): one GEMM over every degree at once
+            b = other.arr.astype(dtype, copy=False).reshape(k, c * d)
+            out = np.dot(const.astype(dtype, copy=False), b).reshape(r, c, d)
+        else:
+            # (r*D, k) x (k, c), with the degree axis moved next to r
+            a = np.empty((r, d, k), dtype)
+            a[...] = self.arr.transpose(0, 2, 1)
+            out = np.dot(a.reshape(r * d, k), const.astype(dtype, copy=False))
+            out = out.reshape(r, d, c).transpose(0, 2, 1)
+        # every kernel's output is a fresh array, so reducing in place is safe
+        out = out.astype(np.int64 if dtype is np.float64 else dtype,
+                         order="C", copy=False)
+        out %= mod
+        return SeriesMatrix(self.context,
+                            out.astype(storage_dtype(self.context), copy=False))
 
     def transpose(self) -> "SeriesMatrix":
         return SeriesMatrix(self.context,
@@ -263,6 +311,43 @@ class SeriesMatrix:
     def to_series_rows(self) -> list:
         return [[self.entry(i, j) for j in range(self.cols)]
                 for i in range(self.rows)]
+
+
+def _balanced(layer: np.ndarray, mod: int) -> np.ndarray:
+    """Residues lifted to (-mod/2, mod/2]; mod - 1 becomes -1."""
+    return np.where(layer > mod // 2, layer - mod, layer)
+
+
+def _convolve_float(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Degree convolution of two coefficient arrays in float64, unreduced:
+    one GEMM per non-zero degree x of a, out[..., x:] += a[x] @ b[..., :D-x]."""
+    r, k, d = a.shape
+    c = b.shape[1]
+    # degree-major a and degree-middle b make every operand a plain view
+    af = np.empty((d, r, k))
+    af[...] = a.transpose(2, 0, 1)
+    bf = np.empty((k, d, c))
+    bf[...] = b.transpose(0, 2, 1)
+    out = np.zeros((r, d, c))
+    for x in np.flatnonzero(af.any(axis=(1, 2))):
+        n = d - x
+        out[:, x:, :] += np.dot(af[x], bf[:, :n, :].reshape(k, n * c)
+                                ).reshape(r, n, c)
+    return out.transpose(0, 2, 1)
+
+
+def _convolve_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Degree convolution of two coefficient arrays, unreduced: one product
+    per pair of non-zero degrees whose sum stays in range."""
+    d = a.shape[2]
+    out = np.zeros((a.shape[0], b.shape[1], d), dtype=a.dtype)
+    nz_b = np.flatnonzero(b.any(axis=(0, 1)))
+    for x in np.flatnonzero(a.any(axis=(0, 1))):
+        for y in nz_b:
+            if x + y >= d:
+                break
+            out[:, :, x + y] += np.dot(a[:, :, x], b[:, :, y])
+    return out
 
 
 def det_mod_p(rows, p) -> int:

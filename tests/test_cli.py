@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -186,6 +187,19 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "gen", "--p", "3", "--h", "11",
                                "--kind", "sub1")
         assert code == 2
+
+    def test_large_prime_is_quick(self, capsys):
+        t0 = time.perf_counter()
+        code, text, _ = run_cli(capsys, "gen", "--kind", "sub1", "--p",
+                                "1000000000000000003", "--h", "2", "--N", "8",
+                                "--M", "4")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0 and json.loads(text)["context"]["p"] == 10**18 + 3
+
+    def test_prime_beyond_proven_range(self, capsys):
+        code, _, err = run_cli(capsys, "gen", "--kind", "sub1", "--p",
+                               str(10**25 + 13), "--h", "2")
+        assert code == 2 and "below" in err
 
     def test_unknown_verb_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

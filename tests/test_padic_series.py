@@ -7,6 +7,7 @@ from crystal_lab import (OneForm, PAdicScalar, PrecisionContext,
                          integrate, oneform_pullback, series_arith)
 from crystal_lab.errors import (ContextMismatch, NonIntegrable,
                                 PrecisionInsufficient)
+from crystal_lab.padic_series import MAX_PRIME, _is_odd_prime
 
 
 def poly_mul_oracle(a, b, modulus, top):
@@ -42,6 +43,31 @@ class TestPrecisionContext:
     def test_rejects_negative_m(self):
         with pytest.raises(ValueError):
             PrecisionContext(3, 8, -1)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n > 2 and n % 2 == 1 and all(n % d for d in range(3, int(n**0.5) + 1, 2))
+        assert [n for n in range(3000) if _is_odd_prime(n)] == \
+            [n for n in range(3000) if trial(n)]
+
+    @pytest.mark.parametrize("n", [
+        2047,                          # strong pseudoprime to base 2
+        3215031751,                    # ... to bases 2, 3, 5, 7
+        3825123056546413051,           # ... to bases 2 through 23
+        318665857834031151167461,      # ... to bases 2 through 37
+    ])
+    def test_rejects_strong_pseudoprimes(self, n):
+        assert not _is_odd_prime(n)
+
+    def test_large_primes(self):
+        assert _is_odd_prime(10**18 + 3)
+        assert _is_odd_prime(2**61 - 1)
+        assert not _is_odd_prime((2**31 - 1) * (2**61 - 1))
+        assert PrecisionContext(10**18 + 3, 2, 0).modulus == (10**18 + 3)**2
+
+    def test_rejects_p_beyond_proven_range(self):
+        with pytest.raises(ValueError, match="below"):
+            PrecisionContext(MAX_PRIME + 2, 2, 0)
 
     def test_modulus(self, ctx3):
         assert ctx3.modulus == 3**8
