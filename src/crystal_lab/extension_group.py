@@ -22,7 +22,7 @@ from .crystal import (FCrystalPresentation, STANDARD_WEIGHT, direct_sum,
 from .errors import (ContextMismatch, HypothesisMissing, InvalidExtension,
                      NonIntegrable, NotStable, PrecisionInsufficient,
                      WitnessInvalid)
-from .padic_series import PrecisionContext, integrate
+from .padic_series import PrecisionContext, integrate, mul_mod
 from .series_matrix import SeriesMatrix, zeros_array
 
 
@@ -181,18 +181,13 @@ def _v_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
     v[i][j] = p^(1-[j=0]) phi*(alpha[i][j-1]) - p^(1+[i=h-1]) alpha[i+1][j],
     indices mod h."""
     ctx = alpha.context
-    h = alpha.rows
     p = ctx.p
-    mod = ctx.modulus
-    phi = alpha.phi_pullback().arr
-    term1 = np.roll(phi, 1, axis=1).copy()
-    for j in range(1, h):
-        term1[:, j, :] = (term1[:, j, :] * p) % mod
-    term2 = np.roll(alpha.arr, -1, axis=0).copy()
-    for i in range(h):
-        k = p * p if i == h - 1 else p
-        term2[i, :, :] = (term2[i, :, :] * k) % mod
-    return SeriesMatrix(ctx, (term1 - term2) % mod)
+    term1 = np.roll(alpha.phi_pullback().arr, 1, axis=1)
+    term1[:, 1:, :] = mul_mod(term1[:, 1:, :], p, ctx)
+    term2 = np.roll(alpha.arr, -1, axis=0)
+    term2[:-1] = mul_mod(term2[:-1], p, ctx)
+    term2[-1] = mul_mod(term2[-1], p * p, ctx)
+    return SeriesMatrix(ctx, (term1 - term2) % ctx.modulus)
 
 
 def _m_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
@@ -264,11 +259,9 @@ def _readout(ectx: ExtensionContext, f_fin: SeriesMatrix, a_fin: SeriesMatrix,
             or sub(g_fin, 0, h, h, 2 * h) != SeriesMatrix.identity(ctx, h) \
             or sub(g_fin, h, 2 * h, 0, h) != SeriesMatrix.identity(ctx, h):
         raise NotStable("Baer-sum pairing does not reduce to the standard frame")
-    d_block = sub(g_fin, h, 2 * h, h, 2 * h)
-    inv2 = pow(2, -1, mod)
-    m_arr = d_block.arr.copy()
-    for i in range(h):
-        m_arr[i, i, :] = (m_arr[i, i, :] * inv2) % mod
+    m_arr = g_fin.arr[h:, h:, :].copy()
+    diag = np.arange(h)
+    m_arr[diag, diag, :] = mul_mod(m_arr[diag, diag, :], pow(2, -1, mod), ctx)
     m = SeriesMatrix(ctx, m_arr)
     return ExtensionData(ectx, xi, v, m, geometric_flag=flag)
 

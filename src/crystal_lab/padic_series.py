@@ -5,18 +5,28 @@ may be shared freely across threads.  Coefficients are canonical residues
 in [0, p^N); equality is bit-exact.  The Frobenius lift is fixed as
 t |-> t^p with the identity on coefficients, so the lift acts on series by
 monomial substitution.
+
+Coefficient arrays are numpy int64 when p^N < 2^62 and object arrays of
+Python integers otherwise (``storage_dtype``).  On int64 storage a sum or
+difference of two residues stays below 2^63, so add, sub and neg never
+overflow.  Every multiply compares a bound on its result with constants of
+the PrecisionContext before it uses int64, and forms the product in Python
+integers when int64 could overflow (``mul_mod``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContextMismatch, NonIntegrable, PrecisionInsufficient
 
 _INT64_MAX = 2**63 - 1
+# int64 storage keeps 2(p^N - 1) < 2^63
+_INT64_STORAGE_LIMIT = 2**62
+# t-adic precision cap: one series holds at most MAX_M + 1 coefficients
+MAX_M = 4096
 
 # Miller-Rabin with the first 13 prime bases is deterministic below this
 # bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
@@ -66,12 +76,24 @@ class PrecisionContext:
 
     Raises ValueError unless p is an odd prime below MAX_PRIME (about
     3.3e24, the range where the primality test is proven exact), N >= 2
-    and M >= 0.
+    and 0 <= M <= MAX_M.
+
+    The derived constants are computed once and take no part in equality:
+
+    * ``int64_safe``: coefficients are stored as int64, i.e. p^N < 2^62;
+    * ``int64_scalar_max``: the largest k with (p^N - 1) k < 2^63, so that
+      an int64 residue array times any 0 <= k <= int64_scalar_max is exact;
+    * ``int64_series_fits``: int64 storage and (M+1)(p^N - 1)^2 < 2^63, so
+      that a truncated product of two series is exact in int64.
     """
 
     p: int
     N: int
     M: int
+    modulus: int = field(init=False, repr=False, compare=False)
+    int64_safe: bool = field(init=False, repr=False, compare=False)
+    int64_scalar_max: int = field(init=False, repr=False, compare=False)
+    int64_series_fits: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p >= MAX_PRIME:
@@ -82,18 +104,15 @@ class PrecisionContext:
             raise ValueError(f"N must be at least 2, got {self.N}")
         if self.M < 0:
             raise ValueError(f"M must be non-negative, got {self.M}")
-
-    @property
-    def modulus(self) -> int:
-        return _modulus(self.p, self.N)
-
-    @property
-    def int64_safe(self) -> bool:
-        """Whether coefficients are stored as int64: every elementwise and
-        series operation sums at most M+1 products of two residues, so it
-        fits when (M+1)(p^N - 1)^2 < 2^63.  Matrix products choose their own
-        arithmetic from their operand shapes (see series_matrix)."""
-        return (self.M + 1) * (self.modulus - 1) ** 2 <= _INT64_MAX
+        if self.M > MAX_M:
+            raise ValueError(f"M must be at most {MAX_M}, got {self.M}")
+        top = self.p**self.N - 1
+        safe = top < _INT64_STORAGE_LIMIT
+        for name, value in (("modulus", top + 1), ("int64_safe", safe),
+                            ("int64_scalar_max", _INT64_MAX // top),
+                            ("int64_series_fits",
+                             safe and (self.M + 1) * top**2 <= _INT64_MAX)):
+            object.__setattr__(self, name, value)
 
     def reduce_precision(self, new_n: int) -> "PrecisionContext":
         if new_n > self.N:
@@ -107,9 +126,25 @@ class PrecisionContext:
         return {"p": self.p, "N": self.N, "M": self.M}
 
 
-@lru_cache(maxsize=None)
-def _modulus(p: int, n: int) -> int:
-    return p**n
+def storage_dtype(context: PrecisionContext):
+    """The dtype of every coefficient array over this context."""
+    return np.int64 if context.int64_safe else object
+
+
+def mul_mod(arr: np.ndarray, k, context: PrecisionContext, k_max: int | None = None
+            ) -> np.ndarray:
+    """arr * k mod p^N, exactly, for a residue array arr and 0 <= k <= k_max.
+
+    k is an int (k_max defaults to k) or an integer array that broadcasts
+    against arr.  The product is formed in arr's dtype when
+    (p^N - 1) k_max < 2^63, and in Python integers otherwise.
+    """
+    if k_max is None:
+        k_max = k
+    if k_max <= context.int64_scalar_max:
+        return arr * k % context.modulus
+    out = np.multiply(arr, k, dtype=object) % context.modulus
+    return out.astype(arr.dtype, copy=False)
 
 
 def _check_same_context(a, b):
@@ -175,7 +210,7 @@ class TruncatedSeries:
 
     def __init__(self, context: PrecisionContext, coefficients=()):
         self.context = context
-        arr = np.zeros(context.M + 1, dtype=np.int64 if context.int64_safe else object)
+        arr = np.zeros(context.M + 1, dtype=storage_dtype(context))
         mod = context.modulus
         for n, c in enumerate(coefficients):
             if n > context.M:
@@ -213,7 +248,7 @@ class TruncatedSeries:
         return cls(context, coeffs)
 
     def coeffs(self) -> tuple:
-        return tuple(int(c) for c in self._arr)
+        return tuple(self._arr.tolist())
 
     def coefficient(self, n: int) -> PAdicScalar:
         return PAdicScalar(self.context, int(self._arr[n]))
@@ -274,15 +309,17 @@ class TruncatedSeries:
             self.context, (-self._arr) % self.context.modulus)
 
     def __mul__(self, other):
+        ctx = self.context
         if isinstance(other, int):
             return TruncatedSeries._from_array(
-                self.context, (self._arr * (other % self.context.modulus))
-                % self.context.modulus)
+                ctx, mul_mod(self._arr, other % ctx.modulus, ctx))
         _check_same_context(self, other)
-        m = self.context.M
-        full = np.convolve(self._arr, other._arr)
+        a, b = self._arr, other._arr
+        if not ctx.int64_series_fits:
+            a, b = a.astype(object), b.astype(object)
+        out = np.convolve(a, b)[:ctx.M + 1] % ctx.modulus
         return TruncatedSeries._from_array(
-            self.context, full[:m + 1] % self.context.modulus)
+            ctx, out.astype(storage_dtype(ctx), copy=False))
 
     __rmul__ = __mul__
 
@@ -378,12 +415,11 @@ def series_arith(a: TruncatedSeries, b: TruncatedSeries, op: str) -> TruncatedSe
 def derivative(a: TruncatedSeries) -> OneForm:
     """Formal derivative; the body coefficient at degree M is unknowable and set to 0."""
     ctx = a.context
-    mod = ctx.modulus
     arr = a._arr
     out = np.zeros_like(arr)
     if ctx.M >= 1:
         idx = np.arange(1, ctx.M + 1, dtype=arr.dtype)
-        out[:ctx.M] = (arr[1:] * idx) % mod
+        out[:ctx.M] = mul_mod(arr[1:], idx, ctx, ctx.M)
     return OneForm(TruncatedSeries._from_array(ctx, out))
 
 

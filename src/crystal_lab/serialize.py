@@ -2,7 +2,9 @@
 
 Every document carries {"schema": "crystal-lab/1"} and a context object
 {"p": int, "N": int, "M": int}.  A series is an array of decimal strings
-["c0", "c1", ...]; matrices are arrays of rows of series.
+["c0", "c1", ...]; matrices are arrays of rows of series.  JSON booleans are
+rejected wherever an integer is expected, and a crystal whose rank^2 (M+1)
+exceeds series_matrix.MAX_COEFFICIENTS is rejected before any matrix is read.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from .extension_group import (ExtensionContext, ExtensionData,
                               TrivializationWitness)
 from .moduli import DeformationPoint
 from .padic_series import PrecisionContext, TruncatedSeries
-from .series_matrix import SeriesMatrix
+from .series_matrix import MAX_COEFFICIENTS, SeriesMatrix
 
 SCHEMA = "crystal-lab/1"
 
@@ -21,6 +23,11 @@ SCHEMA = "crystal-lab/1"
 def _expect(cond, msg):
     if not cond:
         raise SchemaError(msg)
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; bool subclasses int but true and false are not integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def context_to_json(ctx: PrecisionContext) -> dict:
@@ -31,7 +38,7 @@ def context_from_json(obj) -> PrecisionContext:
     _expect(isinstance(obj, dict), "context must be an object")
     _expect(set(obj) == {"p", "N", "M"}, "context must have keys p, N, M")
     for k in ("p", "N", "M"):
-        _expect(isinstance(obj[k], int), f"context field {k} must be an integer")
+        _expect(_is_int(obj[k]), f"context field {k} must be an integer")
     try:
         return PrecisionContext(obj["p"], obj["N"], obj["M"])
     except ValueError as exc:
@@ -56,8 +63,7 @@ def series_from_json(ctx: PrecisionContext, obj) -> TruncatedSeries:
 
 
 def matrix_to_json(m: SeriesMatrix) -> list:
-    return [[series_to_json(m.entry(i, j)) for j in range(m.cols)]
-            for i in range(m.rows)]
+    return [[[str(c) for c in cell] for cell in row] for row in m.arr.tolist()]
 
 
 def matrix_from_json(ctx: PrecisionContext, obj, rows, cols) -> SeriesMatrix:
@@ -93,12 +99,14 @@ def crystal_from_json(obj) -> FCrystalPresentation:
     _expect(obj.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
     ctx = context_from_json(obj.get("context"))
     rank = obj.get("rank")
-    _expect(isinstance(rank, int) and rank >= 0, "rank must be a non-negative int")
+    _expect(_is_int(rank) and rank >= 0, "rank must be a non-negative int")
+    _expect(rank * rank * (ctx.M + 1) <= MAX_COEFFICIENTS,
+            f"rank^2 (M+1) must be at most {MAX_COEFFICIENTS}")
     weight = obj.get("weight")
-    _expect(isinstance(weight, int) and weight >= 0,
+    _expect(_is_int(weight) and weight >= 0,
             "weight must be a non-negative int")
     shift = obj.get("frobenius_shift", 0)
-    _expect(isinstance(shift, int), "frobenius_shift must be an int")
+    _expect(_is_int(shift), "frobenius_shift must be an int")
     mats = {}
     for key in ("frobenius", "connection", "pairing"):
         mats[key] = matrix_from_json(ctx, obj.get(key), rank, rank)
@@ -123,7 +131,7 @@ def extension_from_json(obj) -> ExtensionData:
     _expect(obj.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
     ctx = context_from_json(obj.get("context"))
     h = obj.get("h")
-    _expect(isinstance(h, int), "h must be an integer")
+    _expect(_is_int(h), "h must be an integer")
     geometric = obj.get("geometric", False)
     _expect(isinstance(geometric, bool), "geometric must be a boolean")
     ectx = ExtensionContext(ctx, h)
@@ -147,7 +155,7 @@ def witness_from_json(obj) -> TrivializationWitness:
     _expect(obj.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
     ctx = context_from_json(obj.get("context"))
     h = obj.get("h")
-    _expect(isinstance(h, int), "h must be an integer")
+    _expect(_is_int(h), "h must be an integer")
     alpha = matrix_from_json(ctx, obj.get("alpha"), h, h)
     return TrivializationWitness(ExtensionContext(ctx, h), alpha)
 
@@ -169,7 +177,7 @@ def point_from_json(obj) -> DeformationPoint:
     ctx = context_from_json(obj.get("context"))
     h = obj.get("h")
     n = obj.get("n")
-    _expect(isinstance(h, int) and isinstance(n, int), "h and n must be integers")
+    _expect(_is_int(h) and _is_int(n), "h and n must be integers")
     ext = extension_from_json(obj.get("extension"))
     _expect(ext.h == h and ext.context == ctx,
             "extension block disagrees with the point header")

@@ -1,8 +1,10 @@
 """Dense matrices over the truncated series ring.
 
-Entries are stored as a single (rows, cols, M+1) integer array of canonical
-residues, in numpy int64 when PrecisionContext.int64_safe holds and in an
-object array of Python integers otherwise (``storage_dtype``).
+Entries are stored as a single (rows, cols, M+1) array of canonical
+residues in the storage dtype of the context (``padic_series.storage_dtype``):
+numpy int64 when p^N < 2^62, Python integers in an object array otherwise.
+A matrix holds at most MAX_COEFFICIENTS coefficients; ``zeros_array``
+checks this before it allocates.
 
 A product picks its arithmetic per call, from a proven bound on the
 magnitude of every partial sum it forms:
@@ -17,12 +19,19 @@ pairs and c = p^N - 1.
 * bound < 2^53: float64, through BLAS.  Every partial sum is an integer of
   magnitude below 2^53, and every such integer is a float64, so no rounding
   happens in any summation order and the result is bit-exact;
-* bound < 2^63 on int64 storage: numpy int64;
-* otherwise: Python integers in an object array.
+* otherwise, on int64 storage: limb splitting.  Each residue is cut into L
+  limbs of s bits, with inner dimension x degree pairs x (2^s - 1)^2 <
+  2^53.  One float64 product of the stacked limbs (left limbs along rows,
+  right limbs along columns) gives all L^2 limb products exactly, and they
+  are recombined mod p^N in int64 (``_limb_product``);
+* otherwise (object storage): Python integers, one product per pair of
+  non-zero degrees.
 
-Matrices of one-form bodies reuse the same class; the degree-(M) body
-coefficient of differentiated data is untrusted and the checkers compare
-through degree M-1 explicitly.
+Scalar and series multiplies of stored residues go through
+``padic_series.mul_mod``, which proves its own int64 bound.  Matrices of
+one-form bodies reuse the same class; the degree-(M) body coefficient of
+differentiated data is untrusted and the checkers compare through degree
+M-1 explicitly.
 """
 
 from __future__ import annotations
@@ -31,27 +40,29 @@ import numpy as np
 
 from .errors import ContextMismatch
 from .padic_series import (OneForm, PrecisionContext, TruncatedSeries,
-                           p_valuation)
+                           mul_mod, p_valuation, storage_dtype)
 
 _FLOAT64_EXACT = 2**53
-_INT64_EXACT = 2**63
-
-
-def storage_dtype(context: PrecisionContext):
-    """The dtype of every coefficient array over this context."""
-    return np.int64 if context.int64_safe else object
+# size cap of one matrix: 2^22 coefficients, 32 MiB as int64
+MAX_COEFFICIENTS = 2**22
 
 
 def zeros_array(context: PrecisionContext, rows: int, cols: int) -> np.ndarray:
-    """A zero (rows, cols, M+1) coefficient array in the storage dtype."""
+    """A zero (rows, cols, M+1) coefficient array in the storage dtype.
+
+    Raises ValueError, before allocating, beyond MAX_COEFFICIENTS."""
+    if rows * cols * (context.M + 1) > MAX_COEFFICIENTS:
+        raise ValueError(f"a {rows}x{cols} matrix at M={context.M} exceeds "
+                         f"{MAX_COEFFICIENTS} coefficients")
     return np.zeros((rows, cols, context.M + 1), dtype=storage_dtype(context))
 
 
 def product_dtype(bound: int, storage) -> type:
-    """The arithmetic of a product whose partial sums stay below `bound`."""
+    """The arithmetic of a product whose partial sums stay below `bound`:
+    float64 directly, int64 for recombined float64 limb products, or object."""
     if bound < _FLOAT64_EXACT:
         return np.float64
-    if bound < _INT64_EXACT and storage == np.int64:
+    if storage == np.int64:
         return np.int64
     return object
 
@@ -172,62 +183,55 @@ class SeriesMatrix:
         return SeriesMatrix(self.context, (-self.arr) % self.context.modulus)
 
     def scale_int(self, k: int) -> "SeriesMatrix":
-        return SeriesMatrix(self.context,
-                            (self.arr * (k % self.context.modulus))
-                            % self.context.modulus)
+        return SeriesMatrix(self.context, mul_mod(
+            self.arr, k % self.context.modulus, self.context))
 
     def scale_series(self, s: TruncatedSeries) -> "SeriesMatrix":
         """Entrywise multiplication by a fixed series."""
-        mod = self.context.modulus
-        m = self.context.M
+        ctx = self.context
+        m = ctx.M
         out = np.zeros_like(self.arr)
         sarr = s._arr
         for d in range(m + 1):
             c = int(sarr[d])
             if c == 0:
                 continue
-            out[:, :, d:] += self.arr[:, :, :m + 1 - d] * c
-        return SeriesMatrix(self.context, out % mod)
+            # two residues sum below 2^63, so reducing after each add is exact
+            out[:, :, d:] += mul_mod(self.arr[:, :, :m + 1 - d], c, ctx)
+            out[:, :, d:] %= ctx.modulus
+        return SeriesMatrix(ctx, out)
 
     def __matmul__(self, other):
         self._check(other)
-        mod = self.context.modulus
-        d = self.context.M + 1
+        ctx = self.context
+        mod = ctx.modulus
+        d = ctx.M + 1
         r, k, c = self.rows, self.cols, other.cols
+        a, b = self.arr, other.arr
         left = self.is_constant()
-        if left or other.is_constant():
-            const = _balanced((self if left else other).arr[:, :, 0], mod)
-            top = int(np.abs(const).max(initial=0))
-            bound = k * (mod - 1) * top
+        right = not left and other.is_constant()
+        if left or right:
+            const = _balanced((a if left else b)[:, :, :1], mod)
+            top, pairs = int(np.abs(const).max(initial=0)), 1
         else:
-            const = None
-            bound = k * d * (mod - 1) ** 2
-        if bound == 0:
-            # an empty inner dimension or a zero constant operand
-            return SeriesMatrix.zeros(self.context, r, c)
-        dtype = product_dtype(bound, self.arr.dtype)
-        if const is None:
-            if dtype is np.float64:
-                out = _convolve_float(self.arr, other.arr)
-            else:
-                out = _convolve_pairs(self.arr.astype(dtype, copy=False),
-                                      other.arr.astype(dtype, copy=False))
-        elif left:
-            # (r, k) x (k, c*D): one GEMM over every degree at once
-            b = other.arr.astype(dtype, copy=False).reshape(k, c * d)
-            out = np.dot(const.astype(dtype, copy=False), b).reshape(r, c, d)
+            top, pairs = mod - 1, d
+        bound = k * pairs * (mod - 1) * top
+        if bound == 0 or r * c == 0:
+            # an empty result or inner dimension, or a zero constant operand
+            return SeriesMatrix.zeros(ctx, r, c)
+        dtype = product_dtype(bound, storage_dtype(ctx))
+        if dtype is np.float64:
+            if left:
+                a = const
+            elif right:
+                b = const
+            out = _float_product(a, b, left, right).astype(np.int64, order="C")
+            out %= mod
+        elif dtype is np.int64:
+            out = _limb_product(a, b, left, right, k * pairs, ctx)
         else:
-            # (r*D, k) x (k, c), with the degree axis moved next to r
-            a = np.empty((r, d, k), dtype)
-            a[...] = self.arr.transpose(0, 2, 1)
-            out = np.dot(a.reshape(r * d, k), const.astype(dtype, copy=False))
-            out = out.reshape(r, d, c).transpose(0, 2, 1)
-        # every kernel's output is a fresh array, so reducing in place is safe
-        out = out.astype(np.int64 if dtype is np.float64 else dtype,
-                         order="C", copy=False)
-        out %= mod
-        return SeriesMatrix(self.context,
-                            out.astype(storage_dtype(self.context), copy=False))
+            out = _convolve_pairs(a, b) % mod
+        return SeriesMatrix(ctx, out)
 
     def transpose(self) -> "SeriesMatrix":
         return SeriesMatrix(self.context,
@@ -248,12 +252,11 @@ class SeriesMatrix:
 
     def derivative_bodies(self) -> "SeriesMatrix":
         """Entrywise derivative, returned as a matrix of one-form bodies."""
-        mod = self.context.modulus
         m = self.context.M
         out = np.zeros_like(self.arr)
         if m >= 1:
             idx = np.arange(1, m + 1, dtype=self.arr.dtype)
-            out[:, :, :m] = (self.arr[:, :, 1:] * idx) % mod
+            out[:, :, :m] = mul_mod(self.arr[:, :, 1:], idx, self.context, m)
         return SeriesMatrix(self.context, out)
 
     def phi_pullback(self) -> "SeriesMatrix":
@@ -268,12 +271,10 @@ class SeriesMatrix:
     def oneform_pullback_bodies(self) -> "SeriesMatrix":
         """Entrywise pullback of one-form bodies: g |-> g(t^p) * p * t^(p-1)."""
         p = self.context.p
-        m = self.context.M
-        mod = self.context.modulus
         out = np.zeros_like(self.arr)
-        n_top = (m - p + 1) // p
-        for n in range(n_top + 1):
-            out[:, :, p * n + p - 1] = (self.arr[:, :, n] * p) % mod
+        # degree n goes to p n + p - 1 for n <= n_top (n_top >= -1)
+        n_top = (self.context.M - p + 1) // p
+        out[:, :, p - 1::p] = mul_mod(self.arr[:, :, :n_top + 1], p, self.context)
         return SeriesMatrix(self.context, out)
 
     def truncate_degree(self, d: int) -> "SeriesMatrix":
@@ -287,7 +288,8 @@ class SeriesMatrix:
         ctx = self.context.reduce_precision(new_n)
         if ctx is self.context:
             return self
-        return SeriesMatrix(ctx, self.arr % ctx.modulus)
+        return SeriesMatrix(ctx, (self.arr % ctx.modulus).astype(
+            storage_dtype(ctx), copy=False))
 
     def reduce_mod_p_is_zero(self) -> bool:
         return not (self.arr % self.context.p).any()
@@ -318,6 +320,63 @@ def _balanced(layer: np.ndarray, mod: int) -> np.ndarray:
     return np.where(layer > mod // 2, layer - mod, layer)
 
 
+def _float_product(a: np.ndarray, b: np.ndarray, left: bool, right: bool
+                   ) -> np.ndarray:
+    """Unreduced a @ b in float64, for integer arrays whose partial sums stay
+    below 2^53 in magnitude.  A constant operand (left or right) contributes
+    its degree-0 layer only."""
+    r, k = a.shape[:2]
+    c, d = b.shape[1], (b if left else a).shape[2]
+    if left:
+        # (r, k) x (k, c*D): one GEMM over every degree at once
+        bf = b.astype(np.float64).reshape(k, c * d)
+        return np.dot(a[:, :, 0].astype(np.float64), bf).reshape(r, c, d)
+    if right:
+        # (r*D, k) x (k, c), with the degree axis moved next to r
+        af = np.empty((r, d, k))
+        af[...] = a.transpose(0, 2, 1)
+        out = np.dot(af.reshape(r * d, k), b[:, :, 0].astype(np.float64))
+        return out.reshape(r, d, c).transpose(0, 2, 1)
+    return _convolve_float(a, b)
+
+
+def _limb_product(a: np.ndarray, b: np.ndarray, left: bool, right: bool,
+                  terms: int, context: PrecisionContext) -> np.ndarray:
+    """a @ b mod p^N for int64 residues, where each output sums `terms`
+    products of two residues.
+
+    Residues are cut into L limbs of s bits with terms (2^s - 1)^2 < 2^53;
+    terms counts elements of one operand, so it is far below 2^51 and
+    s >= 1.  One float64 product of the stacked limbs, left limbs along rows
+    and right limbs along columns, gives all L^2 limb products exactly.
+    They are summed by weight i + j, each sum below L 2^53 < 2^59, and
+    recombined by Horner's rule from the top weight: the accumulator is a
+    residue below 2^62, shifted by at most 63 - bitlen(p^N - 1) bits at a
+    time and reduced after each shift, so every intermediate stays below
+    2^63."""
+    mod = context.modulus
+    r, c, d = a.shape[0], b.shape[1], a.shape[2]
+    s = (53 - terms.bit_length()) // 2
+    count = -(-(mod - 1).bit_length() // s)
+    mask = (1 << s) - 1
+    al = np.concatenate([(a >> (s * i)) & mask for i in range(count)], axis=0)
+    bl = np.concatenate([(b >> (s * i)) & mask for i in range(count)], axis=1)
+    prod = _float_product(al, bl, left, right).astype(np.int64, order="C")
+    prod = prod.reshape(count, r, count, c, d)
+    shift = 63 - (mod - 1).bit_length()
+    acc = None
+    for w in range(2 * count - 2, -1, -1):
+        part = sum(prod[i, :, w - i]
+                   for i in range(max(0, w - count + 1), min(w, count - 1) + 1))
+        if acc is not None:
+            for todo in range(s, 0, -shift):
+                acc <<= min(todo, shift)
+                acc %= mod
+            part += acc
+        acc = part % mod
+    return acc
+
+
 def _convolve_float(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Degree convolution of two coefficient arrays in float64, unreduced:
     one GEMM per non-zero degree x of a, out[..., x:] += a[x] @ b[..., :D-x]."""
@@ -337,10 +396,10 @@ def _convolve_float(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _convolve_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Degree convolution of two coefficient arrays, unreduced: one product
-    per pair of non-zero degrees whose sum stays in range."""
+    """Degree convolution of two object coefficient arrays, unreduced: one
+    product per pair of non-zero degrees whose sum stays in range."""
     d = a.shape[2]
-    out = np.zeros((a.shape[0], b.shape[1], d), dtype=a.dtype)
+    out = np.zeros((a.shape[0], b.shape[1], d), dtype=object)
     nz_b = np.flatnonzero(b.any(axis=(0, 1)))
     for x in np.flatnonzero(a.any(axis=(0, 1))):
         for y in nz_b:

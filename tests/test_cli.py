@@ -1,10 +1,12 @@
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
-from crystal_lab import ExtensionContext, ExtensionData, from_alpha, int_scale, trivialize
+from crystal_lab import (ExtensionContext, ExtensionData, PrecisionContext,
+                         from_alpha, int_scale, make_standard_crystal, trivialize)
 from crystal_lab import serialize
 from crystal_lab.cli import main
 from crystal_lab.sampling import random_witness, witness_support
@@ -200,6 +202,32 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "gen", "--kind", "sub1", "--p",
                                str(10**25 + 13), "--h", "2")
         assert code == 2 and "below" in err
+
+    def test_hostile_m_is_quick_and_allocates_nothing(self, capsys, tmp_path):
+        doc = serialize.crystal_to_json(
+            make_standard_crystal(PrecisionContext(3, 8, 4), 2, "sub1"))
+        doc["context"]["M"] = 10**15
+        path = write_json(tmp_path / "hostile.json", doc)
+        for argv in (("gen", "--kind", "sub1", "--h", "2", "--M", str(10**15)),
+                     ("check", "horizontality", path),
+                     ("gen", "--kind", "slope1", "--h", "2", "--rho", "10000")):
+            tracemalloc.start()
+            t0 = time.perf_counter()
+            code, _, err = run_cli(capsys, *argv)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert code == 2 and err.startswith("error:"), argv
+            assert elapsed < 1.0, argv
+            assert peak < 2**20, (argv, peak)
+
+    def test_boolean_context_field_exits_two(self, capsys, tmp_path):
+        doc = serialize.crystal_to_json(
+            make_standard_crystal(PrecisionContext(3, 8, 4), 2, "sub1"))
+        doc["context"]["M"] = True
+        path = write_json(tmp_path / "bool.json", doc)
+        code, text, err = run_cli(capsys, "check", "horizontality", path)
+        assert code == 2 and text == "" and "integer" in err
 
     def test_unknown_verb_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from crystal_lab import (ExtensionContext, ExtensionData, Refuted, TorsionCertificate, TrivializationWitness,
+from crystal_lab import (ExtensionContext, ExtensionData, PrecisionContext,
+                         Refuted, TorsionCertificate, TrivializationWitness,
                          TruncatedSeries, Untrivializable, assemble_crystal,
                          baer_sum, check_horizontality, check_pairing_compat,
                          from_alpha, int_scale, make_standard_crystal,
@@ -331,3 +332,19 @@ class TestPTorsion:
         assert check_pairing_compat(c).passed
         out = p_torsion_check(e, w)
         assert isinstance(out, Refuted)
+
+
+@pytest.mark.parametrize("n_digits", [24, 39, 40])
+def test_baer_routes_agree_at_the_storage_edges(n_digits):
+    # N=24 and N=39 store int64 (3^39 < 2^62) and take limb products and
+    # chunked scalar multiplies; N=40 stores Python integers
+    ectx = ExtensionContext(PrecisionContext(3, n_digits, 12), 3)
+    rng = random.Random(n_digits)
+    e1 = random_extension(rng, ectx, nontrivial=True)
+    e2 = random_extension(rng, ectx, nontrivial=False)
+    fast = baer_sum(e1, e2, "fast")
+    assert baer_sum(e1, e2, "pullback_pushout") == fast
+    assert baer_sum(e1, e2, "pushout_pullback") == fast
+    crystal = assemble_crystal(fast)
+    assert check_horizontality(crystal).passed
+    assert check_pairing_compat(crystal).passed

@@ -1,0 +1,34 @@
+"""The benchmark's recorded outputs, guarded by the test suite.
+
+perfbench/golden.json holds the SHA-256 prefix of every unit's canonical
+output for seeds 0 to 15.  The first units of the N=8 and the N=24 Baer-sum
+workloads must reproduce them byte for byte.  perfbench/workloads.py is read
+and executed in memory, so nothing is written under perfbench/.
+"""
+
+import hashlib
+import json
+import types
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_workloads():
+    path = BENCH / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("name", ["baer_oracle", "wide_precision"])
+def test_first_units_match_golden_digests(name):
+    golden = json.loads((BENCH / "golden.json").read_text())["seeds"]["0"]
+    workload = load_workloads().WORKLOADS[name]
+    pool = workload.setup(0)
+    for slot, expected in enumerate(golden[name].split()[:2]):
+        output = workload.unit(pool[slot])
+        assert hashlib.sha256(output).hexdigest()[:16] == expected, slot
