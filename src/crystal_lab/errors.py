@@ -12,14 +12,18 @@ class ContextMismatch(CrystalLabError):
 class NonIntegrable(CrystalLabError):
     """A one-form is not the differential of any truncated series.
 
-    Carries the body degree at which the p-divisibility requirement
-    first fails.
+    Carries the index of the first failing entry of a matrix in row-major
+    order (empty for a single one-form) and the body degree at which the
+    p-divisibility requirement first fails there.
     """
 
-    def __init__(self, degree, message=None):
+    def __init__(self, degree, index=(), message=None):
         self.degree = degree
-        super().__init__(message or f"coefficient at body degree {degree} "
-                                    f"is not divisible by its required p-power")
+        self.index = index
+        where = f"entry {index}, " if index else ""
+        super().__init__(message or f"coefficient at {where}body degree "
+                                    f"{degree} is not divisible by its "
+                                    f"required p-power")
 
 
 class PrecisionInsufficient(CrystalLabError):

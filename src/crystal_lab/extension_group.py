@@ -402,45 +402,27 @@ def int_scale(e: ExtensionData, n: int) -> ExtensionData:
 def trivialize(e: ExtensionData):
     """Search for a splitting: antidifferentiate the connection defect, then
     verify the Frobenius and pairing equations at the post-integration
-    precision.  Returns a TrivializationWitness or an Untrivializable value.
+    precision.  Returns a TrivializationWitness or an Untrivializable value
+    naming the first failing equation, and within it the first failing
+    entry in row-major order.
     """
-    ctx = e.context
-    h = e.h
-    alphas = []
-    min_n = ctx.N
-    for i in range(h):
-        row = []
-        for j in range(h):
-            try:
-                a = integrate(e.xi.entry_form(i, j))
-            except NonIntegrable as exc:
-                return Untrivializable(
-                    "xi", (i, j),
-                    f"connection defect ({i},{j}) is not integrable at body "
-                    f"degree {exc.degree}")
-            row.append(a)
-            min_n = min(min_n, a.context.N)
-        alphas.append(row)
-    red_ctx = PrecisionContext(ctx.p, min_n, ctx.M) if min_n < ctx.N else ctx
-    alpha = SeriesMatrix.from_series_rows(
-        red_ctx, [[a.reduce_precision(min_n) for a in row] for row in alphas])
-
-    v_expect = _v_from_alpha(alpha)
-    v_given = e.v.reduce_precision(min_n)
-    for i in range(h):
-        for j in range(h):
-            if v_expect.entry(i, j) != v_given.entry(i, j):
-                return Untrivializable(
-                    "v", (i, j), f"Frobenius equation ({i},{j}) fails")
-    m_expect = _m_from_alpha(alpha)
-    m_given = e.m.reduce_precision(min_n)
-    for i in range(h):
-        for j in range(h):
-            if m_expect.entry(i, j) != m_given.entry(i, j):
-                return Untrivializable(
-                    "m", (i, j), f"pairing equation ({i},{j}) fails")
-    red_ectx = ExtensionContext(red_ctx, h)
-    return TrivializationWitness(red_ectx, alpha)
+    try:
+        alpha = integrate(e.xi)
+    except NonIntegrable as exc:
+        i, j = exc.index
+        return Untrivializable(
+            "xi", (i, j),
+            f"connection defect ({i},{j}) is not integrable at body "
+            f"degree {exc.degree}")
+    n = alpha.context.N
+    for name, expect, given, what in (("v", _v_from_alpha, e.v, "Frobenius"),
+                                      ("m", _m_from_alpha, e.m, "pairing")):
+        wrong = (expect(alpha).arr != given.reduce_precision(n).arr).any(axis=2)
+        if wrong.any():
+            i, j = (int(x) for x in np.argwhere(wrong)[0])
+            return Untrivializable(name, (i, j),
+                                   f"{what} equation ({i},{j}) fails")
+    return TrivializationWitness(ExtensionContext(alpha.context, e.h), alpha)
 
 
 # -- the p-torsion certification chain ------------------------------------------
@@ -474,6 +456,32 @@ def _divide_matrix_by_p(mat: SeriesMatrix) -> SeriesMatrix:
     return SeriesMatrix(new_ctx, (mat.arr // ctx.p) % new_ctx.modulus)
 
 
+def _congruence_chain(h: int, zero: np.ndarray, sym: np.ndarray):
+    """The congruence steps of the torsion chain in order, as (label,
+    statement, ok, failure), from the masks of witness entries (zero) and
+    of symmetric sums (sym) that vanish mod p."""
+    for i in range(h):
+        yield (f"diag({i})",
+               f"witness entry ({i},{i}) = p * m[{i}][{i}] vanishes mod p",
+               zero[i, i], "diagonal congruence fails")
+    for i in range(h):
+        for j in range(i + 1, h):
+            yield (f"sym({i},{j})",
+                   f"witness entries ({i},{j}) + ({j},{i}) = p * m[{i}][{j}] "
+                   "vanish mod p", sym[i, j], "symmetry congruence fails")
+    for i in range(h):
+        yield (f"col-last({i})",
+               f"witness entry ({i},{h - 1}) vanishes mod p (pullback "
+               "faithfulness applied to the first Frobenius column)",
+               zero[i, h - 1], "last-column congruence fails")
+    for j in range(h - 2, -1, -1):
+        for i in range(h):
+            yield (f"descend({i},{j})",
+                   f"witness entry ({i},{j}) vanishes mod p by downward "
+                   f"column induction from column {j + 1}",
+                   zero[i, j], "column induction fails")
+
+
 def p_torsion_check(e: ExtensionData, w: TrivializationWitness):
     """Certify that an extension with trivial p-multiple is itself trivial.
 
@@ -504,12 +512,6 @@ def p_torsion_check(e: ExtensionData, w: TrivializationWitness):
         raise WitnessInvalid("witness fails the pairing equations for p*e")
 
     trace = []
-
-    def congruence(label, statement, mat_entry):
-        ok = mat_entry.reduce_mod_p_is_zero()
-        trace.append(TraceStep(label, statement, ok))
-        return ok
-
     # hypothesis: v columns 2..h of e vanish mod p (rank-1-mod-p Frobenius)
     hyp_ok = not (e.v.arr[:, 1:, :] % p).any() if h > 1 else True
     trace.append(TraceStep("eq5-hypothesis",
@@ -518,36 +520,13 @@ def p_torsion_check(e: ExtensionData, w: TrivializationWitness):
     if not hyp_ok:
         return Refuted("eq5-hypothesis", "rank-1-mod-p condition fails on v")
 
-    for i in range(h):
-        if not congruence(f"diag({i})",
-                          f"witness entry ({i},{i}) = p * m[{i}][{i}] "
-                          "vanishes mod p", alpha.entry(i, i)):
-            return Refuted(f"diag({i})", "diagonal congruence fails")
-    for i in range(h):
-        for j in range(i + 1, h):
-            s = alpha.entry(i, j) + alpha.entry(j, i)
-            ok = s.reduce_mod_p_is_zero()
-            trace.append(TraceStep(
-                f"sym({i},{j})",
-                f"witness entries ({i},{j}) + ({j},{i}) = p * m[{i}][{j}] "
-                "vanish mod p", ok))
-            if not ok:
-                return Refuted(f"sym({i},{j})", "symmetry congruence fails")
-    for i in range(h):
-        if not congruence(
-                f"col-last({i})",
-                f"witness entry ({i},{h - 1}) vanishes mod p (pullback "
-                "faithfulness applied to the first Frobenius column)",
-                alpha.entry(i, h - 1)):
-            return Refuted(f"col-last({i})", "last-column congruence fails")
-    for j in range(h - 2, -1, -1):
-        for i in range(h):
-            if not congruence(
-                    f"descend({i},{j})",
-                    f"witness entry ({i},{j}) vanishes mod p by downward "
-                    f"column induction from column {j + 1}",
-                    alpha.entry(i, j)):
-                return Refuted(f"descend({i},{j})", "column induction fails")
+    # entry (i, j) vanishes mod p; (i, j) + (j, i) vanishes mod p
+    zero = ~(alpha.arr % p).any(axis=2)
+    sym = ~((alpha.arr + alpha.arr.transpose(1, 0, 2)) % p).any(axis=2)
+    for label, statement, ok, failure in _congruence_chain(h, zero, sym):
+        trace.append(TraceStep(label, statement, bool(ok)))
+        if not ok:
+            return Refuted(label, failure)
 
     beta_mat = _divide_matrix_by_p(alpha)
     beta_ctx = beta_mat.context

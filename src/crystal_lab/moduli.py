@@ -78,26 +78,6 @@ class DeformationPoint:
             raise InvalidExtension(
                 "isotropy requires the last hodge coordinate to equal minus "
                 "the corner of m")
-        self._check_frobenius_divisibility()
-
-    def _check_frobenius_divisibility(self):
-        """The filtration generator's Frobenius image at t=0 vanishes mod p^2."""
-        ectx = self.ectx
-        ctx = ectx.ctx
-        h = ectx.h
-        p2 = ctx.p ** 2
-        fa = ectx.sub1.frobenius.constant_layer()
-        coords_a = [int(s._arr[0]) for s in self.hodge]  # zero by invariant
-        out = [0] * h
-        for i in range(h):
-            for j in range(h):
-                out[i] += fa[i][j] * coords_a[j]
-        for i in range(h):
-            out[i] += int(self.extension.v.arr[h - 1, i, 0])
-        if any(x % p2 for x in out):
-            raise InvalidExtension(
-                "Frobenius image of the filtration generator is not divisible "
-                "by p^2 at t=0")
 
     @property
     def h(self) -> int:

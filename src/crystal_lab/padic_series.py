@@ -27,6 +27,9 @@ _INT64_MAX = 2**63 - 1
 _INT64_STORAGE_LIMIT = 2**62
 # t-adic precision cap: one series holds at most MAX_M + 1 coefficients
 MAX_M = 4096
+# p-adic precision cap: N * bitlen(p) <= MAX_MODULUS_BITS, so p^N has at
+# most that many bits; checked before p^N is formed
+MAX_MODULUS_BITS = 1024
 
 # Miller-Rabin with the first 13 prime bases is deterministic below this
 # bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
@@ -75,8 +78,10 @@ class PrecisionContext:
     """Working precisions: odd prime p, residues mod p^N, series mod t^(M+1).
 
     Raises ValueError unless p is an odd prime below MAX_PRIME (about
-    3.3e24, the range where the primality test is proven exact), N >= 2
-    and 0 <= M <= MAX_M.
+    3.3e24, the range where the primality test is proven exact),
+    2 <= N with N * bitlen(p) <= MAX_MODULUS_BITS (so N <= 512 at p = 3),
+    and 0 <= M <= MAX_M.  The bound on N is checked first, before p^N is
+    computed.
 
     The derived constants are computed once and take no part in equality:
 
@@ -96,6 +101,10 @@ class PrecisionContext:
     int64_series_fits: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.N * self.p.bit_length() > MAX_MODULUS_BITS:
+            raise ValueError(
+                f"N * bitlen(p) must be at most {MAX_MODULUS_BITS}, got "
+                f"N={self.N} at p={self.p}")
         if self.p >= MAX_PRIME:
             raise ValueError(f"p must be below {MAX_PRIME}, got {self.p}")
         if not _is_odd_prime(self.p):
@@ -266,17 +275,6 @@ class TruncatedSeries:
     def support(self) -> tuple:
         return tuple(int(n) for n in np.nonzero(self._arr)[0])
 
-    def min_valuation(self) -> int:
-        """min over coefficients of v_p, capped at N (N for the zero series)."""
-        v = self.context.N
-        for c in self._arr:
-            c = int(c)
-            if c:
-                v = min(v, p_valuation(c, self.context.p))
-                if v == 0:
-                    break
-        return v
-
     def reduce_precision(self, new_n: int) -> "TruncatedSeries":
         ctx = self.context.reduce_precision(new_n)
         if ctx is self.context:
@@ -423,45 +421,52 @@ def derivative(a: TruncatedSeries) -> OneForm:
     return OneForm(TruncatedSeries._from_array(ctx, out))
 
 
-def integrate(form: OneForm) -> TruncatedSeries:
-    """Antiderivative with zero constant term.
+def integrate(form):
+    """Antiderivative with zero constant term, of a OneForm or, entrywise,
+    of a matrix of one-form bodies (a SeriesMatrix).
 
-    Each body coefficient g_n (n <= M-1) must satisfy v_p(g_n) >= v_p(n+1);
-    otherwise NonIntegrable(n) is raised.  The whole result is returned at
-    the reduced precision N - max v_p(n+1) over the nonzero g_n, following
-    the global-precision model.
+    Works along the last axis of the (..., M+1) coefficient array.  Each
+    body coefficient g_n (n <= M-1) must satisfy v_p(g_n) >= v_p(n+1);
+    otherwise NonIntegrable is raised, naming the first failing entry in
+    row-major order (``index``, empty for a OneForm) and its lowest failing
+    body degree (``degree``).  Following the global-precision model, the
+    whole result, every entry of a matrix alike, is returned at the one
+    reduced precision N' = N - max v_p(n+1) over the nonzero g_n.  Raises
+    PrecisionInsufficient when N' < 2; non-integrability of any entry is
+    reported first.  Returns a TruncatedSeries for a OneForm, and a matrix
+    of the argument's type otherwise.
     """
     ctx = form.context
-    p = ctx.p
-    body = form.body.coeffs()
-    loss = 0
-    for n in range(ctx.M):
-        g = body[n]
-        if g == 0:
-            continue
-        v = p_valuation(n + 1, p)
-        if v:
-            if p_valuation(g, p) < v:
-                raise NonIntegrable(n)
-            loss = max(loss, v)
-    new_n = ctx.N - loss
-    if new_n < 1:
+    p, m = ctx.p, ctx.M
+    body = (form.body._arr if isinstance(form, OneForm) else form.arr)[..., :m]
+    # per body degree n: p^v with v = v_p(n+1), and the unit part (n+1)/p^v
+    unit = np.arange(1, m + 1)
+    pv = np.ones(m, dtype=np.int64)
+    if p <= m:  # a larger p divides no n+1 <= M (and may exceed int64)
+        while (hit := unit % p == 0).any():
+            unit[hit] //= p
+            pv[hit] *= p
+    bad = (body % pv).astype(bool)
+    if bad.any():
+        *index, degree = (int(x) for x in np.argwhere(bad)[0])
+        raise NonIntegrable(degree, tuple(index))
+    used = body.any(axis=tuple(range(body.ndim - 1)))
+    loss = p_valuation(int(pv[used].max(initial=1)), p)
+    if ctx.N - loss < 2:
         raise PrecisionInsufficient(
-            f"integration would exhaust the p-adic precision (loss {loss})")
-    new_ctx = ctx if loss == 0 else PrecisionContext(p, new_n, ctx.M)
-    new_mod = new_ctx.modulus
-    out = [0] * (ctx.M + 1)
-    for n in range(ctx.M):
-        g = body[n]
-        if g == 0:
-            continue
-        k = n + 1
-        v = p_valuation(k, p)
-        if v:
-            g //= p**v  # exact: divisibility was checked above
-            k //= p**v
-        out[n + 1] = (g * pow(k, -1, new_mod)) % new_mod
-    return TruncatedSeries(new_ctx, out)
+            f"integration would exhaust the p-adic precision (loss {loss} "
+            f"of N={ctx.N} digits)")
+    new_ctx = ctx.reduce_precision(ctx.N - loss)
+    mod = new_ctx.modulus
+    dtype = storage_dtype(new_ctx)
+    inv = np.array([pow(int(u), -1, mod) for u in unit], dtype=dtype)
+    out = np.zeros(body.shape[:-1] + (m + 1,), dtype=dtype)
+    # exact: p^v divides every coefficient it is applied to
+    quot = (body // pv % mod).astype(dtype, copy=False)
+    out[..., 1:] = mul_mod(quot, inv, new_ctx, int(inv.max(initial=0)))
+    if isinstance(form, OneForm):
+        return TruncatedSeries._from_array(new_ctx, out)
+    return type(form)(new_ctx, out)
 
 
 def frobenius_pullback(a: TruncatedSeries) -> TruncatedSeries:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ContextMismatch
 from .padic_series import (OneForm, PrecisionContext, TruncatedSeries,
-                           mul_mod, p_valuation, storage_dtype)
+                           mul_mod, storage_dtype)
 
 _FLOAT64_EXACT = 2**53
 # size cap of one matrix: 2^22 coefficients, 32 MiB as int64
@@ -138,9 +138,6 @@ class SeriesMatrix:
     def entry(self, i, j) -> TruncatedSeries:
         a = np.array(self.arr[i, j], copy=True)
         return TruncatedSeries._from_array(self.context, a)
-
-    def entry_form(self, i, j) -> OneForm:
-        return OneForm(self.entry(i, j))
 
     def column(self, j) -> "SeriesMatrix":
         return SeriesMatrix(self.context, np.array(self.arr[:, j:j + 1], copy=True))
@@ -291,28 +288,11 @@ class SeriesMatrix:
         return SeriesMatrix(ctx, (self.arr % ctx.modulus).astype(
             storage_dtype(ctx), copy=False))
 
-    def reduce_mod_p_is_zero(self) -> bool:
-        return not (self.arr % self.context.p).any()
-
-    def min_valuation(self) -> int:
-        v = self.context.N
-        for x in self.arr.flat:
-            x = int(x)
-            if x:
-                v = min(v, p_valuation(x, self.context.p))
-                if v == 0:
-                    break
-        return v
-
     # -- constant-layer helpers ----------------------------------------------
 
     def constant_layer(self) -> list:
         """The degree-0 coefficients as a list of rows of Python ints."""
         return [[int(x) for x in row] for row in self.arr[:, :, 0]]
-
-    def to_series_rows(self) -> list:
-        return [[self.entry(i, j) for j in range(self.cols)]
-                for i in range(self.rows)]
 
 
 def _balanced(layer: np.ndarray, mod: int) -> np.ndarray:

@@ -221,6 +221,20 @@ class TestUsageErrors:
             assert elapsed < 1.0, argv
             assert peak < 2**20, (argv, peak)
 
+    def test_hostile_n_is_quick(self, capsys, tmp_path):
+        doc = serialize.crystal_to_json(
+            make_standard_crystal(PrecisionContext(3, 8, 4), 2, "sub1"))
+        doc["context"]["N"] = 10**9
+        path = write_json(tmp_path / "hostile.json", doc)
+        for argv in (("check", "horizontality", path),
+                     ("gen", "--kind", "sub1", "--h", "2", "--N", str(10**9)),
+                     ("probe", "--h", "2", "--n", "2", "--samples", "1",
+                      "--seed", "0", "--N", str(10**9))):
+            t0 = time.perf_counter()
+            code, text, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - t0 < 1.0, argv
+            assert code == 2 and text == "" and "bitlen" in err, argv
+
     def test_boolean_context_field_exits_two(self, capsys, tmp_path):
         doc = serialize.crystal_to_json(
             make_standard_crystal(PrecisionContext(3, 8, 4), 2, "sub1"))

@@ -135,7 +135,7 @@ class TestDataValidation:
         z = SeriesMatrix.zeros(ctx, 2, 2)
         arr = z.arr.copy()
         arr[0, 0, 0] = 1
-        with pytest.raises(InvalidExtension):
+        with pytest.raises(InvalidExtension, match="t-ideal"):
             ExtensionData(ectx2, z, SeriesMatrix(ctx, arr), z)
 
     def test_asymmetric_m(self, ectx2):

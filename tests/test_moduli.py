@@ -153,6 +153,13 @@ class TestPointValidation:
         with pytest.raises(InvalidExtension):
             DeformationPoint(ectx2, 6, ExtensionData.zero(ectx2), bad_hodge)
 
+    def test_hodge_outside_t_ideal(self, ectx2):
+        ctx = ectx2.ctx
+        zero = TruncatedSeries.zero(ctx)
+        unit = TruncatedSeries.constant(ctx, 1)
+        with pytest.raises(InvalidExtension, match="vanish at t=0"):
+            DeformationPoint(ectx2, 4, ExtensionData.zero(ectx2), (unit, zero))
+
     def test_support_bound_enforced(self, ectx2):
         ctx = ectx2.ctx
         zero = TruncatedSeries.zero(ctx)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,8 @@ from crystal_lab import (OneForm, PAdicScalar, PrecisionContext,
                          integrate, oneform_pullback, series_arith)
 from crystal_lab.errors import (ContextMismatch, NonIntegrable,
                                 PrecisionInsufficient)
-from crystal_lab.padic_series import MAX_PRIME, _is_odd_prime
+from crystal_lab.padic_series import (MAX_MODULUS_BITS, MAX_PRIME,
+                                     _is_odd_prime)
 
 
 def poly_mul_oracle(a, b, modulus, top):
@@ -68,6 +70,17 @@ class TestPrecisionContext:
     def test_rejects_p_beyond_proven_range(self):
         with pytest.raises(ValueError, match="below"):
             PrecisionContext(MAX_PRIME + 2, 2, 0)
+
+    def test_n_cap_is_checked_before_the_modulus(self):
+        # N * bitlen(3) = 2N: N = 512 is the largest admitted precision
+        assert PrecisionContext(3, MAX_MODULUS_BITS // 2, 0).modulus == 3**512
+        for n in (MAX_MODULUS_BITS // 2 + 1, 10**9, 10**18):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match="bitlen"):
+                PrecisionContext(3, n, 0)
+            assert time.perf_counter() - t0 < 0.1, n
+        with pytest.raises(ValueError, match="bitlen"):
+            PrecisionContext(MAX_PRIME - 2, MAX_MODULUS_BITS // 82 + 1, 0)
 
     def test_modulus(self, ctx3):
         assert ctx3.modulus == 3**8
@@ -183,6 +196,16 @@ class TestIntegrate:
             a = random_series(rng, ctx3, zero_constant=True)
             back = integrate(derivative(a))
             assert back == a.reduce_precision(back.context.N)
+
+    def test_last_digit_is_not_given_up(self):
+        # d(t^3) = 3 t^2 dt at N=2 has an antiderivative only at N=1
+        with pytest.raises(PrecisionInsufficient):
+            integrate(OneForm(TruncatedSeries(PrecisionContext(3, 2, 5),
+                                              [0, 0, 3])))
+        out = integrate(OneForm(TruncatedSeries(PrecisionContext(3, 3, 5),
+                                                [0, 0, 3])))
+        assert out.context.N == 2 and out == TruncatedSeries.monomial(
+            out.context, 3)
 
     def test_exhaustion(self):
         ctx = PrecisionContext(3, 2, 32)

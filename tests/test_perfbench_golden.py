@@ -1,8 +1,9 @@
 """The benchmark's recorded outputs, guarded by the test suite.
 
 perfbench/golden.json holds the SHA-256 prefix of every unit's canonical
-output for seeds 0 to 15.  The first units of the N=8 and the N=24 Baer-sum
-workloads must reproduce them byte for byte.  perfbench/workloads.py is read
+output for seeds 0 to 15.  The first units of every workload (the N=8 and
+N=24 Baer sums, and the in-process probe and grouplaw verbs) must reproduce
+them byte for byte.  perfbench/workloads.py is read
 and executed in memory, so nothing is written under perfbench/.
 """
 
@@ -24,7 +25,8 @@ def load_workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["baer_oracle", "wide_precision"])
+@pytest.mark.parametrize("name", ["baer_oracle", "wide_precision", "probe",
+                                  "grouplaw"])
 def test_first_units_match_golden_digests(name):
     golden = json.loads((BENCH / "golden.json").read_text())["seeds"]["0"]
     workload = load_workloads().WORKLOADS[name]
