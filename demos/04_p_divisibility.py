@@ -15,7 +15,7 @@ from crystal_lab import (ExtensionContext, PrecisionContext,
                          multiply_by_p_injectivity_probe, p_torsion_check,
                          trivialize)
 from crystal_lab.extension_group import from_alpha
-from crystal_lab.sampling import add_v_noise, random_witness, witness_support
+from crystal_lab.sampling import add_noise, random_witness, witness_support
 
 ctx = PrecisionContext(3, 8, 32)
 ectx = ExtensionContext(ctx, 2)
@@ -23,7 +23,7 @@ rng = random.Random(99)
 
 print("-- build a geometric class that is nontrivial at full precision --")
 e = from_alpha(random_witness(rng, ectx, witness_support(ectx, 5)))
-e = add_v_noise(rng, e.mark_geometric(), ctx.p)
+e = add_noise(rng, e.mark_geometric(), "v", ctx.p)
 print("trivial at full precision?",
       not isinstance(trivialize(e), Untrivializable))
 

@@ -16,9 +16,9 @@ from .moduli import (DeformationPoint, ProbeReport, SlopeReport, add_points,
                      negate_point, point_from_tangent, random_geometric_point,
                      scale_point, slope_report, tangent_coordinates,
                      truncate_point)
-from .padic_series import (OneForm, PAdicScalar, PrecisionContext,
-                           TruncatedSeries, derivative, frobenius_pullback,
-                           integrate, oneform_pullback, series_arith)
+from .padic_series import (OneForm, PrecisionContext, TruncatedSeries,
+                           derivative, frobenius_pullback, integrate,
+                           oneform_pullback)
 from .series_matrix import SeriesMatrix
 
 __version__ = "0.1.0"
@@ -26,16 +26,15 @@ __version__ = "0.1.0"
 __all__ = [
     "ComplementResult", "DeformationPoint", "ExtensionContext",
     "ExtensionData", "FCrystalPresentation", "HorizontalityReport", "OneForm",
-    "PAdicScalar", "PairingReport", "PrecisionContext", "ProbeReport",
-    "Refuted", "SeriesMatrix", "SlopeMultiset", "SlopeReport",
-    "TorsionCertificate", "TraceStep", "TrivializationWitness",
-    "TruncatedSeries", "Untrivializable", "add_points", "assemble_crystal",
-    "baer_sum", "check_horizontality", "check_pairing_compat", "derivative",
-    "direct_sum", "errors", "from_alpha", "frobenius_pullback", "hom_crystal",
-    "identity_point", "int_scale", "integrate", "make_standard_crystal",
-    "multiply_by_p_injectivity_probe", "negate_point", "newton_slopes",
-    "oneform_pullback", "orthogonal_complement", "p_torsion_check",
-    "point_from_tangent", "random_geometric_point", "scale_point",
-    "series_arith", "slope_report", "tangent_coordinates", "trivialize",
-    "truncate_point",
+    "PairingReport", "PrecisionContext", "ProbeReport", "Refuted",
+    "SeriesMatrix", "SlopeMultiset", "SlopeReport", "TorsionCertificate",
+    "TraceStep", "TrivializationWitness", "TruncatedSeries", "Untrivializable",
+    "add_points", "assemble_crystal", "baer_sum", "check_horizontality",
+    "check_pairing_compat", "derivative", "direct_sum", "errors", "from_alpha",
+    "frobenius_pullback", "hom_crystal", "identity_point", "int_scale",
+    "integrate", "make_standard_crystal", "multiply_by_p_injectivity_probe",
+    "negate_point", "newton_slopes", "oneform_pullback",
+    "orthogonal_complement", "p_torsion_check", "point_from_tangent",
+    "random_geometric_point", "scale_point", "slope_report",
+    "tangent_coordinates", "trivialize", "truncate_point",
 ]

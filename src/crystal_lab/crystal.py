@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (ContextMismatch, NonInvertible, NotConstant, NotPerfect,
                      NotStable, PrecisionInsufficient, UnsupportedHeight)
-from .padic_series import PrecisionContext, TruncatedSeries, p_valuation
-from .series_matrix import SeriesMatrix, det_mod_p
+from .padic_series import PrecisionContext, p_valuation
+from .series_matrix import SeriesMatrix, det_mod_p, series_inverse, zeros_array
 
 STANDARD_WEIGHT = 2  # Frobenius scales the cup-product pairing by p^2
 
@@ -125,7 +127,7 @@ def make_standard_crystal(ctx: PrecisionContext, h: int, kind: str,
         rows = [[0] * h for _ in range(h)]
         for i in range(h):
             rows[(i + 1) % h][i] = wrap_weight if i == h - 1 else p
-        return SeriesMatrix.from_int_rows(ctx, rows)
+        return SeriesMatrix.from_series_rows(ctx, rows)
 
     if kind in ("sub1", "super1"):
         f = cyclic(1 if kind == "sub1" else p * p)
@@ -197,9 +199,9 @@ def check_pairing_compat(c: FCrystalPresentation) -> PairingReport:
     lhs = f.transpose() @ g @ f
     rhs = g.phi_pullback()
     if w_eff >= 0:
-        rhs = rhs.scale_int(ctx.p ** w_eff)
+        rhs = rhs.scale_int(pow(ctx.p, w_eff, ctx.modulus))
     else:
-        lhs = lhs.scale_int(ctx.p ** (-w_eff))
+        lhs = lhs.scale_int(pow(ctx.p, -w_eff, ctx.modulus))
     frob_res = lhs - rhs
     frob = frob_res.is_zero()
 
@@ -428,7 +430,7 @@ def hom_crystal(c1: FCrystalPresentation, c2: FCrystalPresentation,
         if y.denominator % p == 0:
             raise NonInvertible("scaled hom entry is not p-integral")
         rows[i][j] = (y.numerator % mod) * pow(y.denominator, -1, mod) % mod
-    f = SeriesMatrix.from_int_rows(ctx, rows)
+    f = SeriesMatrix.from_series_rows(ctx, rows)
     return FCrystalPresentation(ctx, n, f, SeriesMatrix.zeros(ctx, n, n),
                                 SeriesMatrix.zeros(ctx, n, n), 0, shift)
 
@@ -441,16 +443,6 @@ class ComplementResult:
     presentation: FCrystalPresentation
     basis: SeriesMatrix  # columns are ambient coordinates of the new basis
     free_rows: tuple
-
-
-def _as_subspace_matrix(ctx, rank, vectors):
-    cols = []
-    for vec in vectors:
-        if len(vec) != rank:
-            raise ValueError("subspace vector has wrong length")
-        cols.append(vec)
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(rank)]
-    return SeriesMatrix.from_series_rows(ctx, rows)
 
 
 def induced_subpresentation(c: FCrystalPresentation, basis: SeriesMatrix,
@@ -478,65 +470,59 @@ def induced_subpresentation(c: FCrystalPresentation, basis: SeriesMatrix,
                                 c.weight, c.frobenius_shift)
 
 
-def orthogonal_complement(c: FCrystalPresentation, subspace) -> ComplementResult:
-    """Perpendicular of the span of the given coordinate vectors.
+def annihilator_basis(b: SeriesMatrix):
+    """(basis, free_cols): the solutions of b x = 0, for a d x rank matrix b
+    of rank d mod p, with basis rows free_cols the identity.
 
-    Requires the pairing restricted to the subspace to be perfect (unit
-    Gram determinant).  Solves the annihilator equations by elimination
-    over the local ring with unit pivots chosen at minimal p-valuation,
-    ties broken by lowest row then column.
+    Each elimination step scales the pivot row by the pivot's inverse and
+    clears the pivot column with one d x 1 by 1 x rank outer product.  The
+    pivot has the least p-valuation of the constant term, then the lowest
+    row, then column; the rank leaves a unit among the unused rows and
+    columns, so that is the first unit in row-major order.
     """
-    ctx = c.context
-    s = _as_subspace_matrix(ctx, c.rank, subspace)
-    d = s.cols
-    if d == 0:
-        basis = SeriesMatrix.identity(ctx, c.rank)
-        return ComplementResult(c, basis, tuple(range(c.rank)))
-    gram = s.transpose() @ c.pairing @ s
-    if det_mod_p(gram.constant_layer(), ctx.p) == 0:
-        raise NotPerfect("pairing restricted to the subspace is degenerate")
-
-    bt = s.transpose() @ c.pairing
-    b = [[bt.entry(i, j) for j in range(c.rank)] for i in range(d)]
-    pivot_cols = []
-    pivot_rows = []
-    for step in range(d):
-        best = None
-        for i in range(d):
-            if i in pivot_rows:
-                continue
-            for j in range(c.rank):
-                if j in pivot_cols:
-                    continue
-                c0 = b[i][j].constant_term()
-                if c0 == 0:
-                    continue
-                v = p_valuation(c0, ctx.p)
-                key = (v, i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None or best[0] > 0:
-            raise NotPerfect("no unit pivot available during elimination")
-        _, pi, pj = best
-        inv = b[pi][pj].inverse()
-        b[pi] = [x * inv for x in b[pi]]
-        for i in range(d):
-            if i != pi and not b[i][pj].is_zero():
-                f = b[i][pj]
-                b[i] = [x - f * y for x, y in zip(b[i], b[pi])]
+    ctx = b.context
+    d, rank = b.rows, b.cols
+    pivot_rows, pivot_cols = [], []
+    for _ in range(d):
+        units = b.arr[:, :, 0] % ctx.p != 0
+        units[pivot_rows, :] = False
+        units[:, pivot_cols] = False
+        pi, pj = (int(x) for x in np.argwhere(units)[0])
+        pivot_row = b.select_rows([pi])
+        row = series_inverse(SeriesMatrix(ctx, pivot_row.arr[:, pj:pj + 1])) \
+            @ pivot_row
+        # b[pi] - (b[pi][pj] - 1) row = row, and b[i] - b[i][pj] row clears
+        col = b.arr[:, pj:pj + 1].copy()
+        col[pi, 0, 0] = (col[pi, 0, 0] - 1) % ctx.modulus
+        b = b - SeriesMatrix(ctx, col) @ row
         pivot_rows.append(pi)
         pivot_cols.append(pj)
+    free_cols = [j for j in range(rank) if j not in pivot_cols]
+    arr = zeros_array(ctx, rank, len(free_cols))
+    arr[free_cols, range(len(free_cols)), 0] = 1
+    arr[pivot_cols] = (-b).arr[np.ix_(pivot_rows, free_cols)]
+    return SeriesMatrix(ctx, arr), free_cols
 
-    free_cols = [j for j in range(c.rank) if j not in pivot_cols]
-    zero = TruncatedSeries.zero(ctx)
-    one = TruncatedSeries.one(ctx)
-    cols = []
-    for fcol in free_cols:
-        vec = [zero] * c.rank
-        vec[fcol] = one
-        for prow, pcol in zip(pivot_rows, pivot_cols):
-            vec[pcol] = -b[prow][fcol]
-        cols.append(vec)
-    basis = _as_subspace_matrix(ctx, c.rank, cols)
+
+def orthogonal_complement(c: FCrystalPresentation, subspace) -> ComplementResult:
+    """Perpendicular of the span of the given coordinate vectors (each a
+    sequence of rank series or integers).
+
+    Requires the pairing restricted to the subspace to be perfect (unit
+    Gram determinant), and solves the annihilator equations with
+    ``annihilator_basis``.
+    """
+    ctx = c.context
+    subspace = list(subspace)
+    if any(len(vec) != c.rank for vec in subspace):
+        raise ValueError("subspace vector has wrong length")
+    if not subspace or not c.rank:
+        basis = SeriesMatrix.identity(ctx, c.rank)
+        return ComplementResult(c, basis, tuple(range(c.rank)))
+    st = SeriesMatrix.from_series_rows(ctx, subspace)  # the vectors as rows
+    gram = st @ c.pairing @ st.transpose()
+    if det_mod_p(gram.constant_layer(), ctx.p) == 0:
+        raise NotPerfect("pairing restricted to the subspace is degenerate")
+    basis, free_cols = annihilator_basis(st @ c.pairing)
     pres = induced_subpresentation(c, basis, free_cols)
     return ComplementResult(pres, basis, tuple(free_cols))

@@ -22,7 +22,8 @@ from .crystal import (FCrystalPresentation, STANDARD_WEIGHT, direct_sum,
 from .errors import (ContextMismatch, HypothesisMissing, InvalidExtension,
                      NonIntegrable, NotStable, PrecisionInsufficient,
                      WitnessInvalid)
-from .padic_series import PrecisionContext, integrate, mul_mod
+from .padic_series import (PrecisionContext, integrate, mul_mod,
+                           storage_dtype)
 from .series_matrix import SeriesMatrix, zeros_array
 
 
@@ -194,11 +195,9 @@ def _m_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
     """Half-pairing of the changed basis: m[i][j] = alpha[i][j] + alpha[j][i]
     off the diagonal, m[i][i] = alpha[i][i]."""
     arr = (alpha.arr + alpha.transpose().arr) % alpha.context.modulus
-    h = alpha.rows
-    out = arr.copy()
-    for i in range(h):
-        out[i, i, :] = alpha.arr[i, i, :]
-    return SeriesMatrix(alpha.context, out)
+    diag = np.arange(alpha.rows)
+    arr[diag, diag] = alpha.arr[diag, diag]
+    return SeriesMatrix(alpha.context, arr)
 
 
 def from_alpha(w: TrivializationWitness, ectx: ExtensionContext | None = None
@@ -224,8 +223,8 @@ def assemble_crystal(e: ExtensionData) -> FCrystalPresentation:
                                  [z, ectx.super1.frobenius]])
     conn = SeriesMatrix.block(ctx, [[z, e.xi.transpose()], [z, z]])
     d_arr = e.m.arr.copy()
-    for i in range(h):
-        d_arr[i, i, :] = (2 * d_arr[i, i, :]) % ctx.modulus
+    diag = np.arange(h)
+    d_arr[diag, diag] = 2 * d_arr[diag, diag] % ctx.modulus
     d_block = SeriesMatrix(ctx, d_arr)
     g = SeriesMatrix.block(ctx, [[z, ident], [ident, d_block]])
     return FCrystalPresentation(ctx, 2 * h, f, conn, g, STANDARD_WEIGHT)
@@ -453,7 +452,8 @@ def _divide_matrix_by_p(mat: SeriesMatrix) -> SeriesMatrix:
     by p; the quotient lives one p-digit lower."""
     ctx = mat.context
     new_ctx = PrecisionContext(ctx.p, ctx.N - 1, ctx.M)
-    return SeriesMatrix(new_ctx, (mat.arr // ctx.p) % new_ctx.modulus)
+    return SeriesMatrix(new_ctx, (mat.arr // ctx.p % new_ctx.modulus).astype(
+        storage_dtype(new_ctx), copy=False))
 
 
 def _congruence_chain(h: int, zero: np.ndarray, sym: np.ndarray):

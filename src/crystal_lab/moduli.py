@@ -26,8 +26,8 @@ from .extension_group import (ExtensionContext, ExtensionData,
                               from_alpha, int_scale, p_torsion_check,
                               trivialize)
 from .padic_series import TruncatedSeries
-from .sampling import (add_m_noise, add_v_noise, random_series_matrix,
-                       random_witness, witness_support)
+from .sampling import (add_noise, random_series_matrix, random_witness,
+                       witness_support)
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,19 @@ class DeformationPoint:
             if s.context != ctx:
                 raise ContextMismatch("hodge coordinate context differs")
         e = self.extension
-        if e.xi.max_nonzero_degree() > max(n - 2, -1):
+        # degree bounds: xi below n - 1, v up to p(n - 1), m and hodge below n
+        if e.xi.arr[:, :, n - 1:].any():
             raise InvalidExtension("connection defect exceeds the base degree")
-        if e.v.max_nonzero_degree() > ctx.p * (n - 1):
+        if e.v.arr[:, :, ctx.p * (n - 1) + 1:].any():
             raise InvalidExtension("Frobenius defect exceeds the lifted degree")
-        if e.m.max_nonzero_degree() > n - 1:
+        if e.m.arr[:, :, n:].any():
             raise InvalidExtension("pairing data exceeds the base degree")
         if e.m.arr[:, :, 0].any():
             raise InvalidExtension("pairing data must vanish at t=0")
         for s in self.hodge:
             if not s.in_t_ideal():
                 raise InvalidExtension("hodge coordinates must vanish at t=0")
-            if max(s.support(), default=0) > n - 1:
+            if s._arr[n:].any():
                 raise InvalidExtension("hodge coordinate exceeds the base degree")
         if self.hodge[h - 1] != -e.m.entry(h - 1, h - 1):
             raise InvalidExtension(
@@ -179,10 +180,8 @@ def random_geometric_point(rng: random.Random, ectx: ExtensionContext, n: int,
         top = min(n - 1, ctx.M // ctx.p)
         noise_degrees = [d for d in range(ctx.p, top + 1, ctx.p)]
         deg = rng.choice(noise_degrees) if noise_degrees else ctx.p
-        if deg <= n - 1 and rng.getrandbits(1):
-            e = add_m_noise(rng, e, deg)
-        else:
-            e = add_v_noise(rng, e, deg)
+        field = "m" if deg <= n - 1 and rng.getrandbits(1) else "v"
+        e = add_noise(rng, e, field, deg)
     s_degrees = range(1, n)
     s_mat = random_series_matrix(rng, ctx, h - 1, 1, s_degrees)
     hodge = [s_mat.entry(i, 0) for i in range(h - 1)]

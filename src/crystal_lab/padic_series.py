@@ -9,9 +9,16 @@ monomial substitution.
 Coefficient arrays are numpy int64 when p^N < 2^62 and object arrays of
 Python integers otherwise (``storage_dtype``).  On int64 storage a sum or
 difference of two residues stays below 2^63, so add, sub and neg never
-overflow.  Every multiply compares a bound on its result with constants of
-the PrecisionContext before it uses int64, and forms the product in Python
-integers when int64 could overflow (``mul_mod``).
+overflow.  A multiply by integers compares a bound on its result with a
+constant of the PrecisionContext before it uses int64, and forms the product
+in Python integers when int64 could overflow (``mul_mod``).
+
+TruncatedSeries is a read-only view of one (M+1,) coefficient array.  Its
+additive operations are single array operations; its products and inverse
+run as 1x1 products of ``series_matrix.SeriesMatrix``, the one product
+kernel.  The calculus (derivative, Frobenius and one-form pullbacks,
+integration) is written once, on the last axis of a (..., M+1) array, for
+series and matrices alike.
 """
 
 from __future__ import annotations
@@ -87,9 +94,7 @@ class PrecisionContext:
 
     * ``int64_safe``: coefficients are stored as int64, i.e. p^N < 2^62;
     * ``int64_scalar_max``: the largest k with (p^N - 1) k < 2^63, so that
-      an int64 residue array times any 0 <= k <= int64_scalar_max is exact;
-    * ``int64_series_fits``: int64 storage and (M+1)(p^N - 1)^2 < 2^63, so
-      that a truncated product of two series is exact in int64.
+      an int64 residue array times any 0 <= k <= int64_scalar_max is exact.
     """
 
     p: int
@@ -98,7 +103,6 @@ class PrecisionContext:
     modulus: int = field(init=False, repr=False, compare=False)
     int64_safe: bool = field(init=False, repr=False, compare=False)
     int64_scalar_max: int = field(init=False, repr=False, compare=False)
-    int64_series_fits: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N * self.p.bit_length() > MAX_MODULUS_BITS:
@@ -116,11 +120,9 @@ class PrecisionContext:
         if self.M > MAX_M:
             raise ValueError(f"M must be at most {MAX_M}, got {self.M}")
         top = self.p**self.N - 1
-        safe = top < _INT64_STORAGE_LIMIT
-        for name, value in (("modulus", top + 1), ("int64_safe", safe),
-                            ("int64_scalar_max", _INT64_MAX // top),
-                            ("int64_series_fits",
-                             safe and (self.M + 1) * top**2 <= _INT64_MAX)):
+        for name, value in (("modulus", top + 1),
+                            ("int64_safe", top < _INT64_STORAGE_LIMIT),
+                            ("int64_scalar_max", _INT64_MAX // top)):
             object.__setattr__(self, name, value)
 
     def reduce_precision(self, new_n: int) -> "PrecisionContext":
@@ -161,70 +163,17 @@ def _check_same_context(a, b):
         raise ContextMismatch(f"{a.context} vs {b.context}")
 
 
-@dataclass(frozen=True)
-class PAdicScalar:
-    """A residue class mod p^N with precision-capped valuation."""
-
-    context: PrecisionContext
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", int(self.value) % self.context.modulus)
-
-    def valuation(self) -> int:
-        """min(v_p(value), N); the zero residue reports N."""
-        if self.value == 0:
-            return self.context.N
-        return p_valuation(self.value, self.context.p)
-
-    def is_unit(self) -> bool:
-        return self.value % self.context.p != 0
-
-    def inverse(self) -> "PAdicScalar":
-        if not self.is_unit():
-            raise ZeroDivisionError("not a unit mod p")
-        return PAdicScalar(self.context, pow(self.value, -1, self.context.modulus))
-
-    def reduce_precision(self, new_n: int) -> "PAdicScalar":
-        ctx = self.context.reduce_precision(new_n)
-        return PAdicScalar(ctx, self.value % ctx.modulus)
-
-    def __add__(self, other):
-        _check_same_context(self, other)
-        return PAdicScalar(self.context, self.value + other.value)
-
-    def __sub__(self, other):
-        _check_same_context(self, other)
-        return PAdicScalar(self.context, self.value - other.value)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PAdicScalar(self.context, self.value * other)
-        _check_same_context(self, other)
-        return PAdicScalar(self.context, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PAdicScalar(self.context, -self.value)
-
-    def __str__(self):
-        return str(self.value)
-
-
 class TruncatedSeries:
-    """Element of W[[t]]/(p^N, t^(M+1)) with canonical integer coefficients."""
+    """Element of W[[t]]/(p^N, t^(M+1)) with canonical integer coefficients:
+    a read-only view of one (M+1,) coefficient array."""
 
     __slots__ = ("context", "_arr")
 
     def __init__(self, context: PrecisionContext, coefficients=()):
         self.context = context
         arr = np.zeros(context.M + 1, dtype=storage_dtype(context))
-        mod = context.modulus
-        for n, c in enumerate(coefficients):
-            if n > context.M:
-                break
-            arr[n] = int(c) % mod
+        for n, c in zip(range(context.M + 1), coefficients):
+            arr[n] = int(c) % context.modulus
         arr.setflags(write=False)
         self._arr = arr
 
@@ -250,20 +199,15 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, context, degree, c=1):
-        if degree > context.M:
-            return cls(context)
-        coeffs = [0] * (degree + 1)
-        coeffs[degree] = c
-        return cls(context, coeffs)
+        return cls(context, [0] * degree + [c])  # empty beyond degree M
+
+    def _matrix(self):
+        """This series as a 1x1 SeriesMatrix over the same array."""
+        from .series_matrix import SeriesMatrix
+        return SeriesMatrix(self.context, self._arr[None, None])
 
     def coeffs(self) -> tuple:
         return tuple(self._arr.tolist())
-
-    def coefficient(self, n: int) -> PAdicScalar:
-        return PAdicScalar(self.context, int(self._arr[n]))
-
-    def constant_term(self) -> int:
-        return int(self._arr[0])
 
     def in_t_ideal(self) -> bool:
         """True iff the series lies in tW[[t]], i.e. has zero constant term."""
@@ -272,14 +216,12 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self._arr.any()
 
-    def support(self) -> tuple:
-        return tuple(int(n) for n in np.nonzero(self._arr)[0])
-
     def reduce_precision(self, new_n: int) -> "TruncatedSeries":
         ctx = self.context.reduce_precision(new_n)
         if ctx is self.context:
             return self
-        return TruncatedSeries(ctx, self.coeffs())
+        return TruncatedSeries._from_array(ctx, (self._arr % ctx.modulus).astype(
+            storage_dtype(ctx), copy=False))
 
     def truncate_degree(self, d: int) -> "TruncatedSeries":
         """Reduce mod t^(d+1) inside the same ring (zero out degrees > d)."""
@@ -288,9 +230,6 @@ class TruncatedSeries:
         arr = self._arr.copy()
         arr[d + 1:] = 0
         return TruncatedSeries._from_array(self.context, arr)
-
-    def reduce_mod_p_is_zero(self) -> bool:
-        return not (self._arr % self.context.p).any()
 
     def __add__(self, other):
         _check_same_context(self, other)
@@ -312,12 +251,8 @@ class TruncatedSeries:
             return TruncatedSeries._from_array(
                 ctx, mul_mod(self._arr, other % ctx.modulus, ctx))
         _check_same_context(self, other)
-        a, b = self._arr, other._arr
-        if not ctx.int64_series_fits:
-            a, b = a.astype(object), b.astype(object)
-        out = np.convolve(a, b)[:ctx.M + 1] % ctx.modulus
-        return TruncatedSeries._from_array(
-            ctx, out.astype(storage_dtype(ctx), copy=False))
+        product = self._matrix() @ other._matrix()
+        return TruncatedSeries._from_array(ctx, product.arr[0, 0])
 
     __rmul__ = __mul__
 
@@ -331,21 +266,11 @@ class TruncatedSeries:
         return hash((self.context, self.coeffs()))
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a unit constant term."""
-        mod = self.context.modulus
-        c0 = int(self._arr[0])
-        if c0 % self.context.p == 0:
-            raise ZeroDivisionError("constant term is not a unit mod p")
-        inv0 = pow(c0, -1, mod)
-        out = [0] * (self.context.M + 1)
-        out[0] = inv0
-        a = self._arr
-        for n in range(1, self.context.M + 1):
-            s = 0
-            for k in range(1, n + 1):
-                s += int(a[k]) * out[n - k]
-            out[n] = (-inv0 * s) % mod
-        return TruncatedSeries(self.context, out)
+        """Multiplicative inverse; raises ZeroDivisionError unless the
+        constant term is a unit."""
+        from .series_matrix import series_inverse
+        return TruncatedSeries._from_array(
+            self.context, series_inverse(self._matrix()).arr[0, 0])
 
     def __str__(self):
         terms = [f"{int(c)}*t^{n}" for n, c in enumerate(self._arr) if c]
@@ -378,47 +303,49 @@ class OneForm:
     def is_zero_through(self, degree: int) -> bool:
         return not self.body._arr[:degree + 1].any()
 
-    def reduce_precision(self, new_n: int) -> "OneForm":
-        return OneForm(self.body.reduce_precision(new_n))
-
-    def __add__(self, other):
-        return OneForm(self.body + other.body)
-
     def __sub__(self, other):
         return OneForm(self.body - other.body)
-
-    def __neg__(self):
-        return OneForm(-self.body)
-
-    def __mul__(self, other):
-        return OneForm(self.body * other)
-
-    __rmul__ = __mul__
 
     def __str__(self):
         return f"({self.body}) dt"
 
 
-def series_arith(a: TruncatedSeries, b: TruncatedSeries, op: str) -> TruncatedSeries:
-    """Ring operation in W[[t]]/(p^N, t^(M+1)): op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
+# -- the calculus, once, on the last axis of a (..., M+1) coefficient array --
+
+
+def derivative_coeffs(arr: np.ndarray, context: PrecisionContext) -> np.ndarray:
+    """d/dt along the last axis, as one-form bodies; the body coefficient at
+    degree M is unknowable and set to 0."""
+    m = context.M
+    out = np.zeros_like(arr)
+    if m >= 1:
+        idx = np.arange(1, m + 1, dtype=arr.dtype)
+        out[..., :m] = mul_mod(arr[..., 1:], idx, context, m)
+    return out
+
+
+def frobenius_coeffs(arr: np.ndarray, context: PrecisionContext) -> np.ndarray:
+    """The substitution t |-> t^p along the last axis."""
+    out = np.zeros_like(arr)
+    out[..., ::context.p] = arr[..., :context.M // context.p + 1]
+    return out
+
+
+def oneform_pullback_coeffs(arr: np.ndarray, context: PrecisionContext
+                            ) -> np.ndarray:
+    """Pullback of one-form bodies along the last axis:
+    g |-> g(t^p) * p * t^(p-1)."""
+    p = context.p
+    out = np.zeros_like(arr)
+    # degree n goes to p n + p - 1, which is at most M for n < (M+1)/p
+    out[..., p - 1::p] = mul_mod(arr[..., :(context.M + 1) // p], p, context)
+    return out
 
 
 def derivative(a: TruncatedSeries) -> OneForm:
     """Formal derivative; the body coefficient at degree M is unknowable and set to 0."""
-    ctx = a.context
-    arr = a._arr
-    out = np.zeros_like(arr)
-    if ctx.M >= 1:
-        idx = np.arange(1, ctx.M + 1, dtype=arr.dtype)
-        out[:ctx.M] = mul_mod(arr[1:], idx, ctx, ctx.M)
-    return OneForm(TruncatedSeries._from_array(ctx, out))
+    return OneForm(TruncatedSeries._from_array(
+        a.context, derivative_coeffs(a._arr, a.context)))
 
 
 def integrate(form):
@@ -471,22 +398,11 @@ def integrate(form):
 
 def frobenius_pullback(a: TruncatedSeries) -> TruncatedSeries:
     """Substitution t |-> t^p, a ring endomorphism of the quotient."""
-    ctx = a.context
-    out = np.zeros_like(a._arr)
-    top = ctx.M // ctx.p
-    out[:(top * ctx.p) + 1:ctx.p] = a._arr[:top + 1]
-    return TruncatedSeries._from_array(ctx, out)
+    return TruncatedSeries._from_array(a.context,
+                                       frobenius_coeffs(a._arr, a.context))
 
 
 def oneform_pullback(form: OneForm) -> OneForm:
     """Pullback of g(t) dt along t |-> t^p, namely g(t^p) * p * t^(p-1) dt."""
-    ctx = form.context
-    p = ctx.p
-    out = np.zeros_like(form.body._arr)
-    src = form.body._arr
-    for n in range(ctx.M + 1):
-        d = p * n + p - 1
-        if d > ctx.M:
-            break
-        out[d] = (int(src[n]) * p) % ctx.modulus
-    return OneForm(TruncatedSeries._from_array(ctx, out))
+    return OneForm(TruncatedSeries._from_array(
+        form.context, oneform_pullback_coeffs(form.body._arr, form.context)))

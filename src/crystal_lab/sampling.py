@@ -5,10 +5,10 @@ and CLI reports are reproducible bit for bit.  Two populations are drawn:
 
 * trivial classes, images of a random witness matrix;
 * nontrivial classes, obtained by adding derivative-free high-valuation
-  noise to v or m (which keeps every structural identity, including the
-  rank-1-mod-p condition, but defeats the splitting equations), or for
-  non-geometric tests by an antisymmetric non-integrable perturbation of
-  xi with its forced v-corrections.
+  noise to v or m (``add_noise``, which keeps every structural identity,
+  including the rank-1-mod-p condition, but defeats the splitting
+  equations), or for non-geometric tests by an antisymmetric
+  non-integrable perturbation of xi with its forced v-corrections.
 
 Witness supports avoid multiples of p so that antidifferentiation is
 lossless and the noise stays visible at the comparison precision.
@@ -53,14 +53,18 @@ def witness_support(ectx: ExtensionContext, max_degree: int | None = None,
     return [d for d in range(1, top + 1) if not (lossless and d % ctx.p == 0)]
 
 
-def add_v_noise(rng: random.Random, e: ExtensionData, degree: int,
-                entry=None) -> ExtensionData:
-    """Add p^(N - v_p(degree)) * unit * t^degree to one v entry.
+def add_noise(rng: random.Random, e: ExtensionData, field: str, degree: int,
+              entry=None) -> ExtensionData:
+    """Add p^(N - v_p(degree)) * unit * t^degree to one entry of e.v or of
+    e.m (field "v" or "m"); on m the transposed entry gets the same, so m
+    stays symmetric.
 
     The noise has exactly vanishing derivative mod p^N, so every structural
     identity survives, v stays zero mod p, and the class becomes nontrivial
     at full precision while p times it is trivial.
     """
+    if field not in ("v", "m"):
+        raise ValueError(f"noise goes on v or m, not {field!r}")
     ctx = e.context
     vp = p_valuation(degree, ctx.p)
     if vp < 1:
@@ -68,28 +72,13 @@ def add_v_noise(rng: random.Random, e: ExtensionData, degree: int,
     i, j = entry if entry is not None else (rng.randrange(e.h), rng.randrange(e.h))
     unit = rng.randrange(1, ctx.p)
     coeff = (ctx.p ** (ctx.N - vp)) * unit % ctx.modulus
-    arr = e.v.arr.copy()
-    arr[i, j, degree] = (arr[i, j, degree] + coeff) % ctx.modulus
-    return ExtensionData(e.ectx, e.xi, SeriesMatrix(ctx, arr), e.m,
-                         e.geometric_flag)
-
-
-def add_m_noise(rng: random.Random, e: ExtensionData, degree: int,
-                entry=None) -> ExtensionData:
-    """Symmetric high-valuation noise on m; same mechanism as add_v_noise."""
-    ctx = e.context
-    vp = p_valuation(degree, ctx.p)
-    if vp < 1:
-        raise ValueError("noise degree must be divisible by p")
-    i, j = entry if entry is not None else (rng.randrange(e.h), rng.randrange(e.h))
-    unit = rng.randrange(1, ctx.p)
-    coeff = (ctx.p ** (ctx.N - vp)) * unit % ctx.modulus
-    arr = e.m.arr.copy()
-    arr[i, j, degree] = (arr[i, j, degree] + coeff) % ctx.modulus
-    if i != j:
-        arr[j, i, degree] = (arr[j, i, degree] + coeff) % ctx.modulus
-    return ExtensionData(e.ectx, e.xi, e.v, SeriesMatrix(ctx, arr),
-                         e.geometric_flag)
+    arr = getattr(e, field).arr.copy()
+    cells = {(i, j), (j, i)} if field == "m" else {(i, j)}
+    for a, b in cells:
+        arr[a, b, degree] = (arr[a, b, degree] + coeff) % ctx.modulus
+    noisy = SeriesMatrix(ctx, arr)
+    v, m = (noisy, e.m) if field == "v" else (e.v, noisy)
+    return ExtensionData(e.ectx, e.xi, v, m, e.geometric_flag)
 
 
 def perturb_xi_antisym(e: ExtensionData, i0: int, j0: int,
@@ -155,4 +144,4 @@ def random_extension(rng: random.Random, ectx: ExtensionContext,
         j0 = rng.choice([j for j in range(h - 1) if j != i0])
         return perturb_xi_antisym(e, i0, j0, rng.randrange(1, p))
     deg = p  # p <= M in any valid context with M >= p
-    return add_v_noise(rng, e, deg)
+    return add_noise(rng, e, "v", deg)

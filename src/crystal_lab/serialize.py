@@ -9,13 +9,15 @@ exceeds series_matrix.MAX_COEFFICIENTS is rejected before any matrix is read.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .crystal import FCrystalPresentation
 from .errors import SchemaError
 from .extension_group import (ExtensionContext, ExtensionData,
                               TrivializationWitness)
 from .moduli import DeformationPoint
 from .padic_series import PrecisionContext, TruncatedSeries
-from .series_matrix import MAX_COEFFICIENTS, SeriesMatrix
+from .series_matrix import MAX_COEFFICIENTS, SeriesMatrix, zeros_array
 
 SCHEMA = "crystal-lab/1"
 
@@ -28,10 +30,6 @@ def _expect(cond, msg):
 def _is_int(x) -> bool:
     """A JSON integer; bool subclasses int but true and false are not integers."""
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def context_to_json(ctx: PrecisionContext) -> dict:
-    return ctx.to_json()
 
 
 def context_from_json(obj) -> PrecisionContext:
@@ -49,17 +47,22 @@ def series_to_json(s: TruncatedSeries) -> list:
     return [str(c) for c in s.coeffs()]
 
 
-def series_from_json(ctx: PrecisionContext, obj) -> TruncatedSeries:
+def _coefficients(ctx: PrecisionContext, obj) -> list:
+    """The residues of a JSON series, padded with zeros to M+1."""
     _expect(isinstance(obj, list), "series must be an array of decimal strings")
     _expect(len(obj) <= ctx.M + 1, "series has more coefficients than M+1")
-    coeffs = []
+    out = []
     for c in obj:
         _expect(isinstance(c, str), "series coefficients must be decimal strings")
         try:
-            coeffs.append(int(c))
+            out.append(int(c) % ctx.modulus)
         except ValueError:
             raise SchemaError(f"bad decimal string {c!r}") from None
-    return TruncatedSeries(ctx, coeffs)
+    return out + [0] * (ctx.M + 1 - len(out))
+
+
+def series_from_json(ctx: PrecisionContext, obj) -> TruncatedSeries:
+    return TruncatedSeries(ctx, _coefficients(ctx, obj))
 
 
 def matrix_to_json(m: SeriesMatrix) -> list:
@@ -69,20 +72,21 @@ def matrix_to_json(m: SeriesMatrix) -> list:
 def matrix_from_json(ctx: PrecisionContext, obj, rows, cols) -> SeriesMatrix:
     _expect(isinstance(obj, list) and len(obj) == rows,
             f"matrix must have {rows} rows")
-    grid = []
+    cells = []
     for row in obj:
         _expect(isinstance(row, list) and len(row) == cols,
                 f"matrix rows must have {cols} entries")
-        grid.append([series_from_json(ctx, cell) for cell in row])
-    if rows == 0 or cols == 0:
-        return SeriesMatrix.zeros(ctx, rows, cols)
-    return SeriesMatrix.from_series_rows(ctx, grid)
+        cells.extend(_coefficients(ctx, cell) for cell in row)
+    arr = zeros_array(ctx, rows, cols)
+    if cells:
+        arr[...] = np.array(cells, dtype=object).reshape(arr.shape)
+    return SeriesMatrix(ctx, arr)
 
 
 def crystal_to_json(c: FCrystalPresentation) -> dict:
     out = {
         "schema": SCHEMA,
-        "context": context_to_json(c.context),
+        "context": c.context.to_json(),
         "rank": c.rank,
         "weight": c.weight,
         "frobenius": matrix_to_json(c.frobenius),
@@ -117,7 +121,7 @@ def crystal_from_json(obj) -> FCrystalPresentation:
 def extension_to_json(e: ExtensionData) -> dict:
     return {
         "schema": SCHEMA,
-        "context": context_to_json(e.context),
+        "context": e.context.to_json(),
         "h": e.h,
         "xi": matrix_to_json(e.xi),
         "v": matrix_to_json(e.v),
@@ -144,7 +148,7 @@ def extension_from_json(obj) -> ExtensionData:
 def witness_to_json(w: TrivializationWitness) -> dict:
     return {
         "schema": SCHEMA,
-        "context": context_to_json(w.context),
+        "context": w.context.to_json(),
         "h": w.h,
         "alpha": matrix_to_json(w.alpha),
     }
@@ -163,7 +167,7 @@ def witness_from_json(obj) -> TrivializationWitness:
 def point_to_json(pt: DeformationPoint) -> dict:
     return {
         "schema": SCHEMA,
-        "context": context_to_json(pt.ectx.ctx),
+        "context": pt.ectx.ctx.to_json(),
         "h": pt.h,
         "n": pt.base_degree,
         "extension": extension_to_json(pt.extension),

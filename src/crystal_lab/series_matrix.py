@@ -1,13 +1,15 @@
-"""Dense matrices over the truncated series ring.
+"""Dense matrices over the truncated series ring: the one ring core.
 
 Entries are stored as a single (rows, cols, M+1) array of canonical
 residues in the storage dtype of the context (``padic_series.storage_dtype``):
 numpy int64 when p^N < 2^62, Python integers in an object array otherwise.
-A matrix holds at most MAX_COEFFICIENTS coefficients; ``zeros_array``
-checks this before it allocates.
+The constructor rejects any other dtype.  A matrix holds at most
+MAX_COEFFICIENTS coefficients; ``zeros_array`` checks this before it
+allocates.
 
-A product picks its arithmetic per call, from a proven bound on the
-magnitude of every partial sum it forms:
+The product here is the one product kernel: series products and inverses
+run as 1x1 matrix products.  It picks its arithmetic per call, in
+``product_dtype``, from a proven bound on every partial sum it forms:
 
     inner dimension x degree pairs x (p^N - 1) x c.
 
@@ -27,11 +29,11 @@ pairs and c = p^N - 1.
 * otherwise (object storage): Python integers, one product per pair of
   non-zero degrees.
 
-Scalar and series multiplies of stored residues go through
-``padic_series.mul_mod``, which proves its own int64 bound.  Matrices of
-one-form bodies reuse the same class; the degree-(M) body coefficient of
-differentiated data is untrusted and the checkers compare through degree
-M-1 explicitly.
+Multiplies by integers go through ``padic_series.mul_mod``, which proves
+its own int64 bound; the calculus methods share the array functions of
+``padic_series`` with the series.  Matrices of one-form bodies reuse the
+same class; the degree-(M) body coefficient of differentiated data is
+untrusted and the checkers compare through degree M-1 explicitly.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContextMismatch
-from .padic_series import (OneForm, PrecisionContext, TruncatedSeries,
-                           mul_mod, storage_dtype)
+from .padic_series import (PrecisionContext, TruncatedSeries,
+                           _check_same_context, derivative_coeffs,
+                           frobenius_coeffs, mul_mod, oneform_pullback_coeffs,
+                           storage_dtype)
 
 _FLOAT64_EXACT = 2**53
 # size cap of one matrix: 2^22 coefficients, 32 MiB as int64
@@ -71,6 +75,9 @@ class SeriesMatrix:
     __slots__ = ("context", "rows", "cols", "arr", "_const")
 
     def __init__(self, context: PrecisionContext, arr: np.ndarray):
+        if arr.dtype != storage_dtype(context):
+            raise TypeError(f"coefficients must be stored as "
+                            f"{np.dtype(storage_dtype(context))}, got {arr.dtype}")
         self.context = context
         self.rows, self.cols = arr.shape[0], arr.shape[1]
         arr.setflags(write=False)
@@ -90,26 +97,13 @@ class SeriesMatrix:
         return cls(context, arr)
 
     @classmethod
-    def from_int_rows(cls, context, rows):
-        """Constant matrix from a list of rows of integers."""
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        arr = zeros_array(context, r, c)
-        mod = context.modulus
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                arr[i, j, 0] = int(x) % mod
-        return cls(context, arr)
-
-    @classmethod
     def from_series_rows(cls, context, rows):
+        """From a list of rows of series or integers (constants)."""
         r = len(rows)
         c = len(rows[0]) if r else 0
         arr = zeros_array(context, r, c)
         for i, row in enumerate(rows):
             for j, s in enumerate(row):
-                if isinstance(s, OneForm):
-                    s = s.body
                 if isinstance(s, TruncatedSeries):
                     if s.context != context:
                         raise ContextMismatch("entry context differs")
@@ -139,9 +133,6 @@ class SeriesMatrix:
         a = np.array(self.arr[i, j], copy=True)
         return TruncatedSeries._from_array(self.context, a)
 
-    def column(self, j) -> "SeriesMatrix":
-        return SeriesMatrix(self.context, np.array(self.arr[:, j:j + 1], copy=True))
-
     def select_rows(self, indices) -> "SeriesMatrix":
         return SeriesMatrix(self.context, np.array(self.arr[list(indices)], copy=True))
 
@@ -156,23 +147,15 @@ class SeriesMatrix:
             self._const = not self.arr[:, :, 1:].any()
         return self._const
 
-    def max_nonzero_degree(self) -> int:
-        nz = np.nonzero(self.arr)
-        return int(nz[2].max()) if len(nz[2]) else -1
-
     # -- ring operations ----------------------------------------------------
 
-    def _check(self, other):
-        if self.context != other.context:
-            raise ContextMismatch(f"{self.context} vs {other.context}")
-
     def __add__(self, other):
-        self._check(other)
+        _check_same_context(self, other)
         return SeriesMatrix(self.context,
                             (self.arr + other.arr) % self.context.modulus)
 
     def __sub__(self, other):
-        self._check(other)
+        _check_same_context(self, other)
         return SeriesMatrix(self.context,
                             (self.arr - other.arr) % self.context.modulus)
 
@@ -183,23 +166,8 @@ class SeriesMatrix:
         return SeriesMatrix(self.context, mul_mod(
             self.arr, k % self.context.modulus, self.context))
 
-    def scale_series(self, s: TruncatedSeries) -> "SeriesMatrix":
-        """Entrywise multiplication by a fixed series."""
-        ctx = self.context
-        m = ctx.M
-        out = np.zeros_like(self.arr)
-        sarr = s._arr
-        for d in range(m + 1):
-            c = int(sarr[d])
-            if c == 0:
-                continue
-            # two residues sum below 2^63, so reducing after each add is exact
-            out[:, :, d:] += mul_mod(self.arr[:, :, :m + 1 - d], c, ctx)
-            out[:, :, d:] %= ctx.modulus
-        return SeriesMatrix(ctx, out)
-
     def __matmul__(self, other):
-        self._check(other)
+        _check_same_context(self, other)
         ctx = self.context
         mod = ctx.modulus
         d = ctx.M + 1
@@ -249,30 +217,17 @@ class SeriesMatrix:
 
     def derivative_bodies(self) -> "SeriesMatrix":
         """Entrywise derivative, returned as a matrix of one-form bodies."""
-        m = self.context.M
-        out = np.zeros_like(self.arr)
-        if m >= 1:
-            idx = np.arange(1, m + 1, dtype=self.arr.dtype)
-            out[:, :, :m] = mul_mod(self.arr[:, :, 1:], idx, self.context, m)
-        return SeriesMatrix(self.context, out)
+        return SeriesMatrix(self.context,
+                            derivative_coeffs(self.arr, self.context))
 
     def phi_pullback(self) -> "SeriesMatrix":
         """Entrywise substitution t |-> t^p."""
-        p = self.context.p
-        m = self.context.M
-        out = np.zeros_like(self.arr)
-        top = m // p
-        out[:, :, :(top * p) + 1:p] = self.arr[:, :, :top + 1]
-        return SeriesMatrix(self.context, out)
+        return SeriesMatrix(self.context, frobenius_coeffs(self.arr, self.context))
 
     def oneform_pullback_bodies(self) -> "SeriesMatrix":
         """Entrywise pullback of one-form bodies: g |-> g(t^p) * p * t^(p-1)."""
-        p = self.context.p
-        out = np.zeros_like(self.arr)
-        # degree n goes to p n + p - 1 for n <= n_top (n_top >= -1)
-        n_top = (self.context.M - p + 1) // p
-        out[:, :, p - 1::p] = mul_mod(self.arr[:, :, :n_top + 1], p, self.context)
-        return SeriesMatrix(self.context, out)
+        return SeriesMatrix(self.context,
+                            oneform_pullback_coeffs(self.arr, self.context))
 
     def truncate_degree(self, d: int) -> "SeriesMatrix":
         if d >= self.context.M:
@@ -293,6 +248,24 @@ class SeriesMatrix:
     def constant_layer(self) -> list:
         """The degree-0 coefficients as a list of rows of Python ints."""
         return [[int(x) for x in row] for row in self.arr[:, :, 0]]
+
+
+def series_inverse(a: SeriesMatrix) -> SeriesMatrix:
+    """The inverse of the series in a 1x1 matrix; raises ZeroDivisionError
+    unless its constant term c0 is a unit.
+
+    Newton iteration x <- x (2 - a x) from x = c0^-1 mod p^N: if a x = 1
+    mod t^k then 1 - a x' = (1 - a x)^2 = 0 mod t^(2k), exactly over
+    Z/p^N, so ceil(log2(M+1)) = bitlen(M) steps reach t^(M+1)."""
+    ctx = a.context
+    c0 = int(a.arr[0, 0, 0])
+    if c0 % ctx.p == 0:
+        raise ZeroDivisionError("constant term is not a unit mod p")
+    x = SeriesMatrix.identity(ctx, 1, pow(c0, -1, ctx.modulus))
+    two = SeriesMatrix.identity(ctx, 1, 2)
+    for _ in range(ctx.M.bit_length()):
+        x = x @ (two - a @ x)
+    return x
 
 
 def _balanced(layer: np.ndarray, mod: int) -> np.ndarray:

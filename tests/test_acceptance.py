@@ -22,7 +22,7 @@ from crystal_lab import (ExtensionContext, ExtensionData, PrecisionContext,
                          newton_slopes, p_torsion_check, point_from_tangent,
                          random_geometric_point, slope_report,
                          tangent_coordinates, trivialize, truncate_point)
-from crystal_lab.cli import main
+from crystal_lab.cli import run
 from crystal_lab.sampling import random_extension, random_witness
 from crystal_lab.extension_group import trivialize as _trivialize
 
@@ -208,7 +208,7 @@ def test_criterion_10_cli_determinism(capsys):
                     "--samples", "10", "--seed", "21"]
         outputs = []
         for args in (probe_args, probe_args, law_args, law_args):
-            code = main(list(args))
+            code = run(list(args))
             assert code == 0
             outputs.append(capsys.readouterr().out.encode())
         assert outputs[0] == outputs[1]

@@ -4,16 +4,18 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crystal_lab import (ExtensionContext, ExtensionData, PrecisionContext,
                          from_alpha, int_scale, make_standard_crystal, trivialize)
 from crystal_lab import serialize
-from crystal_lab.cli import main
+from crystal_lab.cli import run
+from crystal_lab.errors import SchemaError
 from crystal_lab.sampling import random_witness, witness_support
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -245,5 +247,145 @@ class TestUsageErrors:
 
     def test_unknown_verb_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
+            run(["frobnicate"])
         assert exc.value.code == 2
+
+
+def test_entry_point_runs_a_verb(capsys):
+    # the console script named in pyproject.toml resolves and runs a verb
+    import importlib
+    import pathlib
+    import tomllib
+    root = pathlib.Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["crystal-lab"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    code = entry(["gen", "--p", "3", "--h", "2", "--N", "8", "--M", "4",
+                  "--kind", "sub1"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 2
+
+
+# -- fuzzing the JSON-reading verbs ---------------------------------------------
+
+FUZZ_CTX = PrecisionContext(3, 8, 6)
+
+
+def fuzz_documents():
+    ectx = ExtensionContext(FUZZ_CTX, 2)
+    rng = random.Random(0)
+    e = from_alpha(random_witness(rng, ectx, witness_support(ectx))
+                   ).mark_geometric()
+    w = trivialize(int_scale(e, 3))
+    return {"crystal": serialize.crystal_to_json(
+                make_standard_crystal(FUZZ_CTX, 2, "pair")),
+            "extension": serialize.extension_to_json(e),
+            "witness": serialize.witness_to_json(w)}
+
+
+FUZZ_DOCS = fuzz_documents()
+# each JSON-reading verb, and the documents its file arguments hold
+FUZZ_VERBS = [(("check", "horizontality"), ("crystal",)),
+              (("check", "pairing"), ("crystal",)),
+              (("slopes",), ("crystal",)),
+              (("trivialize",), ("extension",)),
+              (("baer-sum",), ("extension", "extension")),
+              (("baer-sum", "--mode", "pp"), ("extension", "extension")),
+              (("baer-sum", "--mode", "pop"), ("extension", "extension")),
+              (("ptorsion",), ("extension", "witness"))]
+
+
+def node_paths(doc, path=()):
+    """The path to every node of a JSON document, the root included."""
+    yield path
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from node_paths(v, path + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from node_paths(v, path + (i,))
+
+
+FUZZ_PATHS = {kind: list(node_paths(doc)) for kind, doc in FUZZ_DOCS.items()}
+
+
+def replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+HOSTILE_STRINGS = ["", " ", "abc", "0x10", "1e3", "1.5", "--1", "1 2", "9" * 5000,
+                   "1_000", " 12 ", "+5", "-3", "٣", "0012", "\t7\n"]
+HOSTILE_INTS = [-1, 0, 1, 2, 5, 11, 4097, 10**6, -10**30, 10**30, 10**1000]
+hostile_leaf = st.one_of(
+    st.booleans(), st.none(), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(HOSTILE_INTS), st.sampled_from(HOSTILE_STRINGS),
+    st.text(max_size=8))
+hostile_value = st.one_of(
+    hostile_leaf,
+    st.recursive(hostile_leaf, lambda inner: st.lists(inner, max_size=4)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                 max_leaves=12),
+    # oversize rows and cells: too many entries, or too many coefficients
+    st.integers(3, 40).map(lambda n: [["1"] * 7] * n),
+    st.integers(8, 5000).map(lambda n: ["1"] * n))
+
+
+def run_hostile(capsys, tmp_path, argv, kinds, target, path, value):
+    files = []
+    for k, kind in enumerate(kinds):
+        doc = FUZZ_DOCS[kind]
+        if k == target:
+            doc = replaced(doc, path, value)
+        fh = tmp_path / f"doc{k}.json"
+        fh.write_text(json.dumps(doc))
+        files.append(str(fh))
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv, *files)
+    elapsed = time.perf_counter() - t0
+    assert code in (0, 1, 2), (argv, path, value)
+    assert "Traceback" not in err
+    assert code != 2 or err.startswith("error:")
+    assert elapsed < 1.0, (argv, path, elapsed)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(verb=st.integers(0, len(FUZZ_VERBS) - 1), target=st.integers(0, 1),
+       pick=st.integers(0, 10**9), value=hostile_value)
+def test_hostile_json_exits_cleanly(capsys, tmp_path, verb, target, pick, value):
+    argv, kinds = FUZZ_VERBS[verb]
+    target %= len(kinds)
+    paths = FUZZ_PATHS[kinds[target]]
+    run_hostile(capsys, tmp_path, argv, kinds, target,
+                paths[pick % len(paths)], value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("weight", 10**30), ("frobenius_shift", -10**30), ("rank", 10**30),
+    ("weight", True), ("rank", 4.0)])
+def test_hostile_crystal_fields_exit_cleanly(capsys, tmp_path, field, value):
+    for argv, kinds in FUZZ_VERBS[:3]:
+        run_hostile(capsys, tmp_path, argv, kinds, 0, (field,), value)
+
+
+@pytest.mark.parametrize("text", [s for s in HOSTILE_STRINGS if s != "9" * 5000])
+def test_decimal_strings_parse_as_int_does(text):
+    # every string int() accepts keeps its value; the others are schema errors
+    try:
+        expected = int(text) % FUZZ_CTX.modulus
+    except ValueError:
+        with pytest.raises(SchemaError, match="decimal"):
+            serialize.matrix_from_json(FUZZ_CTX, [[[text]]], 1, 1)
+        return
+    m = serialize.matrix_from_json(FUZZ_CTX, [[["0", text]]], 1, 1)
+    assert m.arr[0, 0].tolist() == [0, expected] + [0] * (FUZZ_CTX.M - 1)
+    assert serialize.series_from_json(FUZZ_CTX, ["0", text]).coeffs()[1] == \
+        expected

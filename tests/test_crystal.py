@@ -15,7 +15,7 @@ from crystal_lab.series_matrix import SeriesMatrix
 
 def constant_crystal(ctx, rows, weight=2):
     n = len(rows)
-    f = SeriesMatrix.from_int_rows(ctx, rows)
+    f = SeriesMatrix.from_series_rows(ctx, rows)
     z = SeriesMatrix.zeros(ctx, n, n)
     return FCrystalPresentation(ctx, n, f, z, z, weight)
 
@@ -249,7 +249,7 @@ class TestOrthogonalComplement:
             from crystal_lab.series_matrix import det_mod_p
             if det_mod_p(rows, 3) != 0:
                 break
-        t = SeriesMatrix.from_int_rows(ctx3, rows)
+        t = SeriesMatrix.from_series_rows(ctx3, rows)
         t_rows = [[Fraction(x) for x in row] for row in rows]
         from crystal_lab.crystal import _fraction_inverse
         inv_rows = _fraction_inverse(t_rows)
@@ -258,7 +258,7 @@ class TestOrthogonalComplement:
                     if f.denominator % 3 else None for f in row]
                    for row in inv_rows]
         assert all(x is not None for row in inv_int for x in row)
-        t_inv = SeriesMatrix.from_int_rows(ctx3, inv_int)
+        t_inv = SeriesMatrix.from_series_rows(ctx3, inv_int)
         conj = FCrystalPresentation(
             ctx3, n, t_inv @ c.frobenius @ t, SeriesMatrix.zeros(ctx3, n, n),
             t.transpose() @ c.pairing @ t, c.weight)

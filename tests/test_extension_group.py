@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from crystal_lab import (ExtensionContext, ExtensionData, PrecisionContext,
@@ -10,10 +11,11 @@ from crystal_lab import (ExtensionContext, ExtensionData, PrecisionContext,
                          p_torsion_check, trivialize)
 from crystal_lab.errors import (ContextMismatch, HypothesisMissing,
                                 InvalidExtension, WitnessInvalid)
-from crystal_lab.sampling import (add_m_noise, add_v_noise,
-                                  random_extension, random_witness,
-                                  witness_support)
+from crystal_lab.sampling import (add_noise, random_extension,
+                                  random_witness, witness_support)
 from crystal_lab.series_matrix import SeriesMatrix
+
+from test_series_matrix import naive_matmul
 
 
 @pytest.fixture
@@ -250,7 +252,7 @@ class TestTrivialize:
     def test_v_noise_detected(self, ectx2):
         rng = random.Random(71)
         e = from_alpha(random_witness(rng, ectx2, witness_support(ectx2)))
-        noisy = add_v_noise(rng, e, ectx2.ctx.p, entry=(1, 0))
+        noisy = add_noise(rng, e, "v", ectx2.ctx.p, entry=(1, 0))
         out = trivialize(noisy)
         assert isinstance(out, Untrivializable)
         assert out.equation == "v" and out.index == (1, 0)
@@ -279,7 +281,7 @@ class TestPTorsion:
     def test_noisy_point_certified_at_reduced_precision(self, ectx2):
         rng = random.Random(79)
         e = from_alpha(random_witness(rng, ectx2, witness_support(ectx2)))
-        e = add_m_noise(rng, e.mark_geometric(), ectx2.ctx.p)
+        e = add_noise(rng, e.mark_geometric(), "m", ectx2.ctx.p)
         assert isinstance(trivialize(e), Untrivializable)
         w = trivialize(int_scale(e, ectx2.ctx.p))
         assert isinstance(w, TrivializationWitness)
@@ -348,3 +350,26 @@ def test_baer_routes_agree_at_the_storage_edges(n_digits):
     crystal = assemble_crystal(fast)
     assert check_horizontality(crystal).passed
     assert check_pairing_compat(crystal).passed
+
+
+@pytest.mark.parametrize("p, n_digits", [(3, 40), (5, 27)])
+def test_torsion_quotient_switches_storage(p, n_digits):
+    # 3^40 and 5^27 exceed 2^62, one digit lower does not: the divided
+    # witness moves from Python-integer to int64 storage
+    ctx = PrecisionContext(p, n_digits, 3 * p)
+    assert not ctx.int64_safe and ctx.reduce_precision(n_digits - 1).int64_safe
+    ectx = ExtensionContext(ctx, 3)
+    rng = random.Random(n_digits)
+    gamma = random_witness(rng, ectx, witness_support(ectx))
+    e = from_alpha(gamma).mark_geometric()
+    w = trivialize(int_scale(e, p))
+    assert isinstance(w, TrivializationWitness)
+    assert w.alpha.arr.dtype == object
+    out = p_torsion_check(e, w)
+    assert isinstance(out, TorsionCertificate)
+    assert out.precision == n_digits - 1
+    assert out.beta.alpha.arr.dtype == np.int64
+    assert out.beta.alpha == gamma.alpha.reduce_precision(n_digits - 1)
+    # a product on the quotient runs on its own storage
+    assert out.beta.alpha @ out.beta.alpha == naive_matmul(out.beta.alpha,
+                                                           out.beta.alpha)

@@ -167,6 +167,35 @@ class TestPointValidation:
         with pytest.raises(InvalidExtension):
             DeformationPoint(ectx2, 4, ExtensionData.zero(ectx2), (wide, zero))
 
+    @pytest.mark.parametrize("field, top, message", [
+        ("xi", lambda p, n: n - 2, "connection defect exceeds"),
+        ("v", lambda p, n: p * (n - 1), "Frobenius defect exceeds"),
+        ("m", lambda p, n: n - 1, "pairing data exceeds"),
+        ("hodge", lambda p, n: n - 1, "hodge coordinate exceeds")],
+        ids=["xi", "v", "m", "hodge"])
+    def test_degree_bounds_are_exact(self, ectx2, field, top, message):
+        # a coefficient at the top allowed degree passes, one above fails
+        ctx, n = ectx2.ctx, 4
+        z = SeriesMatrix.zeros(ctx, 2, 2)
+        zero = TruncatedSeries.zero(ctx)
+
+        def point(degree):
+            data = {"xi": z, "v": z, "m": z}
+            hodge = (zero, zero)
+            if field == "hodge":
+                hodge = (TruncatedSeries.monomial(ctx, degree), zero)
+            else:
+                arr = z.arr.copy()
+                arr[0, 0, degree] = 1  # off the isotropy corner (1, 1)
+                data[field] = SeriesMatrix(ctx, arr)
+            e = ExtensionData(ectx2, data["xi"], data["v"], data["m"])
+            return DeformationPoint(ectx2, n, e, hodge)
+
+        degree = top(ctx.p, n)
+        assert point(degree).base_degree == n
+        with pytest.raises(InvalidExtension, match=message):
+            point(degree + 1)
+
     def test_faithful_range_enforced(self, ctx3):
         ectx = ExtensionContext(ctx3, 2)
         zero = TruncatedSeries.zero(ctx3)

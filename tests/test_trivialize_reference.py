@@ -25,7 +25,7 @@ from crystal_lab.errors import (HypothesisMissing, NonIntegrable,
 from crystal_lab.extension_group import (TraceStep, _divide_matrix_by_p,
                                          _m_from_alpha, _v_from_alpha)
 from crystal_lab.padic_series import p_valuation
-from crystal_lab.sampling import (add_m_noise, add_v_noise, random_extension,
+from crystal_lab.sampling import (add_noise, random_extension,
                                   random_witness, witness_support)
 from crystal_lab.series_matrix import SeriesMatrix
 
@@ -123,7 +123,7 @@ def reference_p_torsion_check(e: ExtensionData, w: TrivializationWitness):
     trace = []
 
     def congruence(label, statement, series):
-        ok = series.reduce_mod_p_is_zero()
+        ok = not any(c % p for c in series.coeffs())
         trace.append(TraceStep(label, statement, ok))
         return ok
 
@@ -201,10 +201,10 @@ def extensions(p, n_digits, h, seed):
     lossy = from_alpha(random_witness(rng, ectx, range(1, 33)))
     out = {"trivial": trivial, "lossy": lossy,
            "xi-unit": with_xi_unit(rng, trivial),
-           "v-noise": add_v_noise(rng, trivial, p),
-           "m-noise": add_m_noise(rng, trivial, p),
-           "lossy-v-noise": add_v_noise(rng, lossy, p * p),
-           "lossy-m-noise": add_m_noise(rng, lossy, p)}
+           "v-noise": add_noise(rng, trivial, "v", p),
+           "m-noise": add_noise(rng, trivial, "m", p),
+           "lossy-v-noise": add_noise(rng, lossy, "v", p * p),
+           "lossy-m-noise": add_noise(rng, lossy, "m", p)}
     if h >= 3:
         out["xi-perturbed"] = random_extension(rng, ectx, nontrivial=True)
     return out
@@ -250,8 +250,8 @@ def torsion_inputs(p, n_digits, h, seed):
     out = {}
     geo = from_alpha(random_witness(rng, ectx,
                                     witness_support(ectx))).mark_geometric()
-    for name, e in (("trivial", geo), ("m-noise", add_m_noise(rng, geo, p)),
-                    ("v-noise", add_v_noise(rng, geo, p))):
+    for name, e in (("trivial", geo), ("m-noise", add_noise(rng, geo, "m", p)),
+                    ("v-noise", add_noise(rng, geo, "v", p))):
         w = trivialize(int_scale(e, p))
         assert isinstance(w, TrivializationWitness)
         out[name] = (e, w)
