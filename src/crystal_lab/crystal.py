@@ -292,14 +292,26 @@ def _charpoly_berkowitz(rows):
     return poly
 
 
+DENSE_CHARPOLY_BUDGET = 2**40  # on n^5 max(64, b)^2, see charpoly_int
+
+
 def charpoly_int(rows):
     """Exact characteristic polynomial det(xI - A) of an integer matrix.
 
-    Coefficients are returned from x^n down to x^0.
+    Coefficients are returned from x^n down to x^0.  A generalized
+    permutation takes the cycle fast path at any size.  Berkowitz runs O(n^4)
+    products of integers growing to n b bits, b the largest entry bit
+    length, so any other matrix raises ValueError unless n^5 max(64, b)^2 <=
+    DENSE_CHARPOLY_BUDGET: rank 48 below 2^64, rank 16 at 1024 bits.
     """
     fast = _charpoly_generalized_permutation(rows)
     if fast is not None:
         return fast
+    n = len(rows)
+    bits = max([64] + [x.bit_length() for row in rows for x in row])
+    if n ** 5 * bits ** 2 > DENSE_CHARPOLY_BUDGET:
+        raise ValueError(f"dense characteristic polynomial of rank {n} with "
+                         f"{bits}-bit entries exceeds its size budget")
     return _charpoly_berkowitz(rows)
 
 
@@ -445,28 +457,35 @@ class ComplementResult:
     free_rows: tuple
 
 
+def induced_maps(frobenius: SeriesMatrix, connection: SeriesMatrix,
+                 basis: SeriesMatrix, pivot_rows) -> tuple:
+    """(f, a): the Frobenius and connection induced on the span of the basis
+    columns, read off pivot_rows, where the basis is the identity (in order).
+
+    Both closure equations are verified (the connection through degree
+    M-1), raising NotStable when the span is not preserved; the connection
+    comes back truncated to degree M-1.
+    """
+    ctx = basis.context
+    pivot_rows = list(pivot_rows)
+    rhs_f = frobenius @ basis.phi_pullback()
+    f = rhs_f.select_rows(pivot_rows)
+    if basis @ f != rhs_f:
+        raise NotStable("span is not Frobenius-stable")
+    rhs_a = basis.derivative_bodies() + (connection @ basis)
+    a = rhs_a.select_rows(pivot_rows)
+    if not (basis @ a - rhs_a).is_zero_through(ctx.M - 1):
+        raise NotStable("span is not connection-stable")
+    return f, (a.truncate_degree(ctx.M - 1) if ctx.M >= 1 else a)
+
+
 def induced_subpresentation(c: FCrystalPresentation, basis: SeriesMatrix,
                             free_rows) -> FCrystalPresentation:
-    """Presentation induced on the span of basis columns.
-
-    basis restricted to free_rows must be the identity; coordinates of
-    images are read off there and the full closure equations are verified,
-    raising NotStable when the span is not preserved.
-    """
-    ctx = c.context
-    free_rows = list(free_rows)
-    rhs_f = c.frobenius @ basis.phi_pullback()
-    f_new = rhs_f.select_rows(free_rows)
-    if basis @ f_new != rhs_f:
-        raise NotStable("computed complement is not Frobenius-stable")
-    rhs_a = basis.derivative_bodies() + (c.connection @ basis)
-    a_new = rhs_a.select_rows(free_rows)
-    check = basis @ a_new
-    if not (check - rhs_a).is_zero_through(ctx.M - 1):
-        raise NotStable("computed complement is not connection-stable")
-    a_new = a_new.truncate_degree(ctx.M - 1) if ctx.M >= 1 else a_new
-    g_new = basis.transpose() @ c.pairing @ basis
-    return FCrystalPresentation(ctx, basis.cols, f_new, a_new, g_new,
+    """Presentation induced on the span of basis columns (``induced_maps``),
+    with the restricted pairing."""
+    f, a = induced_maps(c.frobenius, c.connection, basis, free_rows)
+    return FCrystalPresentation(c.context, basis.cols, f, a,
+                                basis.transpose() @ c.pairing @ basis,
                                 c.weight, c.frobenius_shift)
 
 

@@ -7,7 +7,9 @@ wrap-around mod h; index h-1 is the cycle-closing position that carries the
 extra power of p.  The three Baer-sum routes (componentwise, pullback then
 pushout, pushout then pullback) must agree entrywise; the diagram routes
 materialize the intermediate rank-3h module with explicit section choices
-and serve as the oracle for the componentwise rule.
+and serve as the oracle for the componentwise rule.  A pullback step reads
+the induced maps off a sub-span (``crystal.induced_maps``), a pushout step off
+a quotient (``_pushout``); the constant maps are +-identity blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .crystal import (FCrystalPresentation, STANDARD_WEIGHT, direct_sum,
-                      make_standard_crystal)
+                      induced_maps, make_standard_crystal)
 from .errors import (ContextMismatch, HypothesisMissing, InvalidExtension,
                      NonIntegrable, NotStable, PrecisionInsufficient,
                      WitnessInvalid)
@@ -60,7 +62,8 @@ class ExtensionData:
 
     xi[i][j] is the one-form body of the connection defect, v[i][j] the
     Frobenius defect (constrained to the t-ideal), m[i][j] the half-pairing
-    of the lifted basis; m is symmetric.  geometric_flag asserts the
+    of the lifted basis; m is symmetric.  xi vanishes at degree M, which a
+    one-form body cannot be trusted at.  geometric_flag asserts the
     rank-1-mod-p Frobenius condition: v columns 1..h-1 vanish mod p.
 
     Equality compares the data only, never the flag.  Deep consistency
@@ -80,6 +83,8 @@ class ExtensionData:
                 raise ContextMismatch(f"{name} context differs")
         if v.arr[:, :, 0].any():
             raise InvalidExtension("v entries must lie in the t-ideal")
+        if np.count_nonzero(xi.arr[..., -1]):
+            raise InvalidExtension("xi entries must vanish at degree M")
         if m != m.transpose():
             raise InvalidExtension("m must be symmetric")
         if geometric_flag and h > 1:
@@ -236,55 +241,55 @@ def assemble_crystal(e: ExtensionData) -> FCrystalPresentation:
 def _readout(ectx: ExtensionContext, f_fin: SeriesMatrix, a_fin: SeriesMatrix,
              g_fin: SeriesMatrix, flag: bool) -> ExtensionData:
     """Recognize a rank-2h presentation in the canonical frame and extract
-    its (xi, v, m)."""
+    its (xi, v, m): outside the block that carries the data, each matrix
+    must equal that of the standard pair, the zero extension."""
     ctx = ectx.ctx
     h = ectx.h
-    mod = ctx.modulus
+    top, low = slice(h), slice(h, None)
 
-    def sub(mat, r0, r1, c0, c1):
-        return SeriesMatrix(ctx, np.ascontiguousarray(mat.arr[r0:r1, c0:c1, :]))
+    def frame(mat, rows, cols):
+        arr = mat.arr.copy()
+        arr[rows, cols] = 0
+        return SeriesMatrix(ctx, arr)
 
-    if sub(f_fin, 0, h, 0, h) != ectx.sub1.frobenius \
-            or f_fin.arr[h:, :h, :].any() \
-            or sub(f_fin, h, 2 * h, h, 2 * h) != ectx.super1.frobenius:
+    if frame(f_fin, top, low) != ectx.pair.frobenius:
         raise NotStable("Baer-sum output does not reduce to the standard frame")
-    v = sub(f_fin, 0, h, h, 2 * h).transpose()
-
-    if a_fin.arr[:, :h, :].any() or a_fin.arr[h:, h:, :].any():
+    if frame(a_fin, top, low) != ectx.pair.connection:
         raise NotStable("Baer-sum connection does not reduce to the standard frame")
-    xi = sub(a_fin, 0, h, h, 2 * h).transpose()
-
-    if g_fin.arr[:h, :h, :].any() \
-            or sub(g_fin, 0, h, h, 2 * h) != SeriesMatrix.identity(ctx, h) \
-            or sub(g_fin, h, 2 * h, 0, h) != SeriesMatrix.identity(ctx, h):
+    if frame(g_fin, low, low) != ectx.pair.pairing:
         raise NotStable("Baer-sum pairing does not reduce to the standard frame")
-    m_arr = g_fin.arr[h:, h:, :].copy()
+    v = SeriesMatrix(ctx, f_fin.arr[top, low]).transpose()
+    xi = SeriesMatrix(ctx, a_fin.arr[top, low]).transpose()
+    m_arr = g_fin.arr[low, low].copy()
     diag = np.arange(h)
-    m_arr[diag, diag, :] = mul_mod(m_arr[diag, diag, :], pow(2, -1, mod), ctx)
-    m = SeriesMatrix(ctx, m_arr)
-    return ExtensionData(ectx, xi, v, m, geometric_flag=flag)
+    m_arr[diag, diag] = mul_mod(m_arr[diag, diag], pow(2, -1, ctx.modulus), ctx)
+    return ExtensionData(ectx, xi, v, SeriesMatrix(ctx, m_arr),
+                         geometric_flag=flag)
 
 
-def _const(ctx, rows, cols, ones, minus=()):
-    arr = zeros_array(ctx, rows, cols)
-    for (i, j) in ones:
-        arr[i, j, 0] = 1
-    for (i, j) in minus:
-        arr[i, j, 0] = ctx.modulus - 1
+def _blocks(ctx: PrecisionContext, h: int, pattern) -> SeriesMatrix:
+    """The constant matrix of h x h blocks given row by row: '+' is the
+    identity block, '-' its negative and '0' the zero block."""
+    arr = zeros_array(ctx, h * len(pattern), h * len(pattern[0]))
+    diag = np.arange(h)
+    for r, row in enumerate(pattern):
+        for c, sign in enumerate(row):
+            if sign != "0":
+                arr[r * h + diag, c * h + diag, 0] = \
+                    1 if sign == "+" else ctx.modulus - 1
     return SeriesMatrix(ctx, arr)
 
 
-def _solve_in_basis(basis: SeriesMatrix, rhs: SeriesMatrix, pivot_rows,
-                    oneform: bool) -> SeriesMatrix:
-    """Coordinates of rhs columns in the span of basis columns, where basis
-    restricted to pivot_rows (in order) is the identity; verifies membership."""
-    x = rhs.select_rows(pivot_rows)
-    check = basis @ x
-    ok = (check - rhs).is_zero_through(basis.context.M - 1) if oneform \
-        else check == rhs
-    if not ok:
-        raise NotStable("intermediate module is not closed under the structure maps")
-    return x
+def _pushout(f: SeriesMatrix, a: SeriesMatrix, kernel: SeriesMatrix,
+             proj: SeriesMatrix, section: SeriesMatrix) -> tuple:
+    """Frobenius and connection induced on the quotient by the span of the
+    kernel columns, in the basis of the section columns; proj maps onto the
+    quotient coordinates.  Verifies that the kernel span is stable."""
+    if not (proj @ (f @ kernel.phi_pullback())).is_zero():
+        raise NotStable("pushout kernel is not Frobenius-stable")
+    if not (proj @ (a @ kernel)).is_zero_through(f.context.M - 1):
+        raise NotStable("pushout kernel is not connection-stable")
+    return proj @ (f @ section.phi_pullback()), proj @ (a @ section)
 
 
 def _baer_diagram(e1: ExtensionData, e2: ExtensionData, pullback_first: bool
@@ -293,80 +298,32 @@ def _baer_diagram(e1: ExtensionData, e2: ExtensionData, pullback_first: bool
     ctx = ectx.ctx
     h = ectx.h
     amb = direct_sum(assemble_crystal(e1), assemble_crystal(e2))
-    # ambient coordinates: (a1: 0..h-1, c1: h..2h-1, a2: 2h..3h-1, c2: 3h..4h-1)
-    f_amb, a_amb, g_amb = amb.frobenius, amb.connection, amb.pairing
-    lift = _const(ctx, 4 * h, 2 * h,
-                  ones=[(i, i) for i in range(h)]
-                  + [(h + i, h + i) for i in range(h)]
-                  + [(3 * h + i, h + i) for i in range(h)])
-    flag = e1.geometric_flag and e2.geometric_flag
-
+    # ambient coordinates, one h-block each: (a1, c1, a2, c2); both routes
+    # push out along the sum, the quotient by span{a1_i - a2_i}, and pull
+    # back along the diagonal, the span of c1_i + c2_i over the a-part
     if pullback_first:
-        # pull back along the diagonal: basis (a1, a2, d_i = c1_i + c2_i)
-        pb = _const(ctx, 4 * h, 3 * h,
-                    ones=[(i, i) for i in range(h)]
-                    + [(2 * h + i, h + i) for i in range(h)]
-                    + [(h + i, 2 * h + i) for i in range(h)]
-                    + [(3 * h + i, 2 * h + i) for i in range(h)])
-        pivot_rows = list(range(h)) + list(range(2 * h, 3 * h)) \
-            + list(range(h, 2 * h))
-        f_sub = _solve_in_basis(pb, f_amb @ pb.phi_pullback(), pivot_rows, False)
-        a_sub = _solve_in_basis(pb, pb.derivative_bodies() + a_amb @ pb,
-                                pivot_rows, True)
-        # push out along the sum: quotient by span{a1_i - a2_i}
-        kernel = _const(ctx, 3 * h, h, ones=[(i, i) for i in range(h)],
-                        minus=[(h + i, i) for i in range(h)])
-        proj = _const(ctx, 2 * h, 3 * h,
-                      ones=[(i, i) for i in range(h)]
-                      + [(i, h + i) for i in range(h)]
-                      + [(h + i, 2 * h + i) for i in range(h)])
-        section = _const(ctx, 3 * h, 2 * h,
-                         ones=[(i, i) for i in range(h)]
-                         + [(2 * h + i, h + i) for i in range(h)])
-        if not (proj @ (f_sub @ kernel.phi_pullback())).is_zero():
-            raise NotStable("pushout kernel is not Frobenius-stable")
-        if not (proj @ (a_sub @ kernel)).is_zero_through(ctx.M - 1):
-            raise NotStable("pushout kernel is not connection-stable")
-        f_fin = proj @ (f_sub @ section.phi_pullback())
-        a_fin = proj @ (a_sub @ section)
+        # basis (a1, a2, d_i = c1_i + c2_i), then the quotient (abar, d)
+        f, a = induced_maps(amb.frobenius, amb.connection,
+                            _blocks(ctx, h, ["+00", "00+", "0+0", "00+"]),
+                            [*range(h), *range(2 * h, 3 * h), *range(h, 2 * h)])
+        f, a = _pushout(f, a, _blocks(ctx, h, ["+", "-", "0"]),
+                        _blocks(ctx, h, ["++0", "00+"]),
+                        _blocks(ctx, h, ["+0", "00", "0+"]))
     else:
-        # push out first: quotient of the direct sum by span{a1_i - a2_i},
-        # basis (abar, c1, c2) with the zero-second-component section
-        proj = _const(ctx, 3 * h, 4 * h,
-                      ones=[(i, i) for i in range(h)]
-                      + [(i, 2 * h + i) for i in range(h)]
-                      + [(h + i, h + i) for i in range(h)]
-                      + [(2 * h + i, 3 * h + i) for i in range(h)])
-        section = _const(ctx, 4 * h, 3 * h,
-                         ones=[(i, i) for i in range(h)]
-                         + [(h + i, h + i) for i in range(h)]
-                         + [(3 * h + i, 2 * h + i) for i in range(h)])
-        kernel = _const(ctx, 4 * h, h, ones=[(i, i) for i in range(h)],
-                        minus=[(2 * h + i, i) for i in range(h)])
-        if not (proj @ (f_amb @ kernel.phi_pullback())).is_zero():
-            raise NotStable("pushout kernel is not Frobenius-stable")
-        if not (proj @ (a_amb @ kernel)).is_zero_through(ctx.M - 1):
-            raise NotStable("pushout kernel is not connection-stable")
-        f_quot = proj @ (f_amb @ section.phi_pullback())
-        a_quot = proj @ (a_amb @ section)
-        # pull back along the diagonal: basis (abar, e_i = c1_i + c2_i)
-        pb = _const(ctx, 3 * h, 2 * h,
-                    ones=[(i, i) for i in range(h)]
-                    + [(h + i, h + i) for i in range(h)]
-                    + [(2 * h + i, h + i) for i in range(h)])
-        pivot_rows = list(range(2 * h))
-        f_fin = _solve_in_basis(pb, f_quot @ pb.phi_pullback(), pivot_rows, False)
-        a_fin = _solve_in_basis(pb, pb.derivative_bodies() + a_quot @ pb,
-                                pivot_rows, True)
+        # quotient basis (abar, c1, c2) with the zero-second-component
+        # section, then the diagonal basis (abar, e_i = c1_i + c2_i)
+        f, a = _pushout(amb.frobenius, amb.connection,
+                        _blocks(ctx, h, ["+", "0", "-", "0"]),
+                        _blocks(ctx, h, ["+0+0", "0+00", "000+"]),
+                        _blocks(ctx, h, ["+00", "0+0", "000", "00+"]))
+        f, a = induced_maps(f, a, _blocks(ctx, h, ["+0", "0+", "0+"]),
+                            range(2 * h))
 
     # the pairing descends only through the normalized representatives in
     # the ambient direct sum; both routes share the same lifts
-    g_fin = lift.transpose() @ g_amb @ lift
-    a_fin = a_fin.truncate_degree(ctx.M - 1) if ctx.M >= 1 else a_fin
-    return _readout(ectx, f_fin, a_fin, g_fin, flag)
-
-
-BAER_MODES = ("fast", "pullback_pushout", "pushout_pullback")
+    lift = _blocks(ctx, h, ["+0", "0+", "00", "0+"])
+    g = lift.transpose() @ amb.pairing @ lift
+    return _readout(ectx, f, a, g, e1.geometric_flag and e2.geometric_flag)
 
 
 def baer_sum(e1: ExtensionData, e2: ExtensionData, mode: str = "fast"
@@ -499,8 +456,9 @@ def p_torsion_check(e: ExtensionData, w: TrivializationWitness):
     h = e.h
     p = ctx.p
     nc = min(ctx.N, w.context.N)
-    if nc < 2:
-        raise PrecisionInsufficient("need at least two p-digits to divide")
+    if nc < 3:
+        raise PrecisionInsufficient("need three p-digits: the quotient by p "
+                                    "needs two")
     pe = int_scale(e, p).reduce_precision(nc)
     alpha = w.alpha.reduce_precision(nc)
 

@@ -6,12 +6,14 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from crystal_lab import (ExtensionContext, ExtensionData, PrecisionContext,
-                         from_alpha, int_scale, make_standard_crystal, trivialize)
+from crystal_lab import (ExtensionContext, ExtensionData, FCrystalPresentation,
+                         PrecisionContext, from_alpha, int_scale,
+                         make_standard_crystal, trivialize)
 from crystal_lab import serialize
 from crystal_lab.cli import run
 from crystal_lab.errors import SchemaError
 from crystal_lab.sampling import random_witness, witness_support
+from crystal_lab.series_matrix import SeriesMatrix
 
 
 def run_cli(capsys, *argv):
@@ -129,7 +131,34 @@ class TestExtensionVerbs:
         assert code == 2 and "hypothesis" in err.lower()
 
 
+    def test_xi_at_degree_m_is_usage_error(self, capsys, tmp_path):
+        # xi[0][1] = t^M: the fast route would keep it, the diagrams drop it
+        ectx = ExtensionContext(PrecisionContext(3, 8, 4), 2)
+        doc = serialize.extension_to_json(ExtensionData.zero(ectx))
+        doc["xi"][0][1][4] = "1"
+        path = write_json(tmp_path / "e.json", doc)
+        for argv in [("baer-sum", path, path, "--mode", mode)
+                     for mode in ("fast", "pp", "pop")] + [("trivialize", path)]:
+            code, text, err = run_cli(capsys, *argv)
+            assert code == 2 and text == "" and "degree M" in err, argv
+
+    def test_ptorsion_at_two_digits_is_usage_error(self, capsys, tmp_path):
+        ectx = ExtensionContext(PrecisionContext(3, 2, 6), 2)
+        e = ExtensionData.zero(ectx)
+        fe = make_extension_file(tmp_path, ectx, "e.json", e)
+        fw = write_json(tmp_path / "w.json", serialize.witness_to_json(
+            trivialize(int_scale(e, 3))))
+        code, text, err = run_cli(capsys, "ptorsion", fe, fw)
+        assert code == 2 and text == "" and "quotient by p" in err
+
+
 class TestSamplingVerbs:
+    def test_probe_at_two_digits_is_usage_error(self, capsys):
+        code, text, err = run_cli(capsys, "probe", "--p", "3", "--h", "3",
+                                  "--n", "4", "--N", "2", "--samples", "6",
+                                  "--seed", "1")
+        assert code == 2 and text == "" and "quotient by p" in err
+
     def test_probe_report(self, capsys):
         code, text, _ = run_cli(capsys, "probe", "--p", "3", "--h", "2",
                                 "--n", "6", "--N", "8", "--samples", "10",
@@ -236,6 +265,24 @@ class TestUsageErrors:
             code, text, err = run_cli(capsys, *argv)
             assert time.perf_counter() - t0 < 1.0, argv
             assert code == 2 and text == "" and "bitlen" in err, argv
+
+    @pytest.mark.parametrize("n_digits, rank", [(8, 49), (512, 18)])
+    def test_dense_slopes_above_the_budget_is_quick(self, capsys, tmp_path,
+                                                     n_digits, rank):
+        # one rank above the dense characteristic-polynomial budget: rank 48
+        # at entries below 2^64, rank 17 at the 812-bit residues of 3^512
+        ctx = PrecisionContext(3, n_digits, 0)
+        rng = random.Random(rank)
+        f = SeriesMatrix.from_series_rows(
+            ctx, [[rng.randrange(ctx.modulus) for _ in range(rank)]
+                  for _ in range(rank)])
+        z = SeriesMatrix.zeros(ctx, rank, rank)
+        path = write_json(tmp_path / "dense.json", serialize.crystal_to_json(
+            FCrystalPresentation(ctx, rank, f, z, z, 2)))
+        t0 = time.perf_counter()
+        code, text, err = run_cli(capsys, "slopes", path)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and text == "" and "budget" in err
 
     def test_boolean_context_field_exits_two(self, capsys, tmp_path):
         doc = serialize.crystal_to_json(

@@ -7,6 +7,7 @@ import pytest
 from crystal_lab import (FCrystalPresentation, check_horizontality, check_pairing_compat, direct_sum,
                          hom_crystal, make_standard_crystal, newton_slopes,
                          orthogonal_complement)
+from crystal_lab import crystal
 from crystal_lab.crystal import charpoly_int, _charpoly_berkowitz
 from crystal_lab.errors import (NonInvertible, NotConstant, NotPerfect,
                                 PrecisionInsufficient, UnsupportedHeight)
@@ -112,6 +113,24 @@ class TestCharpoly:
                 rows = [[rng.randrange(-9, 10) for _ in range(n)]
                         for _ in range(n)]
                 assert _charpoly_berkowitz(rows) == charpoly_leibniz(rows)
+
+    @pytest.mark.parametrize("bits, cap", [(13, 48), (64, 48), (812, 17),
+                                           (1024, 16)])
+    def test_dense_budget_boundary(self, monkeypatch, bits, cap):
+        # Berkowitz is stubbed: only the admission rule is under test
+        monkeypatch.setattr(crystal, "_charpoly_berkowitz", lambda rows: "ran")
+        for n in (cap, cap + 1):
+            rows = [[(1 << (bits - 1)) + i + j for j in range(n)]
+                    for i in range(n)]
+            if n == cap:
+                assert charpoly_int(rows) == "ran"
+            else:
+                with pytest.raises(ValueError, match="budget"):
+                    charpoly_int(rows)
+        # a generalized permutation of any size takes the cycle path
+        big = [[1 << (bits - 1) if i == j else 0 for j in range(cap + 1)]
+               for i in range(cap + 1)]
+        assert charpoly_int(big)[0] == 1
 
 
 class TestNewtonSlopes:

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crystal_lab import (ExtensionContext, ExtensionData, PrecisionContext,
                          Refuted, TorsionCertificate, TrivializationWitness,
@@ -9,10 +10,14 @@ from crystal_lab import (ExtensionContext, ExtensionData, PrecisionContext,
                          baer_sum, check_horizontality, check_pairing_compat,
                          from_alpha, int_scale, make_standard_crystal,
                          p_torsion_check, trivialize)
+from crystal_lab.crystal import induced_maps
 from crystal_lab.errors import (ContextMismatch, HypothesisMissing,
-                                InvalidExtension, WitnessInvalid)
+                                InvalidExtension, NotStable,
+                                PrecisionInsufficient, WitnessInvalid)
+from crystal_lab.extension_group import _pushout, _readout
 from crystal_lab.sampling import (add_noise, random_extension,
-                                  random_witness, witness_support)
+                                  random_series_matrix, random_witness,
+                                  witness_support)
 from crystal_lab.series_matrix import SeriesMatrix
 
 from test_series_matrix import naive_matmul
@@ -148,6 +153,19 @@ class TestDataValidation:
         with pytest.raises(InvalidExtension):
             ExtensionData(ectx2, z, z, SeriesMatrix(ctx, arr))
 
+    def test_xi_at_degree_m(self):
+        # the diagram routes keep a connection only through degree M-1, so
+        # a degree-M body would make the fast route disagree with them
+        ectx = ExtensionContext(PrecisionContext(3, 8, 4), 2)
+        z = SeriesMatrix.zeros(ectx.ctx, 2, 2)
+        arr = z.arr.copy()
+        arr[0, 1, 4] = 1
+        with pytest.raises(InvalidExtension, match="degree M"):
+            ExtensionData(ectx, SeriesMatrix(ectx.ctx, arr), z, z)
+        below = z.arr.copy()
+        below[0, 1, 3] = 1
+        ExtensionData(ectx, SeriesMatrix(ectx.ctx, below), z, z)
+
     def test_geometric_flag_rejects_unit_v_column(self, ectx2):
         ctx = ectx2.ctx
         z = SeriesMatrix.zeros(ctx, 2, 2)
@@ -211,6 +229,87 @@ class TestBaerSum:
         assert baer_sum(e.mark_geometric(), ExtensionData.zero(ectx2),
                         "fast").geometric_flag
         assert not baer_sum(e, ExtensionData.zero(ectx2), "fast").geometric_flag
+
+
+def random_accepted_data(rng, ectx):
+    """Extension data drawn only from the shape rules: xi below degree M, v
+    in the t-ideal and m symmetric; the crystal identities need not hold."""
+    ctx, h = ectx.ctx, ectx.h
+    xi = random_series_matrix(rng, ctx, h, h, range(ctx.M))
+    v = random_series_matrix(rng, ctx, h, h, range(1, ctx.M + 1))
+    m = random_series_matrix(rng, ctx, h, h, range(ctx.M + 1))
+    return ExtensionData(ectx, xi, v, m + m.transpose())
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([3, 5]),
+       n_digits=st.sampled_from([8, 40]), h=st.sampled_from([2, 3]))
+def test_baer_routes_agree_on_any_accepted_data(seed, p, n_digits, h):
+    rng = random.Random(seed)
+    ectx = ExtensionContext(PrecisionContext(p, n_digits, 6), h)
+    e1, e2 = random_accepted_data(rng, ectx), random_accepted_data(rng, ectx)
+    fast = baer_sum(e1, e2, "fast")
+    assert baer_sum(e1, e2, "pullback_pushout") == fast
+    assert baer_sum(e1, e2, "pushout_pullback") == fast
+
+
+class TestClosureChecks:
+    """Each stability check of the diagram read-offs fires on input that
+    breaks it."""
+
+    def test_span_not_frobenius_stable(self, ctx3):
+        sub1 = make_standard_crystal(ctx3, 3, "sub1")
+        e0 = SeriesMatrix.from_series_rows(ctx3, [[1], [0], [0]])
+        # F e_0 = p e_1 leaves the span of e_0
+        with pytest.raises(NotStable, match="Frobenius"):
+            induced_maps(sub1.frobenius, sub1.connection, e0, [0])
+
+    @pytest.mark.parametrize("degree, stable", [(0, False), (31, False),
+                                                (32, True)])
+    def test_span_not_connection_stable(self, ctx3, degree, stable):
+        e0 = SeriesMatrix.from_series_rows(ctx3, [[1], [0]])
+        arr = SeriesMatrix.zeros(ctx3, 2, 2).arr.copy()
+        arr[1, 0, degree] = 1  # the connection moves e_0 towards e_1
+        conn = SeriesMatrix(ctx3, arr)
+        ident = SeriesMatrix.identity(ctx3, 2)
+        if stable:  # degree M is beyond the trusted range and is dropped
+            f, a = induced_maps(ident, conn, e0, [0])
+            assert f == SeriesMatrix.identity(ctx3, 1) and a.is_zero()
+        else:
+            with pytest.raises(NotStable, match="connection"):
+                induced_maps(ident, conn, e0, [0])
+
+    @pytest.mark.parametrize("broken", ["Frobenius", "connection"])
+    def test_pushout_kernel_not_stable(self, ctx3, broken):
+        # quotient of span(e_0, e_1) by e_0, and a map sending e_0 to e_1
+        moves = SeriesMatrix.from_series_rows(ctx3, [[0, 0], [1, 0]])
+        zero = SeriesMatrix.zeros(ctx3, 2, 2)
+        f, a = (moves, zero) if broken == "Frobenius" else (zero, moves)
+        kernel = SeriesMatrix.from_series_rows(ctx3, [[1], [0]])
+        proj = SeriesMatrix.from_series_rows(ctx3, [[0, 1]])
+        section = SeriesMatrix.from_series_rows(ctx3, [[0], [1]])
+        with pytest.raises(NotStable, match=broken):
+            _pushout(f, a, kernel, proj, section)
+        f_q, a_q = _pushout(zero, zero, kernel, proj, section)
+        assert f_q.is_zero() and a_q.is_zero() and f_q.rows == 1
+
+    @pytest.mark.parametrize("which, entry, match", [
+        ("frobenius", (3, 0), "output"),      # lower-left block
+        ("connection", (0, 0), "connection"),  # upper-left block
+        ("pairing", (0, 0), "pairing")])      # upper-left block
+    def test_presentation_off_the_frame(self, ectx3, which, entry, match):
+        rng = random.Random(5)
+        e = random_extension(rng, ectx3, nontrivial=True)
+        c = assemble_crystal(e)
+        mats = {"frobenius": c.frobenius, "connection": c.connection,
+                "pairing": c.pairing}
+        assert _readout(ectx3, *mats.values(), False) == e
+        arr = mats[which].arr.copy()
+        arr[entry + (1,)] = 1
+        mats[which] = SeriesMatrix(ectx3.ctx, arr)
+        with pytest.raises(NotStable, match=match):
+            _readout(ectx3, *mats.values(), False)
 
 
 class TestTrivialize:
@@ -287,6 +386,21 @@ class TestPTorsion:
         assert isinstance(w, TrivializationWitness)
         out = p_torsion_check(e, w)
         assert isinstance(out, TorsionCertificate)
+
+    @pytest.mark.parametrize("e_digits, w_digits", [(2, 2), (8, 2)])
+    def test_two_digits_cannot_be_divided(self, e_digits, w_digits):
+        # dividing by p leaves one digit, below the precision floor of two
+        def ectx(n):
+            return ExtensionContext(PrecisionContext(3, n, 6), 2)
+        e = ExtensionData.zero(ectx(e_digits))
+        w = TrivializationWitness(ectx(w_digits),
+                                  SeriesMatrix.zeros(ectx(w_digits).ctx, 2, 2))
+        with pytest.raises(PrecisionInsufficient, match="quotient by p"):
+            p_torsion_check(e, w)
+        three = ectx(3)
+        out = p_torsion_check(ExtensionData.zero(three), TrivializationWitness(
+            three, SeriesMatrix.zeros(three.ctx, 2, 2)))
+        assert isinstance(out, TorsionCertificate) and out.precision == 2
 
     def test_requires_geometric_flag(self, ectx2):
         rng = random.Random(83)
