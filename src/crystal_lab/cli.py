@@ -198,11 +198,10 @@ def build_parser():
                     "certification, slopes.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common_precisions(sp, with_m=True):
+    def common_precisions(sp):
         sp.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
         sp.add_argument("--N", type=int, default=8, help="p-adic digits")
-        if with_m:
-            sp.add_argument("--M", type=int, default=32, help="t-adic degree")
+        sp.add_argument("--M", type=int, default=32, help="t-adic degree")
         sp.add_argument("--out", help="also write the JSON document here")
 
     sp = sub.add_parser("gen", help="emit a standard crystal file")

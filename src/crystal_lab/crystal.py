@@ -9,7 +9,7 @@ Newton slopes readable off a characteristic polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -140,17 +140,10 @@ def make_standard_crystal(ctx: PrecisionContext, h: int, kind: str,
         return FCrystalPresentation(ctx, rho, f, SeriesMatrix.zeros(ctx, rho, rho),
                                     SeriesMatrix.identity(ctx, rho), STANDARD_WEIGHT)
     if kind == "pair":
-        sub = make_standard_crystal(ctx, h, "sub1")
-        sup = make_standard_crystal(ctx, h, "super1")
-        f = SeriesMatrix.block(ctx, [
-            [sub.frobenius, SeriesMatrix.zeros(ctx, h, h)],
-            [SeriesMatrix.zeros(ctx, h, h), sup.frobenius]])
-        ident = SeriesMatrix.identity(ctx, h)
-        g = SeriesMatrix.block(ctx, [
-            [SeriesMatrix.zeros(ctx, h, h), ident],
-            [ident, SeriesMatrix.zeros(ctx, h, h)]])
-        return FCrystalPresentation(ctx, 2 * h, f, SeriesMatrix.zeros(ctx, 2 * h, 2 * h),
-                                    g, STANDARD_WEIGHT)
+        antidiagonal = np.roll(SeriesMatrix.identity(ctx, 2 * h).arr, h, axis=1)
+        return replace(direct_sum(make_standard_crystal(ctx, h, "sub1"),
+                                  make_standard_crystal(ctx, h, "super1")),
+                       pairing=SeriesMatrix(ctx, antidiagonal))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -178,8 +171,6 @@ def check_horizontality(c: FCrystalPresentation) -> HorizontalityReport:
     The residual is trusted through degree M-1 (differentiation loses the
     top coefficient), so the verdict ignores the degree-M layer.
     """
-    if c.rank == 0:
-        return HorizontalityReport(True, c.frobenius)
     f, a = c.frobenius, c.connection
     residual = f.derivative_bodies() + (a @ f) - (f @ a.oneform_pullback_bodies())
     return HorizontalityReport(residual.is_zero_through(c.context.M - 1), residual)
@@ -188,9 +179,6 @@ def check_horizontality(c: FCrystalPresentation) -> HorizontalityReport:
 def check_pairing_compat(c: FCrystalPresentation) -> PairingReport:
     """Pairing symmetry, Frobenius compatibility at the declared weight,
     flatness against the connection, and perfectness (unit Gram determinant)."""
-    if c.rank == 0:
-        z = c.pairing
-        return PairingReport(True, True, True, True, {"frobenius": z, "flat": z})
     ctx = c.context
     g, f, a = c.pairing, c.frobenius, c.connection
     sym = g == g.transpose()
@@ -219,51 +207,28 @@ def check_pairing_compat(c: FCrystalPresentation) -> PairingReport:
 def _charpoly_generalized_permutation(rows):
     """Char poly for matrices with at most one nonzero per row and column,
     via cycle decomposition.  Returns None if the shape does not apply."""
-    n = len(rows)
-    image = {}
-    seen_rows = set()
-    for j in range(n):
-        hits = [i for i in range(n) if rows[i][j]]
-        if len(hits) > 1:
-            return None
-        if hits:
-            i = hits[0]
-            if i in seen_rows:
-                return None
-            seen_rows.add(i)
-            image[j] = (i, rows[i][j])
-    factors = []  # (cycle_length, cycle_weight)
-    visited = set()
-    for j0 in image:
-        if j0 in visited:
-            continue
-        path = []
-        j = j0
-        while j in image and j not in path:
-            if j in visited:
-                break
-            path.append(j)
-            j = image[j][0]
-        if j in path:  # closed a cycle
-            start = path.index(j)
-            cyc = path[start:]
-            w = 1
-            for jj in cyc:
-                w *= image[jj][1]
-            factors.append((len(cyc), w))
-            visited.update(path)
-        else:
-            visited.update(path)
-    # poly = x^(n - sum lengths) * prod (x^L - W), coefficients high->low
-    poly = [1]
-    for length, w in factors:
-        new = [0] * (len(poly) + length)
-        for i, cc in enumerate(poly):
-            new[i] += cc
-            new[i + length] -= cc * w
-        poly = new
-    pad = n + 1 - len(poly)
-    return poly + [0] * pad
+    image = {}  # column -> (row, entry) of its single nonzero
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                if j in image:
+                    return None
+                image[j] = (i, x)
+    if len({i for i, _ in image.values()}) < len(image):
+        return None
+    # poly = x^(n - sum lengths) * prod (x^L - W), coefficients high->low;
+    # a walk that returns to its start closed a cycle of length L, weight W
+    poly, seen = [1], set()
+    for start in image:
+        j, length, w = start, 0, 1
+        while j in image and j not in seen:
+            seen.add(j)
+            j, x = image[j]
+            length, w = length + 1, w * x
+        if length and j == start:
+            poly = [a - w * b for a, b in zip(poly + [0] * length,
+                                              [0] * length + poly)]
+    return poly + [0] * (len(rows) + 1 - len(poly))
 
 
 def _charpoly_berkowitz(rows):
@@ -344,8 +309,6 @@ def newton_slopes(c: FCrystalPresentation) -> SlopeMultiset:
     if not c.is_constant():
         raise NotConstant("newton_slopes requires a constant presentation")
     n = c.rank
-    if n == 0:
-        return SlopeMultiset(())
     ctx = c.context
     p, N = ctx.p, ctx.N
     rows = c.frobenius.constant_layer()

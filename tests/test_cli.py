@@ -65,6 +65,26 @@ class TestGenAndSlopes:
         doc = json.loads(text)
         assert doc["passed"] and doc["perfect"]
 
+    @pytest.mark.parametrize("argv, expected", [
+        (("check", "horizontality"),
+         '{"check":"horizontality","context":{"M":4,"N":8,"p":3},'
+         '"passed":true,"schema":"crystal-lab/1"}'),
+        (("check", "pairing"),
+         '{"check":"pairing","context":{"M":4,"N":8,"p":3},"flat":true,'
+         '"frobenius_compatible":true,"passed":true,"perfect":true,'
+         '"schema":"crystal-lab/1","symmetric":true}'),
+        (("slopes",),
+         '{"context":{"M":4,"N":8,"p":3},"rank":0,"schema":"crystal-lab/1",'
+         '"slopes":[]}')])
+    def test_rank_zero_crystal(self, capsys, tmp_path, argv, expected):
+        # the general checkers and slopes on a 0x0 crystal: an empty
+        # residual, a unit empty determinant and no slopes
+        out = tmp_path / "rank0.json"
+        run_cli(capsys, "gen", "--M", "4", "--h", "2", "--kind", "slope1",
+                "--rho", "0", "--out", str(out))
+        code, text, _ = run_cli(capsys, *argv, str(out))
+        assert (code, text) == (0, expected + "\n")
+
     def test_check_failure_exits_one(self, capsys, tmp_path):
         out = tmp_path / "pair.json"
         run_cli(capsys, "gen", "--p", "3", "--h", "2", "--kind", "pair",

@@ -8,7 +8,8 @@ from crystal_lab import (FCrystalPresentation, check_horizontality, check_pairin
                          hom_crystal, make_standard_crystal, newton_slopes,
                          orthogonal_complement)
 from crystal_lab import crystal
-from crystal_lab.crystal import charpoly_int, _charpoly_berkowitz
+from crystal_lab.crystal import (charpoly_int, _charpoly_berkowitz,
+                                 _charpoly_generalized_permutation)
 from crystal_lab.errors import (NonInvertible, NotConstant, NotPerfect,
                                 PrecisionInsufficient, UnsupportedHeight)
 from crystal_lab.series_matrix import SeriesMatrix
@@ -96,7 +97,7 @@ class TestStandardCrystals:
 class TestCharpoly:
     def test_cycle_fast_path_matches_berkowitz(self, ctx3):
         rng = random.Random(21)
-        for n in (2, 3, 5):
+        for n in (0, 1, 2, 3, 5):
             for _ in range(5):
                 perm = list(range(n))
                 rng.shuffle(perm)
@@ -104,7 +105,15 @@ class TestCharpoly:
                 for j, i in enumerate(perm):
                     if rng.random() < 0.8:
                         rows[i][j] = rng.randrange(1, 50)
+                assert _charpoly_generalized_permutation(rows) is not None
                 assert charpoly_int(rows) == _charpoly_berkowitz(rows)
+        # shapes the fast path must refuse
+        for rows in ([[1, 0], [2, 0]], [[0, 3], [0, 4]],  # a column twice
+                     [[1, 5], [0, 0]],                      # a row twice
+                     [[0, 0, 2], [0, 0, 0], [7, 1, 0]],     # 2-cycle + entry
+                     [[0, 1, 0], [0, 0, 0], [0, 1, 0]]):
+            assert _charpoly_generalized_permutation(rows) is None
+            assert charpoly_int(rows) == _charpoly_berkowitz(rows)
 
     def test_berkowitz_matches_leibniz(self):
         rng = random.Random(22)

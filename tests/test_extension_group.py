@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,23 @@ def conjugation_oracle(w: TrivializationWitness):
     a = t_inv @ t.derivative_bodies()
     g = t.transpose() @ g0 @ t
     return f, a.truncate_degree(ctx.M - 1), g
+
+
+class TestRecords:
+    def test_fields_are_frozen(self, ectx2):
+        e = ExtensionData.zero(ectx2)
+        w = TrivializationWitness(ectx2, e.v)
+        for record, name in ((e, "xi"), (e, "v"), (e, "m"), (e, "ectx"),
+                             (e, "geometric_flag"), (w, "alpha"), (w, "ectx")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+
+    def test_equality_and_hash_ignore_the_flag(self, ectx2):
+        e = ExtensionData.zero(ectx2)
+        plain = ExtensionData(ectx2, e.xi, e.v, e.m)
+        assert e.geometric_flag and not plain.geometric_flag
+        assert e == plain and hash(e) == hash(plain)
+        assert len({e, plain}) == 1
 
 
 class TestFromAlpha:
@@ -418,6 +436,28 @@ class TestPTorsion:
         bad_w = TrivializationWitness(ectx2, SeriesMatrix(ectx2.ctx, arr))
         with pytest.raises(WitnessInvalid):
             p_torsion_check(e, bad_w)
+
+    @pytest.mark.parametrize("name, cell, equation", [
+        ("xi", (0, 1, 0), "connection"),  # 1 at body degree 0
+        ("v", (0, 0, 1), "Frobenius"),    # t in column 0: still geometric
+        ("m", (0, 0, 1), "pairing")])     # t on the diagonal: still symmetric
+    def test_witness_failure_names_its_equation(self, ectx3, name, cell,
+                                                equation):
+        # e changed in one field keeps the valid witness for p*e, which
+        # then fails that one equation of p times the changed extension
+        rng = random.Random(97)
+        ctx = ectx3.ctx
+        e = from_alpha(random_witness(rng, ectx3, witness_support(ectx3))
+                       ).mark_geometric()
+        w = trivialize(int_scale(e, ctx.p))
+        assert isinstance(p_torsion_check(e, w), TorsionCertificate)
+        arr = getattr(e, name).arr.copy()
+        arr[cell] = (arr[cell] + 1) % ctx.modulus
+        changed = replace(e, **{name: SeriesMatrix(ctx, arr)})
+        with pytest.raises(WitnessInvalid) as info:
+            p_torsion_check(changed, w)
+        assert str(info.value) == \
+            f"witness fails the {equation} equations for p*e"
 
     def test_refutes_beyond_faithful_range(self, ectx2):
         # Hand-built instance whose witness lives past degree M/p: the data
