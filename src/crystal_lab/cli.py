@@ -23,7 +23,6 @@ from .moduli import (add_points, identity_point, multiply_by_p_injectivity_probe
                      negate_point, point_from_tangent, random_geometric_point,
                      tangent_coordinates, truncate_point)
 from .padic_series import PrecisionContext
-from .serialize import SCHEMA
 
 _MODE_ALIASES = {"fast": "fast", "pp": "pullback_pushout", "pop": "pushout_pullback",
                  "pullback_pushout": "pullback_pushout",
@@ -57,8 +56,7 @@ def _cmd_gen(args):
 
 def _cmd_check(args):
     crystal = serialize.crystal_from_json(_load(args.file))
-    doc = {"schema": SCHEMA, "context": crystal.context.to_json(),
-           "check": args.which}
+    doc = {**serialize.header(crystal.context), "check": args.which}
     if args.which == "horizontality":
         report = check_horizontality(crystal)
         doc["passed"] = report.passed
@@ -83,8 +81,8 @@ def _cmd_trivialize(args):
     e = serialize.extension_from_json(_load(args.file))
     outcome = trivialize(e)
     if isinstance(outcome, Untrivializable):
-        _emit({"schema": SCHEMA, "context": e.context.to_json(),
-               "trivializable": False, "equation": outcome.equation,
+        _emit({**serialize.header(e.context), "trivializable": False,
+               "equation": outcome.equation,
                "index": list(outcome.index), "reason": outcome.reason}, args.out)
         return 1
     doc = serialize.witness_to_json(outcome)
@@ -98,12 +96,11 @@ def _cmd_ptorsion(args):
     w = serialize.witness_from_json(_load(args.witness))
     outcome = p_torsion_check(e, w)
     if isinstance(outcome, Refuted):
-        _emit({"schema": SCHEMA, "context": e.context.to_json(),
-               "certified": False, "step": outcome.step,
-               "detail": outcome.detail}, args.out)
+        _emit({**serialize.header(e.context), "certified": False,
+               "step": outcome.step, "detail": outcome.detail}, args.out)
         return 1
     assert isinstance(outcome, TorsionCertificate)
-    doc = {"schema": SCHEMA, "context": e.context.to_json(), "certified": True,
+    doc = {**serialize.header(e.context), "certified": True,
            "precision": outcome.precision,
            "beta": serialize.witness_to_json(outcome.beta),
            "trace": [{"step": s.label, "statement": s.statement, "ok": s.ok}
@@ -115,8 +112,8 @@ def _cmd_ptorsion(args):
 def _cmd_slopes(args):
     crystal = serialize.crystal_from_json(_load(args.file))
     slopes = newton_slopes(crystal)
-    _emit({"schema": SCHEMA, "context": crystal.context.to_json(),
-           "rank": crystal.rank, "slopes": slopes.to_json()}, args.out)
+    _emit({**serialize.header(crystal.context), "rank": crystal.rank,
+           "slopes": slopes.to_json()}, args.out)
     return 0
 
 
@@ -170,7 +167,7 @@ def _cmd_grouplaw(args):
         if not lhs == rhs:
             failures.append(f"level[{i}]")
 
-    doc = {"schema": SCHEMA, "context": ctx.to_json(), "h": args.h, "n": args.n,
+    doc = {**serialize.header(ctx), "h": args.h, "n": args.n,
            "seed": args.seed, "samples": args.samples,
            "tangent_dimension": args.h - 1,
            "successive_levels": levels,
@@ -184,7 +181,7 @@ def _cmd_probe(args):
     ectx = ExtensionContext(ctx, args.h)
     report = multiply_by_p_injectivity_probe(ectx, args.n, args.samples,
                                              seed=args.seed)
-    doc = {"schema": SCHEMA, "context": ctx.to_json(), "h": args.h, "n": args.n}
+    doc = {**serialize.header(ctx), "h": args.h, "n": args.n}
     doc.update(report.to_json())
     _emit(doc, args.out)
     return 0 if not report.counterexamples else 1

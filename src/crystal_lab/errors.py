@@ -17,13 +17,12 @@ class NonIntegrable(CrystalLabError):
     p-divisibility requirement first fails there.
     """
 
-    def __init__(self, degree, index=(), message=None):
+    def __init__(self, degree, index=()):
         self.degree = degree
         self.index = index
         where = f"entry {index}, " if index else ""
-        super().__init__(message or f"coefficient at {where}body degree "
-                                    f"{degree} is not divisible by its "
-                                    f"required p-power")
+        super().__init__(f"coefficient at {where}body degree {degree} is not "
+                         f"divisible by its required p-power")
 
 
 class PrecisionInsufficient(CrystalLabError):

@@ -27,8 +27,7 @@ from .crystal import (FCrystalPresentation, direct_sum, induced_maps,
 from .errors import (ContextMismatch, HypothesisMissing, InvalidExtension,
                      NonIntegrable, NotStable, PrecisionInsufficient,
                      WitnessInvalid)
-from .padic_series import (PrecisionContext, integrate, mul_mod,
-                           storage_dtype)
+from .padic_series import PrecisionContext, integrate, mul_mod
 from .series_matrix import SeriesMatrix, zeros_array
 
 
@@ -88,14 +87,15 @@ class ExtensionData:
             if mat.rows != h or mat.cols != h:
                 raise InvalidExtension(f"{name} must be {h}x{h}")
             if mat.context != self.ectx.ctx:
-                raise ContextMismatch(f"{name} context differs")
+                raise ContextMismatch(f"{name} context {mat.context} differs "
+                                      f"from {self.ectx.ctx}")
         if v.arr[:, :, 0].any():
             raise InvalidExtension("v entries must lie in the t-ideal")
         if np.count_nonzero(xi.arr[..., -1]):
             raise InvalidExtension("xi entries must vanish at degree M")
         if m != m.transpose():
             raise InvalidExtension("m must be symmetric")
-        if self.geometric_flag and h > 1:
+        if self.geometric_flag:
             if (v.arr[:, 1:, :] % self.ectx.ctx.p).any():
                 raise InvalidExtension(
                     "geometric flag asserts v columns 2..h vanish mod p")
@@ -143,7 +143,8 @@ class TrivializationWitness:
         if alpha.rows != ectx.h or alpha.cols != ectx.h:
             raise InvalidExtension(f"alpha must be {ectx.h}x{ectx.h}")
         if alpha.context != ectx.ctx:
-            raise ContextMismatch("alpha context differs")
+            raise ContextMismatch(f"alpha context {alpha.context} differs "
+                                  f"from {ectx.ctx}")
         if alpha.arr[:, :, 0].any():
             raise InvalidExtension("alpha entries must lie in the t-ideal")
 
@@ -400,9 +401,7 @@ def _divide_matrix_by_p(mat: SeriesMatrix) -> SeriesMatrix:
     """Exact division by p of a matrix all of whose residues are divisible
     by p; the quotient lives one p-digit lower."""
     ctx = mat.context
-    new_ctx = PrecisionContext(ctx.p, ctx.N - 1, ctx.M)
-    return SeriesMatrix(new_ctx, (mat.arr // ctx.p % new_ctx.modulus).astype(
-        storage_dtype(new_ctx), copy=False))
+    return SeriesMatrix(ctx, mat.arr // ctx.p).reduce_precision(ctx.N - 1)
 
 
 def _congruence_chain(h: int, zero: np.ndarray, sym: np.ndarray):

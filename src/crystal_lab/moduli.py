@@ -23,11 +23,9 @@ from .crystal import SlopeMultiset, hom_crystal, newton_slopes
 from .errors import ContextMismatch, InvalidExtension, WrongBase
 from .extension_group import (ExtensionContext, ExtensionData,
                               TorsionCertificate, Untrivializable, baer_sum,
-                              from_alpha, int_scale, p_torsion_check,
-                              trivialize)
+                              int_scale, p_torsion_check, trivialize)
 from .padic_series import TruncatedSeries
-from .sampling import (add_noise, random_series_matrix, random_witness,
-                       witness_support)
+from .sampling import add_noise, random_extension, random_series_matrix
 
 
 @dataclass(frozen=True)
@@ -91,13 +89,12 @@ def identity_point(ectx: ExtensionContext, n: int) -> DeformationPoint:
                             tuple(zero for _ in range(ectx.h)))
 
 
-def add_points(y: DeformationPoint, z: DeformationPoint,
-               mode: str = "fast") -> DeformationPoint:
+def add_points(y: DeformationPoint, z: DeformationPoint) -> DeformationPoint:
     """Group law: Baer sum of the extensions, addition of the filtration
     coordinates.  Isotropy is preserved because both constraints are linear."""
     if y.ectx != z.ectx or y.base_degree != z.base_degree:
         raise ContextMismatch("points live over different bases")
-    ext = baer_sum(y.extension, z.extension, mode)
+    ext = baer_sum(y.extension, z.extension)
     hodge = tuple(a + b for a, b in zip(y.hodge, z.hodge))
     return DeformationPoint(y.ectx, y.base_degree, ext, hodge)
 
@@ -126,7 +123,7 @@ def truncate_point(y: DeformationPoint, new_n: int) -> DeformationPoint:
         raise WrongBase(f"new base degree must lie in [2, {y.base_degree}]")
     e = y.extension
     ext = ExtensionData(y.ectx,
-                        e.xi.truncate_degree(max(new_n - 2, 0)),
+                        e.xi.truncate_degree(new_n - 2),
                         e.v.truncate_degree(new_n - 1),
                         e.m.truncate_degree(new_n - 1),
                         e.geometric_flag)
@@ -173,9 +170,7 @@ def random_geometric_point(rng: random.Random, ectx: ExtensionContext, n: int,
     """
     ctx = ectx.ctx
     h = ectx.h
-    support = witness_support(ectx, max_degree=n - 1)
-    alpha = random_witness(rng, ectx, support)
-    e = from_alpha(alpha).mark_geometric()
+    e = random_extension(rng, ectx, max_degree=n - 1).mark_geometric()
     if nontrivial:
         top = min(n - 1, ctx.M // ctx.p)
         noise_degrees = [d for d in range(ctx.p, top + 1, ctx.p)]

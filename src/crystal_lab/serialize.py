@@ -1,10 +1,12 @@
 """JSON interchange: decimal-string coefficients, one context per document.
 
-Every document carries {"schema": "crystal-lab/1"} and a context object
-{"p": int, "N": int, "M": int}.  A series is an array of decimal strings
-["c0", "c1", ...]; matrices are arrays of rows of series.  JSON booleans are
-rejected wherever an integer is expected, and a crystal whose rank^2 (M+1)
-exceeds series_matrix.MAX_COEFFICIENTS is rejected before any matrix is read.
+There are three documents, crystal, extension and witness, and the CLI
+reports share their header.  Each carries {"schema": "crystal-lab/1"} and a
+context object {"p": int, "N": int, "M": int}.  A matrix is an array of rows
+of series, and a series an array of decimal strings ["c0", "c1", ...].  JSON
+booleans are rejected wherever an integer is expected, and a crystal whose
+rank^2 (M+1) exceeds series_matrix.MAX_COEFFICIENTS is rejected before any
+matrix is read.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from .crystal import FCrystalPresentation
 from .errors import SchemaError
 from .extension_group import (ExtensionContext, ExtensionData,
                               TrivializationWitness)
-from .moduli import DeformationPoint
-from .padic_series import PrecisionContext, TruncatedSeries
+from .padic_series import PrecisionContext
 from .series_matrix import MAX_COEFFICIENTS, SeriesMatrix, zeros_array
 
 SCHEMA = "crystal-lab/1"
@@ -43,8 +44,16 @@ def context_from_json(obj) -> PrecisionContext:
         raise SchemaError(str(exc)) from None
 
 
-def series_to_json(s: TruncatedSeries) -> list:
-    return [str(c) for c in s.coeffs()]
+def header(ctx: PrecisionContext) -> dict:
+    """The schema and context every document and report starts with."""
+    return {"schema": SCHEMA, "context": ctx.to_json()}
+
+
+def _document(obj, what: str) -> PrecisionContext:
+    """Check the envelope of a document and return its context."""
+    _expect(isinstance(obj, dict), f"{what} document must be an object")
+    _expect(obj.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
+    return context_from_json(obj.get("context"))
 
 
 def _coefficients(ctx: PrecisionContext, obj) -> list:
@@ -59,10 +68,6 @@ def _coefficients(ctx: PrecisionContext, obj) -> list:
         except ValueError:
             raise SchemaError(f"bad decimal string {c!r}") from None
     return out + [0] * (ctx.M + 1 - len(out))
-
-
-def series_from_json(ctx: PrecisionContext, obj) -> TruncatedSeries:
-    return TruncatedSeries(ctx, _coefficients(ctx, obj))
 
 
 def matrix_to_json(m: SeriesMatrix) -> list:
@@ -85,8 +90,7 @@ def matrix_from_json(ctx: PrecisionContext, obj, rows, cols) -> SeriesMatrix:
 
 def crystal_to_json(c: FCrystalPresentation) -> dict:
     out = {
-        "schema": SCHEMA,
-        "context": c.context.to_json(),
+        **header(c.context),
         "rank": c.rank,
         "weight": c.weight,
         "frobenius": matrix_to_json(c.frobenius),
@@ -99,9 +103,7 @@ def crystal_to_json(c: FCrystalPresentation) -> dict:
 
 
 def crystal_from_json(obj) -> FCrystalPresentation:
-    _expect(isinstance(obj, dict), "crystal document must be an object")
-    _expect(obj.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
-    ctx = context_from_json(obj.get("context"))
+    ctx = _document(obj, "crystal")
     rank = obj.get("rank")
     _expect(_is_int(rank) and rank >= 0, "rank must be a non-negative int")
     _expect(rank * rank * (ctx.M + 1) <= MAX_COEFFICIENTS,
@@ -120,8 +122,7 @@ def crystal_from_json(obj) -> FCrystalPresentation:
 
 def extension_to_json(e: ExtensionData) -> dict:
     return {
-        "schema": SCHEMA,
-        "context": e.context.to_json(),
+        **header(e.context),
         "h": e.h,
         "xi": matrix_to_json(e.xi),
         "v": matrix_to_json(e.v),
@@ -131,9 +132,7 @@ def extension_to_json(e: ExtensionData) -> dict:
 
 
 def extension_from_json(obj) -> ExtensionData:
-    _expect(isinstance(obj, dict), "extension document must be an object")
-    _expect(obj.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
-    ctx = context_from_json(obj.get("context"))
+    ctx = _document(obj, "extension")
     h = obj.get("h")
     _expect(_is_int(h), "h must be an integer")
     geometric = obj.get("geometric", False)
@@ -147,46 +146,15 @@ def extension_from_json(obj) -> ExtensionData:
 
 def witness_to_json(w: TrivializationWitness) -> dict:
     return {
-        "schema": SCHEMA,
-        "context": w.context.to_json(),
+        **header(w.context),
         "h": w.h,
         "alpha": matrix_to_json(w.alpha),
     }
 
 
 def witness_from_json(obj) -> TrivializationWitness:
-    _expect(isinstance(obj, dict), "witness document must be an object")
-    _expect(obj.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
-    ctx = context_from_json(obj.get("context"))
+    ctx = _document(obj, "witness")
     h = obj.get("h")
     _expect(_is_int(h), "h must be an integer")
     alpha = matrix_from_json(ctx, obj.get("alpha"), h, h)
     return TrivializationWitness(ExtensionContext(ctx, h), alpha)
-
-
-def point_to_json(pt: DeformationPoint) -> dict:
-    return {
-        "schema": SCHEMA,
-        "context": pt.ectx.ctx.to_json(),
-        "h": pt.h,
-        "n": pt.base_degree,
-        "extension": extension_to_json(pt.extension),
-        "hodge": [series_to_json(s) for s in pt.hodge],
-    }
-
-
-def point_from_json(obj) -> DeformationPoint:
-    _expect(isinstance(obj, dict), "point document must be an object")
-    _expect(obj.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
-    ctx = context_from_json(obj.get("context"))
-    h = obj.get("h")
-    n = obj.get("n")
-    _expect(_is_int(h) and _is_int(n), "h and n must be integers")
-    ext = extension_from_json(obj.get("extension"))
-    _expect(ext.h == h and ext.context == ctx,
-            "extension block disagrees with the point header")
-    hodge_json = obj.get("hodge")
-    _expect(isinstance(hodge_json, list) and len(hodge_json) == h,
-            "hodge must be an array of h series")
-    hodge = tuple(series_from_json(ctx, s) for s in hodge_json)
-    return DeformationPoint(ExtensionContext(ctx, h), n, ext, hodge)

@@ -171,6 +171,17 @@ class TestExtensionVerbs:
         code, text, err = run_cli(capsys, "ptorsion", fe, fw)
         assert code == 2 and text == "" and "quotient by p" in err
 
+    def test_ptorsion_witness_over_another_context_names_both(
+            self, capsys, tmp_path, ectx2):
+        ctx5 = PrecisionContext(5, ectx2.ctx.N, ectx2.ctx.M)
+        fe = make_extension_file(tmp_path, ectx2, "e.json",
+                                 ExtensionData.zero(ectx2))
+        fw = write_json(tmp_path / "w.json", serialize.witness_to_json(
+            trivialize(ExtensionData.zero(ExtensionContext(ctx5, 2)))))
+        code, text, err = run_cli(capsys, "ptorsion", fe, fw)
+        assert code == 2 and text == ""
+        assert str(ctx5) in err and str(ectx2.ctx) in err
+
 
 class TestSamplingVerbs:
     def test_probe_at_two_digits_is_usage_error(self, capsys):
@@ -454,5 +465,3 @@ def test_decimal_strings_parse_as_int_does(text):
         return
     m = serialize.matrix_from_json(FUZZ_CTX, [[["0", text]]], 1, 1)
     assert m.arr[0, 0].tolist() == [0, expected] + [0] * (FUZZ_CTX.M - 1)
-    assert serialize.series_from_json(FUZZ_CTX, ["0", text]).coeffs()[1] == \
-        expected

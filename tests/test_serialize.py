@@ -53,11 +53,19 @@ def test_geometric_flag_survives(ectx3):
     assert serialize.extension_from_json(roundtrip(doc)).geometric_flag
 
 
-def test_point_roundtrip(ectx3):
-    rng = random.Random(3)
-    pt = random_geometric_point(rng, ectx3, 6, nontrivial=True)
-    back = serialize.point_from_json(roundtrip(serialize.point_to_json(pt)))
-    assert back == pt
+@pytest.mark.parametrize("what", ["crystal", "extension", "witness"])
+def test_document_envelope_rejections(what):
+    # object first, then schema, then context, each with its own message
+    reader = getattr(serialize, f"{what}_from_json")
+    with pytest.raises(SchemaError) as exc:
+        reader([])
+    assert str(exc.value) == f"{what} document must be an object"
+    with pytest.raises(SchemaError) as exc:
+        reader({"schema": "crystal-lab/0", "context": []})
+    assert str(exc.value) == "schema must be 'crystal-lab/1'"
+    with pytest.raises(SchemaError) as exc:
+        reader({"schema": "crystal-lab/1"})
+    assert str(exc.value) == "context must be an object"
 
 
 def test_schema_rejections(ctx3):
@@ -68,11 +76,11 @@ def test_schema_rejections(ctx3):
     with pytest.raises(SchemaError):
         serialize.context_from_json({"p": 4, "N": 8, "M": 2})
     with pytest.raises(SchemaError):
-        serialize.series_from_json(ctx3, ["12", 13])
+        serialize.matrix_from_json(ctx3, [[["12", 13]]], 1, 1)
     with pytest.raises(SchemaError):
-        serialize.series_from_json(ctx3, ["pi"])
+        serialize.matrix_from_json(ctx3, [[["pi"]]], 1, 1)
     with pytest.raises(SchemaError):
-        serialize.series_from_json(ctx3, ["1"] * 40)
+        serialize.matrix_from_json(ctx3, [[["1"] * 40]], 1, 1)
 
 
 def test_booleans_rejected_where_an_int_is_expected(ctx3, ectx3):
@@ -94,10 +102,6 @@ def test_booleans_rejected_where_an_int_is_expected(ctx3, ectx3):
         random_witness(rng, ectx3, witness_support(ectx3)))
     with pytest.raises(SchemaError):
         serialize.witness_from_json({**wit, "h": True})
-    point = serialize.point_to_json(random_geometric_point(rng, ectx3, 2))
-    for key in ("h", "n"):
-        with pytest.raises(SchemaError):
-            serialize.point_from_json({**point, key: True})
 
 
 def test_oversized_documents_rejected_before_allocation(ctx3):
