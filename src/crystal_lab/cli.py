@@ -117,7 +117,14 @@ def _cmd_slopes(args):
     return 0
 
 
+def _samples(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be non-negative, got {args.samples}")
+    return args.samples
+
+
 def _cmd_grouplaw(args):
+    samples = _samples(args)
     ctx = PrecisionContext(args.p, args.N, args.M)
     ectx = ExtensionContext(ctx, args.h)
     rng = random.Random(args.seed)
@@ -128,7 +135,7 @@ def _cmd_grouplaw(args):
             failures.append(name)
 
     ident = identity_point(ectx, args.n)
-    for k in range(args.samples):
+    for k in range(samples):
         y = random_geometric_point(rng, ectx, args.n, nontrivial=False)
         z = random_geometric_point(rng, ectx, args.n, nontrivial=False)
         w = random_geometric_point(rng, ectx, args.n, nontrivial=False)
@@ -143,7 +150,7 @@ def _cmd_grouplaw(args):
 
     p = ctx.p
     tangent_ok = True
-    for k in range(args.samples):
+    for k in range(samples):
         a = [rng.randrange(p) for _ in range(args.h - 1)]
         b = [rng.randrange(p) for _ in range(args.h - 1)]
         ya, yb = point_from_tangent(ectx, a), point_from_tangent(ectx, b)
@@ -164,11 +171,10 @@ def _cmd_grouplaw(args):
         rhs = add_points(truncate_point(y, i) if i < args.n else y,
                          truncate_point(z, i) if i < args.n else z)
         levels.append({"level": i, "agrees": lhs == rhs})
-        if not lhs == rhs:
-            failures.append(f"level[{i}]")
+        tally(f"level[{i}]", lhs == rhs)
 
     doc = {**serialize.header(ctx), "h": args.h, "n": args.n,
-           "seed": args.seed, "samples": args.samples,
+           "seed": args.seed, "samples": samples,
            "tangent_dimension": args.h - 1,
            "successive_levels": levels,
            "failures": failures, "passed": not failures}
@@ -177,9 +183,10 @@ def _cmd_grouplaw(args):
 
 
 def _cmd_probe(args):
+    samples = _samples(args)
     ctx = PrecisionContext(args.p, args.N, args.M)
     ectx = ExtensionContext(ctx, args.h)
-    report = multiply_by_p_injectivity_probe(ectx, args.n, args.samples,
+    report = multiply_by_p_injectivity_probe(ectx, args.n, samples,
                                              seed=args.seed)
     doc = {**serialize.header(ctx), "h": args.h, "n": args.n}
     doc.update(report.to_json())
@@ -240,21 +247,17 @@ def build_parser():
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_slopes)
 
-    sp = sub.add_parser("grouplaw", help="seeded group-axiom and tangent checks")
-    common_precisions(sp)
-    sp.add_argument("--h", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True, help="base degree")
-    sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.set_defaults(func=_cmd_grouplaw)
-
-    sp = sub.add_parser("probe", help="seeded multiplication-by-p injectivity probe")
-    common_precisions(sp)
-    sp.add_argument("--h", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True, help="base degree")
-    sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.set_defaults(func=_cmd_probe)
+    for verb, func, text in (
+            ("grouplaw", _cmd_grouplaw, "seeded group-axiom and tangent checks"),
+            ("probe", _cmd_probe, "seeded multiplication-by-p injectivity probe")):
+        sp = sub.add_parser(verb, help=text)
+        common_precisions(sp)
+        sp.add_argument("--h", type=int, required=True)
+        sp.add_argument("--n", type=int, required=True, help="base degree")
+        sp.add_argument("--samples", type=int, required=True,
+                        help="non-negative sample count")
+        sp.add_argument("--seed", type=int, required=True)
+        sp.set_defaults(func=func)
 
     return parser
 

@@ -24,41 +24,40 @@ from .errors import ContextMismatch, InvalidExtension, WrongBase
 from .extension_group import (ExtensionContext, ExtensionData,
                               TorsionCertificate, Untrivializable, baer_sum,
                               int_scale, p_torsion_check, trivialize)
-from .padic_series import TruncatedSeries
 from .sampling import add_noise, random_extension, random_series_matrix
+from .series_matrix import SeriesMatrix, zeros_array
 
 
 @dataclass(frozen=True)
 class DeformationPoint:
     """A deformation point: extension data plus filtration coordinates.
 
-    hodge is the tuple (s_0, ..., s_{h-1}) presenting the filtration
+    hodge is the h x 1 column (s_0, ..., s_{h-1}) presenting the filtration
     generator as the last lifted basis vector plus sum s_i a_i.
     """
 
     ectx: ExtensionContext
     base_degree: int
     extension: ExtensionData
-    hodge: tuple
+    hodge: SeriesMatrix
 
     def __post_init__(self):
-        ectx, n = self.ectx, self.base_degree
-        ctx = ectx.ctx
-        h = ectx.h
+        e, hodge, n = self.extension, self.hodge, self.base_degree
+        ectx, ctx, h = self.ectx, self.ectx.ctx, self.ectx.h
         if n < 2:
             raise WrongBase("base degree must be at least 2")
         if ctx.p * (n - 1) > ctx.M:
             raise InvalidExtension(
                 f"need p*(n-1) <= M for a faithful coefficient lift "
                 f"(p={ctx.p}, n={n}, M={ctx.M})")
-        if self.extension.ectx != ectx:
-            raise ContextMismatch("extension context differs from point context")
-        if len(self.hodge) != h:
-            raise InvalidExtension(f"hodge vector must have length {h}")
-        for s in self.hodge:
-            if s.context != ctx:
-                raise ContextMismatch("hodge coordinate context differs")
-        e = self.extension
+        if e.ectx != ectx:
+            raise ContextMismatch(f"extension context {e.ectx} differs from "
+                                  f"{ectx}")
+        if (hodge.rows, hodge.cols) != (h, 1):
+            raise InvalidExtension(f"hodge must be {h}x1")
+        if hodge.context != ctx:
+            raise ContextMismatch(f"hodge context {hodge.context} differs "
+                                  f"from {ctx}")
         # degree bounds: xi below n - 1, v up to p(n - 1), m and hodge below n
         if e.xi.arr[:, :, n - 1:].any():
             raise InvalidExtension("connection defect exceeds the base degree")
@@ -68,12 +67,11 @@ class DeformationPoint:
             raise InvalidExtension("pairing data exceeds the base degree")
         if e.m.arr[:, :, 0].any():
             raise InvalidExtension("pairing data must vanish at t=0")
-        for s in self.hodge:
-            if not s.in_t_ideal():
-                raise InvalidExtension("hodge coordinates must vanish at t=0")
-            if s._arr[n:].any():
-                raise InvalidExtension("hodge coordinate exceeds the base degree")
-        if self.hodge[h - 1] != -e.m.entry(h - 1, h - 1):
+        if hodge.arr[:, :, 0].any():
+            raise InvalidExtension("hodge coordinates must vanish at t=0")
+        if hodge.arr[:, :, n:].any():
+            raise InvalidExtension("hodge coordinate exceeds the base degree")
+        if hodge.entry(h - 1, 0) != -e.m.entry(h - 1, h - 1):
             raise InvalidExtension(
                 "isotropy requires the last hodge coordinate to equal minus "
                 "the corner of m")
@@ -84,9 +82,8 @@ class DeformationPoint:
 
 
 def identity_point(ectx: ExtensionContext, n: int) -> DeformationPoint:
-    zero = TruncatedSeries.zero(ectx.ctx)
     return DeformationPoint(ectx, n, ExtensionData.zero(ectx),
-                            tuple(zero for _ in range(ectx.h)))
+                            SeriesMatrix.zeros(ectx.ctx, ectx.h, 1))
 
 
 def add_points(y: DeformationPoint, z: DeformationPoint) -> DeformationPoint:
@@ -94,20 +91,18 @@ def add_points(y: DeformationPoint, z: DeformationPoint) -> DeformationPoint:
     coordinates.  Isotropy is preserved because both constraints are linear."""
     if y.ectx != z.ectx or y.base_degree != z.base_degree:
         raise ContextMismatch("points live over different bases")
-    ext = baer_sum(y.extension, z.extension)
-    hodge = tuple(a + b for a, b in zip(y.hodge, z.hodge))
-    return DeformationPoint(y.ectx, y.base_degree, ext, hodge)
-
-
-def negate_point(y: DeformationPoint) -> DeformationPoint:
     return DeformationPoint(y.ectx, y.base_degree,
-                            int_scale(y.extension, -1),
-                            tuple(-s for s in y.hodge))
+                            baer_sum(y.extension, z.extension),
+                            y.hodge + z.hodge)
 
 
 def scale_point(y: DeformationPoint, k: int) -> DeformationPoint:
     return DeformationPoint(y.ectx, y.base_degree, int_scale(y.extension, k),
-                            tuple(s * k for s in y.hodge))
+                            y.hodge.scale_int(k))
+
+
+def negate_point(y: DeformationPoint) -> DeformationPoint:
+    return scale_point(y, -1)
 
 
 def truncate_point(y: DeformationPoint, new_n: int) -> DeformationPoint:
@@ -127,8 +122,8 @@ def truncate_point(y: DeformationPoint, new_n: int) -> DeformationPoint:
                         e.v.truncate_degree(new_n - 1),
                         e.m.truncate_degree(new_n - 1),
                         e.geometric_flag)
-    hodge = tuple(s.truncate_degree(new_n - 1) for s in y.hodge)
-    return DeformationPoint(y.ectx, new_n, ext, hodge)
+    return DeformationPoint(y.ectx, new_n, ext,
+                            y.hodge.truncate_degree(new_n - 1))
 
 
 def tangent_coordinates(y: DeformationPoint) -> tuple:
@@ -140,7 +135,7 @@ def tangent_coordinates(y: DeformationPoint) -> tuple:
     if y.base_degree != 2:
         raise WrongBase("tangent coordinates require base degree 2")
     p = y.ectx.ctx.p
-    return tuple(int(s._arr[1]) % p for s in y.hodge[:y.h - 1])
+    return tuple(int(x) % p for x in y.hodge.arr[:y.h - 1, 0, 1])
 
 
 def point_from_tangent(ectx: ExtensionContext, values) -> DeformationPoint:
@@ -151,9 +146,11 @@ def point_from_tangent(ectx: ExtensionContext, values) -> DeformationPoint:
     values = list(values)
     if len(values) != h - 1:
         raise ValueError(f"expected {h - 1} coordinates")
-    hodge = [TruncatedSeries.monomial(ctx, 1, v) for v in values]
-    hodge.append(TruncatedSeries.zero(ctx))
-    return DeformationPoint(ectx, 2, ExtensionData.zero(ectx), tuple(hodge))
+    arr = zeros_array(ctx, h, 1)
+    # canonical residues first: int64 storage cannot hold every integer
+    arr[:h - 1, 0, 1] = [int(v) % ctx.modulus for v in values]
+    return DeformationPoint(ectx, 2, ExtensionData.zero(ectx),
+                            SeriesMatrix(ctx, arr))
 
 
 # -- random geometric points ----------------------------------------------------
@@ -177,11 +174,11 @@ def random_geometric_point(rng: random.Random, ectx: ExtensionContext, n: int,
         deg = rng.choice(noise_degrees) if noise_degrees else ctx.p
         field = "m" if deg <= n - 1 and rng.getrandbits(1) else "v"
         e = add_noise(rng, e, field, deg)
-    s_degrees = range(1, n)
-    s_mat = random_series_matrix(rng, ctx, h - 1, 1, s_degrees)
-    hodge = [s_mat.entry(i, 0) for i in range(h - 1)]
-    hodge.append(-e.m.entry(h - 1, h - 1))
-    return DeformationPoint(ectx, n, e, tuple(hodge))
+    degrees = range(1, min(n, ctx.M + 1))  # an n past M fails the point check
+    hodge = zeros_array(ctx, h, 1)
+    hodge[:h - 1] = random_series_matrix(rng, ctx, h - 1, 1, degrees).arr
+    hodge[h - 1, 0] = -e.m.arr[h - 1, h - 1] % ctx.modulus
+    return DeformationPoint(ectx, n, e, SeriesMatrix(ctx, hodge))
 
 
 # -- the [p]-injectivity experiment ----------------------------------------------

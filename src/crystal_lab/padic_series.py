@@ -209,10 +209,6 @@ class TruncatedSeries:
     def coeffs(self) -> tuple:
         return tuple(self._arr.tolist())
 
-    def in_t_ideal(self) -> bool:
-        """True iff the series lies in tW[[t]], i.e. has zero constant term."""
-        return int(self._arr[0]) == 0
-
     def is_zero(self) -> bool:
         return not self._arr.any()
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .errors import InvalidExtension
 from .extension_group import (ExtensionContext, ExtensionData,
                               TrivializationWitness, from_alpha)
@@ -27,11 +29,12 @@ from .series_matrix import SeriesMatrix, zeros_array
 
 def random_series_matrix(rng: random.Random, ctx: PrecisionContext, rows: int,
                          cols: int, degrees) -> SeriesMatrix:
+    # one draw per (row, column, degree), in that nesting order
+    degrees = list(degrees)
+    shape = (rows, cols, len(degrees))
     arr = zeros_array(ctx, rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            for d in degrees:
-                arr[i, j, d] = rng.randrange(ctx.modulus)
+    draws = [rng.randrange(ctx.modulus) for _ in range(rows * cols * shape[2])]
+    arr[:, :, degrees] = np.array(draws, dtype=arr.dtype).reshape(shape)
     return SeriesMatrix(ctx, arr)
 
 

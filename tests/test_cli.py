@@ -223,6 +223,19 @@ class TestSamplingVerbs:
         assert code == 0
         assert json.loads(text)["context"]["p"] == 3
 
+    @pytest.mark.parametrize("verb", ["probe", "grouplaw"])
+    def test_negative_samples_is_usage_error(self, capsys, verb):
+        code, text, err = run_cli(capsys, verb, "--p", "3", "--h", "2",
+                                  "--n", "4", "--samples", "-2", "--seed", "1")
+        assert code == 2 and text == ""
+        assert err == "error: --samples must be non-negative, got -2\n"
+
+    @pytest.mark.parametrize("verb", ["probe", "grouplaw"])
+    def test_zero_samples_is_valid(self, capsys, verb):
+        code, text, _ = run_cli(capsys, verb, "--p", "3", "--h", "2",
+                                "--n", "4", "--samples", "0", "--seed", "1")
+        assert code == 0 and json.loads(text)["samples"] == 0
+
     def test_grouplaw_determinism(self, capsys):
         args = ["grouplaw", "--p", "5", "--h", "2", "--n", "4",
                 "--samples", "4", "--seed", "17"]
@@ -282,6 +295,17 @@ class TestUsageErrors:
             assert code == 2 and err.startswith("error:"), argv
             assert elapsed < 1.0, argv
             assert peak < 2**20, (argv, peak)
+
+    @pytest.mark.parametrize("n", [100, 10**9])
+    def test_probe_base_beyond_faithful_range(self, capsys, n):
+        # a base degree past M fails the point's check: no index error,
+        # and no work that grows with n
+        t0 = time.perf_counter()
+        code, text, err = run_cli(capsys, "probe", "--h", "2", "--n", str(n),
+                                  "--samples", "1", "--seed", "0")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and text == ""
+        assert err.startswith("error: need p*(n-1) <= M"), err
 
     def test_hostile_n_is_quick(self, capsys, tmp_path):
         doc = serialize.crystal_to_json(

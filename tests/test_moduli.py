@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from crystal_lab import (DeformationPoint, ExtensionContext, ExtensionData,
-                         TruncatedSeries, add_points, assemble_crystal,
-                         identity_point, int_scale,
+                         PrecisionContext, TruncatedSeries, add_points,
+                         assemble_crystal, identity_point, int_scale,
                          multiply_by_p_injectivity_probe, negate_point,
                          point_from_tangent, random_geometric_point,
                          scale_point, slope_report, tangent_coordinates,
                          truncate_point)
-from crystal_lab.errors import InvalidExtension, WrongBase
+from crystal_lab.errors import ContextMismatch, InvalidExtension, WrongBase
 from crystal_lab.series_matrix import SeriesMatrix
 
 
@@ -24,11 +24,16 @@ def ectx3(ctx3):
     return ExtensionContext(ctx3, 3)
 
 
+def column(ctx, *entries):
+    """An h x 1 SeriesMatrix from series or integer constants."""
+    return SeriesMatrix.from_series_rows(ctx, [[s] for s in entries])
+
+
 class TestIdentityPoint:
     def test_zero_data(self, ectx2):
         pt = identity_point(ectx2, 6)
         assert pt.extension.is_zero()
-        assert all(s.is_zero() for s in pt.hodge)
+        assert pt.hodge == SeriesMatrix.zeros(ectx2.ctx, 2, 1)
 
     def test_neutral(self, ectx3):
         rng = random.Random(3)
@@ -69,10 +74,8 @@ class TestGroupLaw:
         s = add_points(y, z)
         h = s.h
         ctx = s.ectx.ctx
-        coords = [[x] for x in s.hodge] + \
-            [[TruncatedSeries.zero(ctx)] for _ in range(h)]
-        coords[2 * h - 1][0] = TruncatedSeries.one(ctx)
-        vec = SeriesMatrix.from_series_rows(ctx, coords)
+        last = column(ctx, *[0] * (h - 1), 1)
+        vec = SeriesMatrix.block(ctx, [[s.hodge], [last]])
         pairing_value = (vec.transpose() @ assemble_crystal(s.extension).pairing
                          @ vec)
         assert pairing_value.is_zero()
@@ -109,6 +112,20 @@ class TestTangent:
     def test_wrong_base(self, ectx2):
         with pytest.raises(WrongBase):
             tangent_coordinates(identity_point(ectx2, 3))
+
+    @pytest.mark.parametrize("N", [8, 40], ids=["int64", "object"])
+    def test_values_stored_as_canonical_residues(self, N):
+        # negative values and values at or above p^N (2^70 exceeds int64)
+        # land in the degree-1 layer reduced mod p^N
+        ctx = PrecisionContext(3, N, 32)
+        ectx = ExtensionContext(ctx, 4)
+        values = [-1, ctx.modulus + 2, 2**70]
+        pt = point_from_tangent(ectx, values)
+        expected = [v % ctx.modulus for v in values]
+        assert [pt.hodge.entry(i, 0).coeffs()[1] for i in range(3)] == expected
+        assert pt.hodge == column(
+            ctx, *[TruncatedSeries.monomial(ctx, 1, v) for v in expected], 0)
+        assert tangent_coordinates(pt) == (2, 2, 2**70 % 3)
 
 
 class TestTruncation:
@@ -148,24 +165,23 @@ class TestTruncation:
 class TestPointValidation:
     def test_isotropy_enforced(self, ectx2):
         ctx = ectx2.ctx
-        zero = TruncatedSeries.zero(ctx)
-        bad_hodge = (zero, TruncatedSeries.monomial(ctx, 1))
+        bad_hodge = column(ctx, 0, TruncatedSeries.monomial(ctx, 1))
         with pytest.raises(InvalidExtension):
             DeformationPoint(ectx2, 6, ExtensionData.zero(ectx2), bad_hodge)
 
     def test_hodge_outside_t_ideal(self, ectx2):
         ctx = ectx2.ctx
-        zero = TruncatedSeries.zero(ctx)
         unit = TruncatedSeries.constant(ctx, 1)
         with pytest.raises(InvalidExtension, match="vanish at t=0"):
-            DeformationPoint(ectx2, 4, ExtensionData.zero(ectx2), (unit, zero))
+            DeformationPoint(ectx2, 4, ExtensionData.zero(ectx2),
+                             column(ctx, unit, 0))
 
     def test_support_bound_enforced(self, ectx2):
         ctx = ectx2.ctx
-        zero = TruncatedSeries.zero(ctx)
         wide = TruncatedSeries.monomial(ctx, 10)  # beyond degree n-1 = 3
         with pytest.raises(InvalidExtension):
-            DeformationPoint(ectx2, 4, ExtensionData.zero(ectx2), (wide, zero))
+            DeformationPoint(ectx2, 4, ExtensionData.zero(ectx2),
+                             column(ctx, wide, 0))
 
     @pytest.mark.parametrize("field, top, message", [
         ("xi", lambda p, n: n - 2, "connection defect exceeds"),
@@ -177,13 +193,12 @@ class TestPointValidation:
         # a coefficient at the top allowed degree passes, one above fails
         ctx, n = ectx2.ctx, 4
         z = SeriesMatrix.zeros(ctx, 2, 2)
-        zero = TruncatedSeries.zero(ctx)
 
         def point(degree):
             data = {"xi": z, "v": z, "m": z}
-            hodge = (zero, zero)
+            hodge = column(ctx, 0, 0)
             if field == "hodge":
-                hodge = (TruncatedSeries.monomial(ctx, degree), zero)
+                hodge = column(ctx, TruncatedSeries.monomial(ctx, degree), 0)
             else:
                 arr = z.arr.copy()
                 arr[0, 0, degree] = 1  # off the isotropy corner (1, 1)
@@ -196,12 +211,42 @@ class TestPointValidation:
         with pytest.raises(InvalidExtension, match=message):
             point(degree + 1)
 
+    @pytest.mark.parametrize("n", [12, 34, 10**9])
+    def test_sampling_beyond_faithful_range_refuses(self, ectx2, n):
+        # the hodge draw stops at degree M, so the point's own check
+        # rejects n rather than an index error or a draw that grows with n
+        with pytest.raises(InvalidExtension, match="faithful coefficient"):
+            random_geometric_point(random.Random(0), ectx2, n)
+
     def test_faithful_range_enforced(self, ctx3):
         ectx = ExtensionContext(ctx3, 2)
-        zero = TruncatedSeries.zero(ctx3)
         with pytest.raises(InvalidExtension):
             # p*(n-1) = 3*11 > 32
-            DeformationPoint(ectx, 12, ExtensionData.zero(ectx), (zero, zero))
+            DeformationPoint(ectx, 12, ExtensionData.zero(ectx),
+                             column(ctx3, 0, 0))
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 1), (2, 2), (1, 2)])
+    def test_hodge_shape_enforced(self, ectx2, rows, cols):
+        hodge = SeriesMatrix.zeros(ectx2.ctx, rows, cols)
+        with pytest.raises(InvalidExtension, match="hodge must be 2x1"):
+            DeformationPoint(ectx2, 4, ExtensionData.zero(ectx2), hodge)
+
+    def test_hodge_context_names_both(self, ectx2, ctx5):
+        with pytest.raises(ContextMismatch) as exc:
+            DeformationPoint(ectx2, 4, ExtensionData.zero(ectx2),
+                             SeriesMatrix.zeros(ctx5, 2, 1))
+        msg = str(exc.value)
+        assert msg.startswith("hodge context")
+        assert str(ctx5) in msg and str(ectx2.ctx) in msg
+
+    def test_extension_context_names_both(self, ectx2, ctx5):
+        other = ExtensionContext(ctx5, 2)
+        with pytest.raises(ContextMismatch) as exc:
+            DeformationPoint(ectx2, 4, ExtensionData.zero(other),
+                             SeriesMatrix.zeros(ectx2.ctx, 2, 1))
+        msg = str(exc.value)
+        assert msg.startswith("extension context")
+        assert str(other) in msg and str(ectx2) in msg
 
 
 class TestProbe:

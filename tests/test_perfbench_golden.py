@@ -17,9 +17,10 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_workloads():
-    path = BENCH / "workloads.py"
-    module = types.ModuleType("perfbench_workloads")
+def load(name):
+    """perfbench/<name>.py, executed in memory."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
     module.__file__ = str(path)
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
@@ -29,7 +30,7 @@ def load_workloads():
                                   "grouplaw"])
 def test_first_units_match_golden_digests(name):
     golden = json.loads((BENCH / "golden.json").read_text())["seeds"]["0"]
-    workload = load_workloads().WORKLOADS[name]
+    workload = load("workloads").WORKLOADS[name]
     pool = workload.setup(0)
     for slot, expected in enumerate(golden[name].split()[:2]):
         output = workload.unit(pool[slot])
