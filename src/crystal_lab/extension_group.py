@@ -59,6 +59,30 @@ class ExtensionContext:
         return _standard(self.ctx, self.h, "pair")
 
 
+def _derived(cls, *values):
+    """The record of the frozen dataclass cls with the given field values,
+    built without running ``__post_init__``.
+
+    For results computed inside the package from records that were already
+    checked, by an operation that keeps every checked condition; each call
+    site says in a comment why the conditions hold.  The test suite routes
+    every call through ``cls(*values)``, so each of those claims is checked
+    on every run.
+    """
+    record = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values, strict=True):
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _check_matrix(name, mat, ctx, rows, cols) -> None:
+    """The shape and the context every matrix field of a record must have."""
+    if (mat.rows, mat.cols) != (rows, cols):
+        raise InvalidExtension(f"{name} must be {rows}x{cols}")
+    if mat.context != ctx:
+        raise ContextMismatch(f"{name} context {mat.context} differs from {ctx}")
+
+
 @dataclass(frozen=True, slots=True)
 class ExtensionData:
     """Canonical data (xi, v, m) of an extension in the fixed frame.
@@ -68,6 +92,12 @@ class ExtensionData:
     of the lifted basis; m is symmetric.  xi vanishes at degree M, which a
     one-form body cannot be trusted at.  geometric_flag asserts the
     rank-1-mod-p Frobenius condition: v columns 1..h-1 vanish mod p.
+
+    Constructing a record checks all of these conditions.  The results of
+    the group law, of scaling, of reduction and of ``from_alpha`` are
+    derived from checked records by operations that keep them, and are
+    built unchecked (``_derived``); ``mark_geometric`` checks only the
+    condition it adds.
 
     Equality compares the data only, never the flag.  Deep consistency
     (the assembled rank-2h crystal passing both checkers) is a checkable
@@ -81,14 +111,9 @@ class ExtensionData:
     geometric_flag: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        h = self.ectx.h
         xi, v, m = self.xi, self.v, self.m
         for name, mat in (("xi", xi), ("v", v), ("m", m)):
-            if mat.rows != h or mat.cols != h:
-                raise InvalidExtension(f"{name} must be {h}x{h}")
-            if mat.context != self.ectx.ctx:
-                raise ContextMismatch(f"{name} context {mat.context} differs "
-                                      f"from {self.ectx.ctx}")
+            _check_matrix(name, mat, self.context, self.h, self.h)
         if v.arr[:, :, 0].any():
             raise InvalidExtension("v entries must lie in the t-ideal")
         if np.count_nonzero(xi.arr[..., -1]):
@@ -96,9 +121,12 @@ class ExtensionData:
         if m != m.transpose():
             raise InvalidExtension("m must be symmetric")
         if self.geometric_flag:
-            if (v.arr[:, 1:, :] % self.ectx.ctx.p).any():
-                raise InvalidExtension(
-                    "geometric flag asserts v columns 2..h vanish mod p")
+            self._check_geometric()
+
+    def _check_geometric(self) -> None:
+        if (self.v.arr[:, 1:, :] % self.ectx.ctx.p).any():
+            raise InvalidExtension(
+                "geometric flag asserts v columns 2..h vanish mod p")
 
     @property
     def context(self) -> PrecisionContext:
@@ -111,23 +139,27 @@ class ExtensionData:
     @classmethod
     def zero(cls, ectx: ExtensionContext) -> "ExtensionData":
         z = SeriesMatrix.zeros(ectx.ctx, ectx.h, ectx.h)
-        return cls(ectx, z, z, z, geometric_flag=True)
+        # zero matrices of the context's shape meet every condition
+        return _derived(cls, ectx, z, z, z, True)
 
     def is_zero(self) -> bool:
         return self.xi.is_zero() and self.v.is_zero() and self.m.is_zero()
 
     def mark_geometric(self) -> "ExtensionData":
-        return ExtensionData(self.ectx, self.xi, self.v, self.m,
-                             geometric_flag=True)
+        self._check_geometric()
+        # self was checked when built, and the flag's condition just now
+        return _derived(ExtensionData, self.ectx, self.xi, self.v, self.m,
+                        True)
 
     def reduce_precision(self, new_n: int) -> "ExtensionData":
         if new_n == self.context.N:
             return self
         ectx2 = ExtensionContext(self.context.reduce_precision(new_n), self.h)
-        return ExtensionData(ectx2, self.xi.reduce_precision(new_n),
-                             self.v.reduce_precision(new_n),
-                             self.m.reduce_precision(new_n),
-                             self.geometric_flag)
+        # reduction mod p^n keeps the t-ideal, degree-M, symmetry and
+        # mod-p conditions
+        return _derived(ExtensionData, ectx2, self.xi.reduce_precision(new_n),
+                        self.v.reduce_precision(new_n),
+                        self.m.reduce_precision(new_n), self.geometric_flag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,13 +171,8 @@ class TrivializationWitness:
     alpha: SeriesMatrix
 
     def __post_init__(self):
-        ectx, alpha = self.ectx, self.alpha
-        if alpha.rows != ectx.h or alpha.cols != ectx.h:
-            raise InvalidExtension(f"alpha must be {ectx.h}x{ectx.h}")
-        if alpha.context != ectx.ctx:
-            raise ContextMismatch(f"alpha context {alpha.context} differs "
-                                  f"from {ectx.ctx}")
-        if alpha.arr[:, :, 0].any():
+        _check_matrix("alpha", self.alpha, self.context, self.h, self.h)
+        if self.alpha.arr[:, :, 0].any():
             raise InvalidExtension("alpha entries must lie in the t-ideal")
 
     @property
@@ -197,8 +224,10 @@ def from_alpha(w: TrivializationWitness) -> ExtensionData:
     """Extension data of the trivial extension presented through the basis
     change recorded in the witness: the one statement of the witness
     equations."""
-    return ExtensionData(w.ectx, w.alpha.derivative_bodies(),
-                         _v_from_alpha(w.alpha), _m_from_alpha(w.alpha))
+    # a derivative has no degree-M body; alpha in the t-ideal puts v there,
+    # and m = alpha + alpha^T off the diagonal is symmetric
+    return _derived(ExtensionData, w.ectx, w.alpha.derivative_bodies(),
+                    _v_from_alpha(w.alpha), _m_from_alpha(w.alpha), False)
 
 
 def _frame(h: int) -> dict:
@@ -330,8 +359,9 @@ def baer_sum(e1: ExtensionData, e2: ExtensionData, mode: str = "fast"
     if e1.ectx != e2.ectx:
         raise ContextMismatch("extensions live over different contexts")
     if mode == "fast":
-        return ExtensionData(e1.ectx, e1.xi + e2.xi, e1.v + e2.v, e1.m + e2.m,
-                             e1.geometric_flag and e2.geometric_flag)
+        # sums keep the t-ideal, degree-M, symmetry and mod-p conditions
+        return _derived(ExtensionData, e1.ectx, e1.xi + e2.xi, e1.v + e2.v,
+                        e1.m + e2.m, e1.geometric_flag and e2.geometric_flag)
     if mode == "pullback_pushout":
         return _baer_diagram(e1, e2, pullback_first=True)
     if mode == "pushout_pullback":
@@ -341,8 +371,10 @@ def baer_sum(e1: ExtensionData, e2: ExtensionData, mode: str = "fast"
 
 def int_scale(e: ExtensionData, n: int) -> ExtensionData:
     """Integer scaling of the data; agrees with the n-fold Baer sum."""
-    return ExtensionData(e.ectx, e.xi.scale_int(n), e.v.scale_int(n),
-                         e.m.scale_int(n), e.geometric_flag)
+    # integer multiples keep the t-ideal, degree-M, symmetry and mod-p
+    # conditions
+    return _derived(ExtensionData, e.ectx, e.xi.scale_int(n), e.v.scale_int(n),
+                    e.m.scale_int(n), e.geometric_flag)
 
 
 # -- trivialization -------------------------------------------------------------
@@ -371,7 +403,10 @@ def trivialize(e: ExtensionData):
             i, j = (int(x) for x in np.argwhere(wrong)[0])
             return Untrivializable(name, (i, j),
                                    f"{what} equation ({i},{j}) fails")
-    return TrivializationWitness(ExtensionContext(alpha.context, e.h), alpha)
+    # integrate returns an h x h antiderivative over its own context with
+    # zero constant term, so alpha lies in the t-ideal
+    return _derived(TrivializationWitness,
+                    ExtensionContext(alpha.context, e.h), alpha)
 
 
 # -- the p-torsion certification chain ------------------------------------------
@@ -472,7 +507,9 @@ def p_torsion_check(e: ExtensionData, w: TrivializationWitness):
 
     beta_mat = _divide_matrix_by_p(alpha)
     beta_ctx = beta_mat.context
-    beta = TrivializationWitness(ExtensionContext(beta_ctx, h), beta_mat)
+    # the quotient by p of a t-ideal h x h matrix lies in the t-ideal
+    beta = _derived(TrivializationWitness, ExtensionContext(beta_ctx, h),
+                    beta_mat)
 
     nb = beta_ctx.N
     ok = from_alpha(beta) == e.reduce_precision(nb)

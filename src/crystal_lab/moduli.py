@@ -22,8 +22,9 @@ from fractions import Fraction
 from .crystal import SlopeMultiset, hom_crystal, newton_slopes
 from .errors import ContextMismatch, InvalidExtension, WrongBase
 from .extension_group import (ExtensionContext, ExtensionData,
-                              TorsionCertificate, Untrivializable, baer_sum,
-                              int_scale, p_torsion_check, trivialize)
+                              TorsionCertificate, Untrivializable,
+                              _check_matrix, _derived, baer_sum, int_scale,
+                              p_torsion_check, trivialize)
 from .sampling import add_noise, random_extension, random_series_matrix
 from .series_matrix import SeriesMatrix, zeros_array
 
@@ -53,11 +54,7 @@ class DeformationPoint:
         if e.ectx != ectx:
             raise ContextMismatch(f"extension context {e.ectx} differs from "
                                   f"{ectx}")
-        if (hodge.rows, hodge.cols) != (h, 1):
-            raise InvalidExtension(f"hodge must be {h}x1")
-        if hodge.context != ctx:
-            raise ContextMismatch(f"hodge context {hodge.context} differs "
-                                  f"from {ctx}")
+        _check_matrix("hodge", hodge, ctx, h, 1)
         # degree bounds: xi below n - 1, v up to p(n - 1), m and hodge below n
         if e.xi.arr[:, :, n - 1:].any():
             raise InvalidExtension("connection defect exceeds the base degree")
@@ -91,14 +88,15 @@ def add_points(y: DeformationPoint, z: DeformationPoint) -> DeformationPoint:
     coordinates.  Isotropy is preserved because both constraints are linear."""
     if y.ectx != z.ectx or y.base_degree != z.base_degree:
         raise ContextMismatch("points live over different bases")
-    return DeformationPoint(y.ectx, y.base_degree,
-                            baer_sum(y.extension, z.extension),
-                            y.hodge + z.hodge)
+    # sums keep the degree bounds and the t=0 conditions, and isotropy
+    return _derived(DeformationPoint, y.ectx, y.base_degree,
+                    baer_sum(y.extension, z.extension), y.hodge + z.hodge)
 
 
 def scale_point(y: DeformationPoint, k: int) -> DeformationPoint:
-    return DeformationPoint(y.ectx, y.base_degree, int_scale(y.extension, k),
-                            y.hodge.scale_int(k))
+    # multiples keep the degree bounds and the t=0 conditions, and isotropy
+    return _derived(DeformationPoint, y.ectx, y.base_degree,
+                    int_scale(y.extension, k), y.hodge.scale_int(k))
 
 
 def negate_point(y: DeformationPoint) -> DeformationPoint:
@@ -117,13 +115,15 @@ def truncate_point(y: DeformationPoint, new_n: int) -> DeformationPoint:
     if not (2 <= new_n <= y.base_degree):
         raise WrongBase(f"new base degree must lie in [2, {y.base_degree}]")
     e = y.extension
-    ext = ExtensionData(y.ectx,
-                        e.xi.truncate_degree(new_n - 2),
-                        e.v.truncate_degree(new_n - 1),
-                        e.m.truncate_degree(new_n - 1),
-                        e.geometric_flag)
-    return DeformationPoint(y.ectx, new_n, ext,
-                            y.hodge.truncate_degree(new_n - 1))
+    # t-truncation keeps the t-ideal, symmetry and mod-p conditions, and
+    # new_n - 2 < M clears xi at degree M
+    ext = _derived(ExtensionData, y.ectx, e.xi.truncate_degree(new_n - 2),
+                   e.v.truncate_degree(new_n - 1),
+                   e.m.truncate_degree(new_n - 1), e.geometric_flag)
+    # the truncation degrees are the bounds over the smaller base, which is
+    # faithful as p*(new_n-1) <= p*(n-1); hodge and m truncate alike
+    return _derived(DeformationPoint, y.ectx, new_n, ext,
+                    y.hodge.truncate_degree(new_n - 1))
 
 
 def tangent_coordinates(y: DeformationPoint) -> tuple:
@@ -163,14 +163,16 @@ def random_geometric_point(rng: random.Random, ectx: ExtensionContext, n: int,
     The witness support stays within degrees < n and within the faithful
     range M/p, avoiding multiples of p so antidifferentiation is lossless;
     nontrivial points add derivative-free valuation-matched noise to v (or
-    symmetrically to m) at a degree divisible by p.
+    symmetrically to m) at a degree d with 1 <= v_p(d) < N.
     """
     ctx = ectx.ctx
     h = ectx.h
     e = random_extension(rng, ectx, max_degree=n - 1).mark_geometric()
     if nontrivial:
         top = min(n - 1, ctx.M // ctx.p)
-        noise_degrees = [d for d in range(ctx.p, top + 1, ctx.p)]
+        # v_p(d) < N, or the noise would be a unit or zero
+        noise_degrees = [d for d in range(ctx.p, top + 1, ctx.p)
+                         if d % ctx.modulus]
         deg = rng.choice(noise_degrees) if noise_degrees else ctx.p
         field = "m" if deg <= n - 1 and rng.getrandbits(1) else "v"
         e = add_noise(rng, e, field, deg)

@@ -63,14 +63,15 @@ def add_noise(rng: random.Random, e: ExtensionData, field: str, degree: int,
 
     The noise has exactly vanishing derivative mod p^N, so every structural
     identity survives, v stays zero mod p, and the class becomes nontrivial
-    at full precision while p times it is trivial.
+    at full precision while p times it is trivial.  That needs
+    1 <= v_p(degree) < N: at v_p(degree) >= N the noise is a unit or zero.
     """
     if field not in ("v", "m"):
         raise ValueError(f"noise goes on v or m, not {field!r}")
     ctx = e.context
     vp = p_valuation(degree, ctx.p)
-    if vp < 1:
-        raise ValueError("noise degree must be divisible by p")
+    if not 1 <= vp < ctx.N:
+        raise ValueError(f"noise degree {degree} needs 1 <= v_p < N={ctx.N}")
     i, j = entry if entry is not None else (rng.randrange(e.h), rng.randrange(e.h))
     unit = rng.randrange(1, ctx.p)
     coeff = (ctx.p ** (ctx.N - vp)) * unit % ctx.modulus
@@ -145,5 +146,6 @@ def random_extension(rng: random.Random, ectx: ExtensionContext,
         i0 = rng.randrange(h - 1)
         j0 = rng.choice([j for j in range(h - 1) if j != i0])
         return perturb_xi_antisym(e, i0, j0, rng.randrange(1, p))
-    deg = p  # p <= M in any valid context with M >= p
-    return add_noise(rng, e, "v", deg)
+    if p > ectx.ctx.M:
+        raise ValueError(f"no noise degree: p={p} exceeds M={ectx.ctx.M}")
+    return add_noise(rng, e, "v", p)

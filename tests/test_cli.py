@@ -243,6 +243,20 @@ class TestSamplingVerbs:
         _, text2, _ = run_cli(capsys, *args)
         assert text1 == text2
 
+    # p^N <= min(n - 1, M // p): a noise degree d with v_p(d) >= N exists,
+    # and these seeds drew one, which added a unit to v
+    @pytest.mark.parametrize("argv", [
+        ["grouplaw", "--p", "3", "--N", "2", "--M", "32", "--h", "3",
+         "--n", "10", "--samples", "0", "--seed", "19"],
+        ["probe", "--p", "3", "--N", "3", "--M", "81", "--h", "3",
+         "--n", "28", "--samples", "4", "--seed", "36"],
+    ], ids=["grouplaw", "probe"])
+    def test_noise_degree_below_the_precision(self, capsys, argv):
+        code, text, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(text)
+        assert doc.get("passed", True) and not doc.get("counterexamples")
+
 
 class TestUsageErrors:
     def test_missing_file(self, capsys):
