@@ -27,7 +27,7 @@ from .crystal import (FCrystalPresentation, direct_sum, induced_maps,
 from .errors import (ContextMismatch, HypothesisMissing, InvalidExtension,
                      NonIntegrable, NotStable, PrecisionInsufficient,
                      WitnessInvalid)
-from .padic_series import PrecisionContext, integrate, mul_mod
+from .padic_series import PrecisionContext, integrate, mul_mod, reduce_mod
 from .series_matrix import SeriesMatrix, zeros_array
 
 
@@ -208,13 +208,13 @@ def _v_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
     term2 = np.roll(alpha.arr, -1, axis=0)
     term2[:-1] = mul_mod(term2[:-1], p, ctx)
     term2[-1] = mul_mod(term2[-1], p * p, ctx)
-    return SeriesMatrix(ctx, (term1 - term2) % ctx.modulus)
+    return SeriesMatrix(ctx, reduce_mod(term1 - term2, ctx.modulus))
 
 
 def _m_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
     """Half-pairing of the changed basis: m[i][j] = alpha[i][j] + alpha[j][i]
     off the diagonal, m[i][i] = alpha[i][i]."""
-    arr = (alpha.arr + alpha.transpose().arr) % alpha.context.modulus
+    arr = reduce_mod(alpha.arr + alpha.transpose().arr, alpha.context.modulus)
     diag = np.arange(alpha.rows)
     arr[diag, diag] = alpha.arr[diag, diag]
     return SeriesMatrix(alpha.context, arr)

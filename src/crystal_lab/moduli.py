@@ -45,12 +45,7 @@ class DeformationPoint:
     def __post_init__(self):
         e, hodge, n = self.extension, self.hodge, self.base_degree
         ectx, ctx, h = self.ectx, self.ectx.ctx, self.ectx.h
-        if n < 2:
-            raise WrongBase("base degree must be at least 2")
-        if ctx.p * (n - 1) > ctx.M:
-            raise InvalidExtension(
-                f"need p*(n-1) <= M for a faithful coefficient lift "
-                f"(p={ctx.p}, n={n}, M={ctx.M})")
+        _check_base_degree(ectx, n)
         if e.ectx != ectx:
             raise ContextMismatch(f"extension context {e.ectx} differs from "
                                   f"{ectx}")
@@ -76,6 +71,18 @@ class DeformationPoint:
     @property
     def h(self) -> int:
         return self.ectx.h
+
+
+def _check_base_degree(ectx: ExtensionContext, n: int) -> None:
+    """Reject a base degree n below 2, or one whose lifted degree p(n-1)
+    passes M, where the coefficient lift stops being faithful."""
+    ctx = ectx.ctx
+    if n < 2:
+        raise WrongBase("base degree must be at least 2")
+    if ctx.p * (n - 1) > ctx.M:
+        raise InvalidExtension(
+            f"need p*(n-1) <= M for a faithful coefficient lift "
+            f"(p={ctx.p}, n={n}, M={ctx.M})")
 
 
 def identity_point(ectx: ExtensionContext, n: int) -> DeformationPoint:
@@ -165,6 +172,7 @@ def random_geometric_point(rng: random.Random, ectx: ExtensionContext, n: int,
     nontrivial points add derivative-free valuation-matched noise to v (or
     symmetrically to m) at a degree d with 1 <= v_p(d) < N.
     """
+    _check_base_degree(ectx, n)  # before the first draw
     ctx = ectx.ctx
     h = ectx.h
     e = random_extension(rng, ectx, max_degree=n - 1).mark_geometric()
@@ -176,9 +184,9 @@ def random_geometric_point(rng: random.Random, ectx: ExtensionContext, n: int,
         deg = rng.choice(noise_degrees) if noise_degrees else ctx.p
         field = "m" if deg <= n - 1 and rng.getrandbits(1) else "v"
         e = add_noise(rng, e, field, deg)
-    degrees = range(1, min(n, ctx.M + 1))  # an n past M fails the point check
     hodge = zeros_array(ctx, h, 1)
-    hodge[:h - 1] = random_series_matrix(rng, ctx, h - 1, 1, degrees).arr
+    # n - 1 <= M / p, so every degree below n is stored
+    hodge[:h - 1] = random_series_matrix(rng, ctx, h - 1, 1, range(1, n)).arr
     hodge[h - 1, 0] = -e.m.arr[h - 1, h - 1] % ctx.modulus
     return DeformationPoint(ectx, n, e, SeriesMatrix(ctx, hodge))
 

@@ -9,9 +9,10 @@ monomial substitution.
 Coefficient arrays are numpy int64 when p^N < 2^62 and object arrays of
 Python integers otherwise (``storage_dtype``).  On int64 storage a sum or
 difference of two residues stays below 2^63, so add, sub and neg never
-overflow.  A multiply by integers compares a bound on its result with a
-constant of the PrecisionContext before it uses int64, and forms the product
-in Python integers when int64 could overflow (``mul_mod``).
+overflow, and ``reduce_mod`` brings every array back to residues.  A
+multiply by integers compares a bound on its result with a constant of the
+PrecisionContext before it uses int64, and forms the product in Python
+integers when int64 could overflow (``mul_mod``).
 
 TruncatedSeries is a read-only view of one (M+1,) coefficient array.  Its
 additive operations are single array operations; its products and inverse
@@ -142,6 +143,26 @@ def storage_dtype(context: PrecisionContext):
     return np.int64 if context.int64_safe else object
 
 
+def reduce_mod(arr: np.ndarray, mod: int) -> np.ndarray:
+    """arr mod `mod` as canonical residues in [0, mod), in arr's dtype.
+
+    On int64 this is arr - (arr // mod) * mod: numpy divides an int64 array
+    by a scalar with a multiply and shift (Granlund and Montgomery,
+    "Division by invariant integers using multiplication", PLDI 1994), while
+    its remainder divides element by element and is slower.  It is
+    exact and stays inside int64 for every entry arr >= -2^63 + mod, since
+    then arr - mod < (arr // mod) * mod <= arr.  Object arrays use %, and
+    keep Python integers.
+    """
+    if arr.dtype != np.int64:
+        return arr % mod
+    q = arr // mod
+    q *= mod
+    # into q: a second fresh array of a large result can cost more in page
+    # faults than the arithmetic itself
+    return np.subtract(arr, q, out=q)
+
+
 def mul_mod(arr: np.ndarray, k, context: PrecisionContext, k_max: int | None = None
             ) -> np.ndarray:
     """arr * k mod p^N, exactly, for a residue array arr and 0 <= k <= k_max.
@@ -153,8 +174,8 @@ def mul_mod(arr: np.ndarray, k, context: PrecisionContext, k_max: int | None = N
     if k_max is None:
         k_max = k
     if k_max <= context.int64_scalar_max:
-        return arr * k % context.modulus
-    out = np.multiply(arr, k, dtype=object) % context.modulus
+        return reduce_mod(arr * k, context.modulus)
+    out = reduce_mod(np.multiply(arr, k, dtype=object), context.modulus)
     return out.astype(arr.dtype, copy=False)
 
 
@@ -216,8 +237,8 @@ class TruncatedSeries:
         ctx = self.context.reduce_precision(new_n)
         if ctx is self.context:
             return self
-        return TruncatedSeries._from_array(ctx, (self._arr % ctx.modulus).astype(
-            storage_dtype(ctx), copy=False))
+        return TruncatedSeries._from_array(ctx, reduce_mod(
+            self._arr, ctx.modulus).astype(storage_dtype(ctx), copy=False))
 
     def truncate_degree(self, d: int) -> "TruncatedSeries":
         """Reduce mod t^(d+1) inside the same ring (zero out degrees > d)."""
@@ -229,17 +250,19 @@ class TruncatedSeries:
 
     def __add__(self, other):
         _check_same_context(self, other)
+        ctx = self.context
         return TruncatedSeries._from_array(
-            self.context, (self._arr + other._arr) % self.context.modulus)
+            ctx, reduce_mod(self._arr + other._arr, ctx.modulus))
 
     def __sub__(self, other):
         _check_same_context(self, other)
+        ctx = self.context
         return TruncatedSeries._from_array(
-            self.context, (self._arr - other._arr) % self.context.modulus)
+            ctx, reduce_mod(self._arr - other._arr, ctx.modulus))
 
     def __neg__(self):
         return TruncatedSeries._from_array(
-            self.context, (-self._arr) % self.context.modulus)
+            self.context, reduce_mod(-self._arr, self.context.modulus))
 
     def __mul__(self, other):
         ctx = self.context
@@ -385,7 +408,7 @@ def integrate(form):
     inv = np.array([pow(int(u), -1, mod) for u in unit], dtype=dtype)
     out = np.zeros(body.shape[:-1] + (m + 1,), dtype=dtype)
     # exact: p^v divides every coefficient it is applied to
-    quot = (body // pv % mod).astype(dtype, copy=False)
+    quot = reduce_mod(body // pv, mod).astype(dtype, copy=False)
     out[..., 1:] = mul_mod(quot, inv, new_ctx, int(inv.max(initial=0)))
     if isinstance(form, OneForm):
         return TruncatedSeries._from_array(new_ctx, out)

@@ -17,14 +17,58 @@ lossless and the noise stays visible at the comparison precision.
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
 
 from .errors import InvalidExtension
 from .extension_group import (ExtensionContext, ExtensionData,
                               TrivializationWitness, from_alpha)
-from .padic_series import PrecisionContext, p_valuation
+from .padic_series import (_INT64_STORAGE_LIMIT, PrecisionContext,
+                           p_valuation)
 from .series_matrix import SeriesMatrix, zeros_array
+
+# below this many draws one numpy round costs more than the randrange loop
+_BULK_MIN = 32
+
+
+def _draw_residues(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """The next `count` values of rng.randrange(n), in order, as a 1-D
+    array: int64 when n < 2^62, Python integers in an object array
+    otherwise.  The generator is left as the randrange loop leaves it.
+
+    On CPython, for n < 2^62, the draws are taken in bulk.  There
+    randrange(n) is getrandbits(k) with k = bitlen(n), drawn again while it
+    is n or more.  getrandbits(k) takes ceil(k/32) 32-bit Mersenne Twister
+    words, low word first, and keeps as many top bits of the last word as
+    k still needs; getrandbits(32 m) returns the next m words
+    little-endian.  So one getrandbits call for m attempts of one or two
+    words, cut into words, gives the next m attempts of the loop, and the
+    values below n are its draws in order.  Each round makes only as many
+    attempts as draws are still missing, so it takes no word the loop would
+    not take.  This depends on CPython's word order, so other interpreters
+    use the loop, as does a remainder below _BULK_MIN draws.
+    """
+    if n >= _INT64_STORAGE_LIMIT:
+        return np.array([rng.randrange(n) for _ in range(count)], dtype=object)
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    if sys.implementation.name == "cpython":
+        k = n.bit_length()
+        words = 1 if k <= 32 else 2
+        while count - done >= _BULK_MIN:
+            size = words * (count - done)
+            raw = np.frombuffer(rng.getrandbits(32 * size).to_bytes(
+                4 * size, "little"), dtype="<u4").astype(np.int64)
+            if words == 1:
+                vals = raw >> (32 - k)
+            else:
+                vals = raw[0::2] | (raw[1::2] >> (64 - k) << 32)
+            kept = vals[vals < n]
+            out[done:done + kept.size] = kept
+            done += kept.size
+    out[done:] = [rng.randrange(n) for _ in range(count - done)]
+    return out
 
 
 def random_series_matrix(rng: random.Random, ctx: PrecisionContext, rows: int,
@@ -33,8 +77,8 @@ def random_series_matrix(rng: random.Random, ctx: PrecisionContext, rows: int,
     degrees = list(degrees)
     shape = (rows, cols, len(degrees))
     arr = zeros_array(ctx, rows, cols)
-    draws = [rng.randrange(ctx.modulus) for _ in range(rows * cols * shape[2])]
-    arr[:, :, degrees] = np.array(draws, dtype=arr.dtype).reshape(shape)
+    arr[:, :, degrees] = _draw_residues(
+        rng, ctx.modulus, rows * cols * shape[2]).reshape(shape)
     return SeriesMatrix(ctx, arr)
 
 

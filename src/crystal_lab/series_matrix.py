@@ -29,7 +29,11 @@ pairs and c = p^N - 1.
 * otherwise (object storage): Python integers, one product per pair of
   non-zero degrees.
 
-Multiplies by integers go through ``padic_series.mul_mod``, which proves
+Every array is reduced mod p^N by ``padic_series.reduce_mod``: on int64 a
+floor division by the scalar p^N, which numpy does by multiply and shift,
+exact for every entry at least -2^63 + p^N.  Each operand here is in that
+range: a sum or difference of residues, a float64 product of magnitude
+below 2^53, or the limb accumulator below 2^63.  Multiplies by integers go through ``padic_series.mul_mod``, which proves
 its own int64 bound; the calculus methods share the array functions of
 ``padic_series`` with the series.  Matrices of one-form bodies reuse the
 same class; the degree-(M) body coefficient of differentiated data is
@@ -44,7 +48,7 @@ from .errors import ContextMismatch
 from .padic_series import (PrecisionContext, TruncatedSeries,
                            _check_same_context, derivative_coeffs,
                            frobenius_coeffs, mul_mod, oneform_pullback_coeffs,
-                           storage_dtype)
+                           reduce_mod, storage_dtype)
 
 _FLOAT64_EXACT = 2**53
 # size cap of one matrix: 2^22 coefficients, 32 MiB as int64
@@ -151,16 +155,17 @@ class SeriesMatrix:
 
     def __add__(self, other):
         _check_same_context(self, other)
-        return SeriesMatrix(self.context,
-                            (self.arr + other.arr) % self.context.modulus)
+        ctx = self.context
+        return SeriesMatrix(ctx, reduce_mod(self.arr + other.arr, ctx.modulus))
 
     def __sub__(self, other):
         _check_same_context(self, other)
-        return SeriesMatrix(self.context,
-                            (self.arr - other.arr) % self.context.modulus)
+        ctx = self.context
+        return SeriesMatrix(ctx, reduce_mod(self.arr - other.arr, ctx.modulus))
 
     def __neg__(self):
-        return SeriesMatrix(self.context, (-self.arr) % self.context.modulus)
+        ctx = self.context
+        return SeriesMatrix(ctx, reduce_mod(-self.arr, ctx.modulus))
 
     def scale_int(self, k: int) -> "SeriesMatrix":
         return SeriesMatrix(self.context, mul_mod(
@@ -190,12 +195,12 @@ class SeriesMatrix:
                 a = const
             elif right:
                 b = const
-            out = _float_product(a, b, left, right).astype(np.int64, order="C")
-            out %= mod
+            out = reduce_mod(_float_product(a, b, left, right).astype(
+                np.int64, order="C"), mod)
         elif dtype is np.int64:
             out = _limb_product(a, b, left, right, k * pairs, ctx)
         else:
-            out = _convolve_pairs(a, b) % mod
+            out = reduce_mod(_convolve_pairs(a, b), mod)
         return SeriesMatrix(ctx, out)
 
     def transpose(self) -> "SeriesMatrix":
@@ -240,7 +245,7 @@ class SeriesMatrix:
         ctx = self.context.reduce_precision(new_n)
         if ctx is self.context:
             return self
-        return SeriesMatrix(ctx, (self.arr % ctx.modulus).astype(
+        return SeriesMatrix(ctx, reduce_mod(self.arr, ctx.modulus).astype(
             storage_dtype(ctx), copy=False))
 
     # -- constant-layer helpers ----------------------------------------------
@@ -324,9 +329,9 @@ def _limb_product(a: np.ndarray, b: np.ndarray, left: bool, right: bool,
         if acc is not None:
             for todo in range(s, 0, -shift):
                 acc <<= min(todo, shift)
-                acc %= mod
+                acc = reduce_mod(acc, mod)
             part += acc
-        acc = part % mod
+        acc = reduce_mod(part, mod)
     return acc
 
 

@@ -321,6 +321,17 @@ class TestUsageErrors:
         assert code == 2 and text == ""
         assert err.startswith("error: need p*(n-1) <= M"), err
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_probe_unfaithful_at_every_seed(self, capsys, seed):
+        # p > M leaves no noise degree; the range is checked before any
+        # draw, so no seed reaches the noise and its index error
+        code, text, err = run_cli(capsys, "probe", "--p", "37", "--M", "32",
+                                  "--N", "4", "--n", "2", "--h", "3",
+                                  "--samples", "3", "--seed", str(seed))
+        assert code == 2 and text == ""
+        assert err == ("error: need p*(n-1) <= M for a faithful coefficient "
+                       "lift (p=37, n=2, M=32)\n")
+
     def test_hostile_n_is_quick(self, capsys, tmp_path):
         doc = serialize.crystal_to_json(
             make_standard_crystal(PrecisionContext(3, 8, 4), 2, "sub1"))

@@ -213,8 +213,8 @@ class TestPointValidation:
 
     @pytest.mark.parametrize("n", [12, 34, 10**9])
     def test_sampling_beyond_faithful_range_refuses(self, ectx2, n):
-        # the hodge draw stops at degree M, so the point's own check
-        # rejects n rather than an index error or a draw that grows with n
+        # the range is checked before the first draw: no index error and
+        # no draw that grows with n
         with pytest.raises(InvalidExtension, match="faithful coefficient"):
             random_geometric_point(random.Random(0), ectx2, n)
 

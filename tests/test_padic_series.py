@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from crystal_lab import (OneForm, PrecisionContext, TruncatedSeries,
@@ -9,7 +10,7 @@ from crystal_lab import (OneForm, PrecisionContext, TruncatedSeries,
 from crystal_lab.errors import (ContextMismatch, NonIntegrable,
                                 PrecisionInsufficient)
 from crystal_lab.padic_series import (MAX_MODULUS_BITS, MAX_PRIME,
-                                     _is_odd_prime, p_valuation)
+                                     _is_odd_prime, p_valuation, reduce_mod)
 
 
 def poly_mul_oracle(a, b, modulus, top):
@@ -27,6 +28,34 @@ def random_series(rng, ctx, zero_constant=False):
     if zero_constant:
         coeffs[0] = 0
     return TruncatedSeries(ctx, coeffs)
+
+
+@pytest.mark.parametrize("mod", [3**8, 3**24, 5**26])
+def test_reduce_mod_matches_python_remainder_on_int64(mod):
+    # the whole range the call sites use, -(mod - 1) to 2^63 - 1, with its
+    # ends, the multiples of mod next to 0 and to 2^63, and random values
+    top = 2**63 - 1
+    edges = {-(mod - 1), -1, 0, 1, mod - 1, top, top - 1}
+    for base in (0, mod, -mod, top - top % mod, top - top % mod - mod):
+        edges.update(base + d for d in (-1, 0, 1))
+    rng = random.Random(mod)
+    values = sorted(v for v in edges if -(mod - 1) <= v <= top)
+    values += [rng.randrange(-(mod - 1), top + 1) for _ in range(2000)]
+    arr = np.array(values, dtype=np.int64)
+    got = reduce_mod(arr, mod)
+    assert got.dtype == np.int64
+    assert got.tolist() == [v % mod for v in values]
+
+
+def test_reduce_mod_keeps_python_integers_on_object():
+    mod = 3**40
+    rng = random.Random(0)
+    values = [-(mod - 1), -1, 0, mod - 1, mod, 2 * mod + 1, 2**200]
+    values += [rng.randrange(-mod, mod**2) for _ in range(200)]
+    got = reduce_mod(np.array(values, dtype=object), mod)
+    assert got.dtype == object
+    assert got.tolist() == [v % mod for v in values]
+    assert {type(x) for x in got} == {int}
 
 
 class TestPrecisionContext:

@@ -1,19 +1,22 @@
-"""Differential test of random_series_matrix against the former entry loop,
+"""Differential tests of the residue draws against the randrange loop,
 kept here as the reference, and the inputs the samplers refuse.
 
-The code under test draws every residue in one list and writes them with
-one slice assignment; the reference writes one coefficient per draw.  Both
-must consume the generator identically and give the same matrix, in int64
-storage (N=8) and in Python-integer storage (N=40).
+``_draw_residues`` takes int64 residues in bulk from getrandbits and cuts
+the words itself; random_series_matrix writes its draws with one slice
+assignment, where the reference writes one coefficient per draw.  Both must
+give the same values and leave the generator in the same state: with one
+Mersenne word per residue (p^N < 2^32), two (p^N < 2^62), and on
+Python-integer storage, which keeps the loop.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from crystal_lab import ExtensionContext, ExtensionData, PrecisionContext
-from crystal_lab.sampling import (add_noise, random_extension,
-                                  random_series_matrix)
+from crystal_lab.sampling import (_BULK_MIN, _draw_residues, add_noise,
+                                  random_extension, random_series_matrix)
 from crystal_lab.series_matrix import SeriesMatrix, zeros_array
 
 
@@ -27,12 +30,30 @@ def ref_random_series_matrix(rng, ctx, rows, cols, degrees):
     return SeriesMatrix(ctx, arr)
 
 
-@pytest.mark.parametrize("N", [8, 40], ids=["int64", "object"])
+# n = 2^32 and 2^32 + 1 take two words, 1 and 2^13 are powers of two
+# (half of each draw is rejected), 2^13 - 1 and 2^62 - 1 reject almost none
+# (so a round that took one word too many would show), 5^26 is just under
+# 2^62, and 3^40 is on Python-integer storage
+@pytest.mark.parametrize("n", [3**8, 3**24, 5**26, 2**13, 2**32, 2**32 + 1,
+                               1, 2**13 - 1, 2**62 - 1, 3**40])
+@pytest.mark.parametrize("count", [0, 1, 7, _BULK_MIN + 1, 5001])
+def test_draw_residues_matches_the_loop(n, count):
+    got_rng, ref_rng = random.Random(n), random.Random(n)
+    got = _draw_residues(got_rng, n, count)
+    ref = [ref_rng.randrange(n) for _ in range(count)]
+    assert got.tolist() == ref
+    assert got.dtype == (np.int64 if n < 2**62 else object)
+    assert got_rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("p, N", [
+    pytest.param(3, 8, id="int64"), pytest.param(3, 24, id="int64-two-words"),
+    pytest.param(5, 26, id="int64-p5"), pytest.param(3, 40, id="object")])
 @pytest.mark.parametrize("rows, cols, degrees", [
     (10, 10, range(1, 9)), (3, 1, [1, 2, 5]), (2, 3, [0, 32]),
     (4, 4, []), (0, 3, [1]), (1, 1, range(33))])
-def test_matches_the_entry_loop(N, rows, cols, degrees):
-    ctx = PrecisionContext(3, N, 32)
+def test_matches_the_entry_loop(p, N, rows, cols, degrees):
+    ctx = PrecisionContext(p, N, 32)
     for seed in range(3):
         got_rng, ref_rng = random.Random(seed), random.Random(seed)
         got = random_series_matrix(got_rng, ctx, rows, cols, degrees)
@@ -42,8 +63,7 @@ def test_matches_the_entry_loop(N, rows, cols, degrees):
         # object storage holds Python integers, never numpy scalars
         assert ({type(x) for x in got.arr.flat}
                 <= {type(x) for x in ref.arr.flat})
-        # the generator is left in the same state
-        assert got_rng.getrandbits(64) == ref_rng.getrandbits(64)
+        assert got_rng.getstate() == ref_rng.getstate()
 
 
 # at v_p(d) = N the noise is a unit, which breaks "v stays zero mod p"; at
