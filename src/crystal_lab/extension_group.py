@@ -421,9 +421,25 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class TorsionCertificate:
+    """A certified torsion chain: beta trivializes the extension at the
+    given precision.  A certificate exists only when every step of the
+    chain held, so its trace, a function of h and the precision, is built
+    when it is read."""
+
     beta: TrivializationWitness
-    trace: tuple
     precision: int
+
+    @property
+    def trace(self) -> tuple:
+        h = self.beta.h
+        held = np.ones((h, h), dtype=bool)
+        return (TraceStep("eq5-hypothesis",
+                          "v columns 2..h of the extension vanish mod p", True),
+                *(TraceStep(label, statement, bool(ok))
+                  for label, statement, ok, _ in _congruence_chain(h, held, held)),
+                TraceStep("beta-verification",
+                          f"the divided witness trivializes the extension at "
+                          f"precision {self.precision}", True))
 
 
 @dataclass(frozen=True)
@@ -493,17 +509,16 @@ def p_torsion_check(e: ExtensionData, w: TrivializationWitness):
         if getattr(image, name) != getattr(pe, name):
             raise WitnessInvalid(f"witness fails the {what} equations for p*e")
 
-    # the rank-1-mod-p Frobenius: ExtensionData checks it with the flag
-    trace = [TraceStep("eq5-hypothesis",
-                       "v columns 2..h of the extension vanish mod p", True)]
-
-    # entry (i, j) vanishes mod p; (i, j) + (j, i) vanishes mod p
+    # the eq5 hypothesis, the rank-1-mod-p Frobenius, holds: ExtensionData
+    # checks it with the flag.  The chain tests every witness entry mod p,
+    # and sums of entries that vanish mod p vanish too, so a step fails
+    # exactly when some entry does not; the first failing step refutes
     zero = ~(alpha.arr % p).any(axis=2)
-    sym = ~((alpha.arr + alpha.arr.transpose(1, 0, 2)) % p).any(axis=2)
-    for label, statement, ok, failure in _congruence_chain(h, zero, sym):
-        trace.append(TraceStep(label, statement, bool(ok)))
-        if not ok:
-            return Refuted(label, failure)
+    if not zero.all():
+        sym = ~((alpha.arr + alpha.arr.transpose(1, 0, 2)) % p).any(axis=2)
+        label, failure = next((label, failure) for label, _, ok, failure
+                              in _congruence_chain(h, zero, sym) if not ok)
+        return Refuted(label, failure)
 
     beta_mat = _divide_matrix_by_p(alpha)
     beta_ctx = beta_mat.context
@@ -512,11 +527,7 @@ def p_torsion_check(e: ExtensionData, w: TrivializationWitness):
                     beta_mat)
 
     nb = beta_ctx.N
-    ok = from_alpha(beta) == e.reduce_precision(nb)
-    trace.append(TraceStep("beta-verification",
-                           f"the divided witness trivializes the extension "
-                           f"at precision {nb}", ok))
-    if not ok:
+    if from_alpha(beta) != e.reduce_precision(nb):
         return Refuted("beta-verification",
                        "divided witness does not trivialize the extension")
-    return TorsionCertificate(beta, tuple(trace), nb)
+    return TorsionCertificate(beta, nb)

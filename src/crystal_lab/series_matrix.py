@@ -9,14 +9,29 @@ allocates.
 
 The product here is the one product kernel: series products and inverses
 run as 1x1 matrix products.  It picks its arithmetic per call, in
-``product_dtype``, from a proven bound on every partial sum it forms:
+``product_dtype``.  When an operand is constant, it is lifted to balanced
+representatives in (-p^N/2, p^N/2] (so p^N - 1 becomes -1).
+
+* a constant operand whose lift lies in {0, +-1} (a map that selects, adds
+  or negates rows or columns, like every block map of the Baer diagrams):
+  signed gathers in the storage dtype (``_signed_gather``).  A plan, read
+  off the degree-0 layer and memoised by its bytes, gives each output row
+  (left constant) or column (right constant) its source slices and signs.
+  In round k every output takes its k-th source: one ``np.take`` along the
+  inner axis per sign, added to the outputs that take it with +1 and
+  subtracted from those that take it with -1.  The terms are summed and
+  reduced once.  With plan width w (the most non-zeros of any output),
+  every partial sum lies in (-w (p^N - 1), w (p^N - 1)); on int64 it is
+  reduced after each term when w (p^N - 1) >= 2^63 - p^N, and a pure
+  selection (w = 1, no -1) needs no reduction at all.
+
+Every other product bounds every partial sum it forms by
 
     inner dimension x degree pairs x (p^N - 1) x c.
 
-When an operand is constant, it is lifted to balanced representatives in
-(-p^N/2, p^N/2] (so p^N - 1 becomes -1), there is 1 degree pair, and c is
-the largest absolute value of that lift.  Otherwise there are M+1 degree
-pairs and c = p^N - 1.
+For a constant operand there is 1 degree pair, and c is the largest
+absolute value of its lift.  Otherwise there are M+1 degree pairs and
+c = p^N - 1.
 
 * bound < 2^53: float64, through BLAS.  Every partial sum is an integer of
   magnitude below 2^53, and every such integer is a float64, so no rounding
@@ -32,15 +47,18 @@ pairs and c = p^N - 1.
 Every array is reduced mod p^N by ``padic_series.reduce_mod``: on int64 a
 floor division by the scalar p^N, which numpy does by multiply and shift,
 exact for every entry at least -2^63 + p^N.  Each operand here is in that
-range: a sum or difference of residues, a float64 product of magnitude
-below 2^53, or the limb accumulator below 2^63.  Multiplies by integers go through ``padic_series.mul_mod``, which proves
-its own int64 bound; the calculus methods share the array functions of
-``padic_series`` with the series.  Matrices of one-form bodies reuse the
-same class; the degree-(M) body coefficient of differentiated data is
-untrusted and the checkers compare through degree M-1 explicitly.
+range: a sum or difference of residues, a signed gather within the bound
+above, a float64 product of magnitude below 2^53, or the limb accumulator
+below 2^63.  Multiplies by integers go through ``padic_series.mul_mod``,
+which proves its own int64 bound; the calculus methods share the array
+functions of ``padic_series`` with the series.  Matrices of one-form bodies
+reuse the same class; the degree-(M) body coefficient of differentiated
+data is untrusted and the checkers compare through degree M-1 explicitly.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +69,8 @@ from .padic_series import (PrecisionContext, TruncatedSeries,
                            reduce_mod, storage_dtype)
 
 _FLOAT64_EXACT = 2**53
+# the product_dtype of a constant 0/+-1 operand: signed gathers
+GATHER = "gather"
 # size cap of one matrix: 2^22 coefficients, 32 MiB as int64
 MAX_COEFFICIENTS = 2**22
 
@@ -65,9 +85,13 @@ def zeros_array(context: PrecisionContext, rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols, context.M + 1), dtype=storage_dtype(context))
 
 
-def product_dtype(bound: int, storage) -> type:
+def product_dtype(bound: int, storage, signs: bool = False):
     """The arithmetic of a product whose partial sums stay below `bound`:
-    float64 directly, int64 for recombined float64 limb products, or object."""
+    GATHER when a constant operand has signs only (balanced lift in
+    {0, +-1}), else float64 directly, int64 for recombined float64 limb
+    products, or object."""
+    if signs:
+        return GATHER
     if bound < _FLOAT64_EXACT:
         return np.float64
     if storage == np.int64:
@@ -110,7 +134,8 @@ class SeriesMatrix:
             for j, s in enumerate(row):
                 if isinstance(s, TruncatedSeries):
                     if s.context != context:
-                        raise ContextMismatch("entry context differs")
+                        raise ContextMismatch(
+                            f"entry context {s.context} differs from {context}")
                     arr[i, j, :] = s._arr
                 else:
                     arr[i, j, 0] = int(s) % context.modulus
@@ -189,8 +214,14 @@ class SeriesMatrix:
         if bound == 0 or r * c == 0:
             # an empty result or inner dimension, or a zero constant operand
             return SeriesMatrix.zeros(ctx, r, c)
-        dtype = product_dtype(bound, storage_dtype(ctx))
-        if dtype is np.float64:
+        dtype = product_dtype(bound, storage_dtype(ctx),
+                              signs=(left or right) and top == 1)
+        if dtype is GATHER:
+            if left:
+                out = _signed_gather(b, const[:, :, 0], 0, mod)
+            else:
+                out = _signed_gather(a, const[:, :, 0].T, 1, mod)
+        elif dtype is np.float64:
             if left:
                 a = const
             elif right:
@@ -276,6 +307,74 @@ def series_inverse(a: SeriesMatrix) -> SeriesMatrix:
 def _balanced(layer: np.ndarray, mod: int) -> np.ndarray:
     """Residues lifted to (-mod/2, mod/2]; mod - 1 becomes -1."""
     return np.where(layer > mod // 2, layer - mod, layer)
+
+
+@lru_cache(maxsize=64)
+def _gather_plan(shape: tuple, signs: bytes) -> tuple:
+    """(terms, width, select) of a signed gather by the (outputs, inner)
+    0/+-1 matrix whose int8 bytes are `signs`.
+
+    Output o takes its k-th source, +1 entries first, in the k-th round;
+    width counts the rounds.  A term (outs, take, op) gathers the inner
+    indices `take` for the outputs `outs` (None for every output, in
+    order) of one round that share one sign, and op adds (+1) or
+    subtracts (-1) them.  select is True for a pure selection: one term,
+    of every output, added."""
+    s = np.frombuffer(signs, dtype=np.int8).reshape(shape)
+    # a stable sort by (+1, -1, 0) lists each output's sources in order
+    order = np.argsort(np.where(s == 0, 2, s < 0), axis=1, kind="stable")
+    outputs = np.arange(shape[0])
+    width = int(np.count_nonzero(s, axis=1).max())
+    terms = []
+    for k in range(width):
+        sign = s[outputs, order[:, k]]
+        for value, op in ((1, np.add), (-1, np.subtract)):
+            outs = np.flatnonzero(sign == value)
+            if outs.size == shape[0]:
+                terms.append((None, order[:, k], op))
+            elif outs.size:
+                terms.append((outs, order[outs, k], op))
+    # every caller shares the cached plan
+    for outs, take, _ in terms:
+        take.setflags(write=False)
+        if outs is not None:
+            outs.setflags(write=False)
+    select = len(terms) == 1 and terms[0][0] is None and terms[0][2] is np.add
+    return tuple(terms), width, select
+
+
+def _signed_gather(src: np.ndarray, signs: np.ndarray, axis: int, mod: int
+                   ) -> np.ndarray:
+    """The product of the 0/+-1 matrix `signs` (outputs x inner) with the
+    residues src along `axis`: out[o] = sum_i signs[o, i] src[i] on the rows
+    (axis 0, a left constant) or columns (axis 1, a right constant), mod
+    p^N.
+
+    Partial sums lie in (-w (mod - 1), w (mod - 1)) for the plan width w,
+    and reduce_mod takes every entry >= -2^63 + mod.  A wider plan on int64
+    is reduced after each term, so that no sum leaves (-2 mod, 2 mod)."""
+    terms, width, select = _gather_plan(signs.shape,
+                                        signs.astype(np.int8).tobytes())
+    each = src.dtype == np.int64 and width * (mod - 1) >= 2**63 - mod
+    lead = (slice(None),) * axis
+    outs, take, op = terms[0]
+    if outs is None and op is np.add:
+        out, terms = np.take(src, take, axis=axis), terms[1:]
+    else:
+        shape = list(src.shape)
+        shape[axis] = signs.shape[0]
+        out = np.zeros(shape, dtype=src.dtype)
+    for outs, take, op in terms:
+        part = np.take(src, take, axis=axis)
+        if outs is None:
+            op(out, part, out=out)
+        else:
+            # the outputs of one term are distinct, so this writes each once
+            at = lead + (outs,)
+            out[at] = op(out[at], part)
+        if each:
+            out = reduce_mod(out, mod)
+    return out if select else reduce_mod(out, mod)
 
 
 def _float_product(a: np.ndarray, b: np.ndarray, left: bool, right: bool

@@ -527,3 +527,25 @@ def test_torsion_quotient_switches_storage(p, n_digits):
     # a product on the quotient runs on its own storage
     assert out.beta.alpha @ out.beta.alpha == naive_matmul(out.beta.alpha,
                                                            out.beta.alpha)
+
+
+# (p, N, storage): limbs, the int64 edge (3^39 < 2^62), Python integers,
+# and the storage edge at p=5 (5^26 < 2^62 < 5^27)
+REGIMES = [(3, 24, np.int64), (3, 39, np.int64), (3, 40, object),
+           (5, 26, np.int64), (5, 27, object)]
+
+
+@pytest.mark.parametrize("p, n_digits, storage", REGIMES)
+def test_criterion_03_in_every_regime(p, n_digits, storage):
+    ectx = ExtensionContext(PrecisionContext(p, n_digits, 32), 5)
+    for seed in range(4):
+        rng = random.Random(seed)
+        e1 = random_extension(rng, ectx, nontrivial=bool(seed % 2))
+        e2 = random_extension(rng, ectx, nontrivial=bool(seed % 3))
+        fast = baer_sum(e1, e2, "fast")
+        assert fast.xi.arr.dtype == storage
+        assert baer_sum(e1, e2, "pullback_pushout") == fast, seed
+        assert baer_sum(e1, e2, "pushout_pullback") == fast, seed
+        crystal = assemble_crystal(fast)
+        assert check_horizontality(crystal).passed, seed
+        assert check_pairing_compat(crystal).passed, seed

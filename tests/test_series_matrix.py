@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -112,6 +113,13 @@ def test_context_mismatch(small_ctx, ctx3):
         a @ b
 
 
+def test_entry_context_mismatch_names_both(small_ctx, ctx3):
+    entry = TruncatedSeries.one(ctx3)
+    with pytest.raises(ContextMismatch) as exc:
+        SeriesMatrix.from_series_rows(small_ctx, [[entry]])
+    assert str(ctx3) in str(exc.value) and str(small_ctx) in str(exc.value)
+
+
 def test_det_mod_p():
     assert det_mod_p([[1, 0], [0, 1]], 3) == 1
     assert det_mod_p([[0, 1], [1, 0]], 3) == 2  # -1 mod 3
@@ -150,18 +158,24 @@ def filled(ctx, rows, cols, fill, constant, rng):
     return SeriesMatrix(ctx, arr)
 
 
-def chosen_kernel(monkeypatch, a, b):
-    """The product and the arithmetic type it ran in."""
+def chosen_kernels(monkeypatch, run):
+    """run() and the arithmetic types its products chose, in order."""
     seen = []
     real = series_matrix.product_dtype
 
-    def spy(bound, storage):
-        seen.append(real(bound, storage))
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
         return seen[-1]
 
     monkeypatch.setattr(series_matrix, "product_dtype", spy)
-    out = a @ b
+    out = run()
     monkeypatch.undo()
+    return out, seen
+
+
+def chosen_kernel(monkeypatch, a, b):
+    """The product and the arithmetic type it ran in."""
+    out, seen = chosen_kernels(monkeypatch, lambda: a @ b)
     return out, seen[-1] if seen else None
 
 
@@ -243,17 +257,48 @@ def test_kernel_switches_at_the_bound(monkeypatch, case):
 
 
 def test_balanced_lift_keeps_wide_constants_on_float(monkeypatch):
-    # at N=24 a 0/+-1 map stays on float64; beyond 2^62 the storage is
-    # object and so is the product
-    for n, kernel_expected in ((24, np.float64), (40, object)):
+    # a 0/+-1 map is a signed gather on int64 (N=24) and on object (N=40)
+    # storage alike; at N=24 a constant of balanced lift 2 stays on float64
+    for n in (24, 40):
         ctx = KERNEL_CONTEXTS[n]
         rng = random.Random(3)
         a = filled(ctx, 3, 40, "random", False, rng)
         signs = filled(ctx, 40, 2, "signs", True, rng)
         out, kernel = chosen_kernel(monkeypatch, a, signs)
-        assert kernel is kernel_expected
+        assert kernel is series_matrix.GATHER
         assert out.arr.dtype == storage_dtype(ctx)
         assert out == naive_matmul(a, signs)
+    ctx = KERNEL_CONTEXTS[24]
+    rng = random.Random(3)
+    a = filled(ctx, 3, 40, "random", False, rng)
+    twos = SeriesMatrix.from_series_rows(
+        ctx, [[rng.choice((0, 1, 2, ctx.modulus - 2)) for _ in range(2)]
+              for _ in range(40)])
+    out, kernel = chosen_kernel(monkeypatch, a, twos)
+    assert kernel is np.float64
+    assert out == naive_matmul(a, twos)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_signed_gather_at_the_int64_edge(monkeypatch, side):
+    # 3^39 is just below 2^62: three -1 terms of residues near 3^39 sum
+    # below -2^63, so a width-3 plan must reduce after each term; width 4
+    # and an output with no source (a zero row or column) as well
+    ctx = KERNEL_CONTEXTS[39]
+    mod = ctx.modulus
+    assert 2**61 < mod < 2**62
+    for width in (3, 4):
+        minus = [[mod - 1] * width + [0] * (5 - width)] * 2 + [[0] * 5]
+        const = SeriesMatrix.from_series_rows(ctx, minus)
+        other = all_top(ctx, 5, 2)
+        if side == "left":
+            a, b = const, other
+        else:
+            a, b = other.transpose(), const.transpose()
+        out, kernel = chosen_kernel(monkeypatch, a, b)
+        assert kernel is series_matrix.GATHER
+        assert out.arr.dtype == np.int64
+        assert out == naive_matmul(a, b)
 
 
 def test_no_int64_overflow_on_wide_inner_dimension():
@@ -387,3 +432,14 @@ def test_constructor_enforces_storage_dtype(n):
     with pytest.raises(TypeError, match="stored as"):
         SeriesMatrix(ctx, arr)
     assert SeriesMatrix(ctx, arr.astype(storage_dtype(ctx))).is_zero()
+
+
+def test_oracle_unit_routes_its_block_maps_to_gathers(monkeypatch):
+    # one seed-0 baer_oracle unit (p=3, h=10, N=8) makes 34 products: the
+    # 28 block maps of the two Baer diagrams are 0/+-1 constants and take
+    # signed gathers; the 6 general products of the two checkers fit float64
+    from test_perfbench_golden import load
+    workload = load("workloads").WORKLOADS["baer_oracle"]
+    pair = workload.setup(0)[0]
+    _, seen = chosen_kernels(monkeypatch, lambda: workload.unit(pair))
+    assert Counter(seen) == {series_matrix.GATHER: 28, np.float64: 6}

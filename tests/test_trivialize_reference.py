@@ -174,7 +174,10 @@ def reference_p_torsion_check(e: ExtensionData, w: TrivializationWitness):
     if not ok:
         return Refuted("beta-verification",
                        "divided witness does not trivialize the extension")
-    return TorsionCertificate(beta, tuple(trace), nb)
+    cert = TorsionCertificate(beta, nb)
+    # the certificate builds its trace when read: the one replayed here
+    assert cert.trace == tuple(trace)
+    return cert
 
 
 # -- inputs -----------------------------------------------------------------------
