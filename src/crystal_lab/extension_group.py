@@ -289,9 +289,11 @@ def _readout(ectx: ExtensionContext, f_fin: SeriesMatrix, a_fin: SeriesMatrix,
                          SeriesMatrix(ctx, m_arr), geometric_flag=flag)
 
 
-def _blocks(ctx: PrecisionContext, h: int, pattern) -> SeriesMatrix:
+@lru_cache(maxsize=64)
+def _blocks(ctx: PrecisionContext, h: int, pattern: tuple) -> SeriesMatrix:
     """The constant matrix of h x h blocks given row by row: '+' is the
-    identity block, '-' its negative and '0' the zero block."""
+    identity block, '-' its negative and '0' the zero block.  Memoised:
+    every caller shares the read-only matrix and its constant flag."""
     arr = zeros_array(ctx, h * len(pattern), h * len(pattern[0]))
     diag = np.arange(h)
     for r, row in enumerate(pattern):
@@ -326,24 +328,24 @@ def _baer_diagram(e1: ExtensionData, e2: ExtensionData, pullback_first: bool
     if pullback_first:
         # basis (a1, a2, d_i = c1_i + c2_i), then the quotient (abar, d)
         f, a = induced_maps(amb.frobenius, amb.connection,
-                            _blocks(ctx, h, ["+00", "00+", "0+0", "00+"]),
+                            _blocks(ctx, h, ("+00", "00+", "0+0", "00+")),
                             [*range(h), *range(2 * h, 3 * h), *range(h, 2 * h)])
-        f, a = _pushout(f, a, _blocks(ctx, h, ["+", "-", "0"]),
-                        _blocks(ctx, h, ["++0", "00+"]),
-                        _blocks(ctx, h, ["+0", "00", "0+"]))
+        f, a = _pushout(f, a, _blocks(ctx, h, ("+", "-", "0")),
+                        _blocks(ctx, h, ("++0", "00+")),
+                        _blocks(ctx, h, ("+0", "00", "0+")))
     else:
         # quotient basis (abar, c1, c2) with the zero-second-component
         # section, then the diagonal basis (abar, e_i = c1_i + c2_i)
         f, a = _pushout(amb.frobenius, amb.connection,
-                        _blocks(ctx, h, ["+", "0", "-", "0"]),
-                        _blocks(ctx, h, ["+0+0", "0+00", "000+"]),
-                        _blocks(ctx, h, ["+00", "0+0", "000", "00+"]))
-        f, a = induced_maps(f, a, _blocks(ctx, h, ["+0", "0+", "0+"]),
+                        _blocks(ctx, h, ("+", "0", "-", "0")),
+                        _blocks(ctx, h, ("+0+0", "0+00", "000+")),
+                        _blocks(ctx, h, ("+00", "0+0", "000", "00+")))
+        f, a = induced_maps(f, a, _blocks(ctx, h, ("+0", "0+", "0+")),
                             range(2 * h))
 
     # the pairing descends only through the normalized representatives in
     # the ambient direct sum; both routes share the same lifts
-    lift = _blocks(ctx, h, ["+0", "0+", "00", "0+"])
+    lift = _blocks(ctx, h, ("+0", "0+", "00", "0+"))
     g = lift.transpose() @ amb.pairing @ lift
     return _readout(ectx, f, a, g, e1.geometric_flag and e2.geometric_flag)
 

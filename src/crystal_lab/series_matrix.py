@@ -8,9 +8,20 @@ MAX_COEFFICIENTS coefficients; ``zeros_array`` checks this before it
 allocates.
 
 The product here is the one product kernel: series products and inverses
-run as 1x1 matrix products.  It picks its arithmetic per call, in
-``product_dtype``.  When an operand is constant, it is lifted to balanced
-representatives in (-p^N/2, p^N/2] (so p^N - 1 becomes -1).
+run as 1x1 matrix products.  It raises ValueError, before any arithmetic,
+unless the inner dimensions agree.  A product of two non-constant operands
+runs on its support: the inner indices where a column of the left operand
+and the matching row of the right one are both non-zero, and the rows and
+columns non-zero on those.  Its result is scattered into zeros.  Everything
+below is read off the trimmed operands, so the bound uses the trimmed inner
+dimension, and a trimmed operand that is constant takes a constant route.
+A product with a constant operand is not trimmed: a gather touches only
+what its plan selects, and the two support scans would cost more than the
+block maps of the Baer diagrams could save.
+
+Each product picks its arithmetic in ``product_dtype``.  When an operand is
+constant, it is lifted to balanced representatives in (-p^N/2, p^N/2] (so
+p^N - 1 becomes -1).
 
 * a constant operand whose lift lies in {0, +-1} (a map that selects, adds
   or negates rows or columns, like every block map of the Baer diagrams):
@@ -126,9 +137,13 @@ class SeriesMatrix:
 
     @classmethod
     def from_series_rows(cls, context, rows):
-        """From a list of rows of series or integers (constants)."""
+        """From a list of rows of series or integers (constants); raises
+        ValueError unless every row has the length of the first."""
         r = len(rows)
         c = len(rows[0]) if r else 0
+        if any(len(row) != c for row in rows):
+            raise ValueError(f"rows of lengths {sorted({len(row) for row in rows})}"
+                             f" do not form a matrix")
         arr = zeros_array(context, r, c)
         for i, row in enumerate(rows):
             for j, s in enumerate(row):
@@ -198,40 +213,32 @@ class SeriesMatrix:
 
     def __matmul__(self, other):
         _check_same_context(self, other)
+        if self.cols != other.rows:
+            raise ValueError(f"cannot multiply a {self.rows}x{self.cols} by a "
+                             f"{other.rows}x{other.cols} matrix")
         ctx = self.context
-        mod = ctx.modulus
-        d = ctx.M + 1
-        r, k, c = self.rows, self.cols, other.cols
         a, b = self.arr, other.arr
         left = self.is_constant()
         right = not left and other.is_constant()
-        if left or right:
-            const = _balanced((a if left else b)[:, :, :1], mod)
-            top, pairs = int(np.abs(const).max(initial=0)), 1
-        else:
-            top, pairs = mod - 1, d
-        bound = k * pairs * (mod - 1) * top
-        if bound == 0 or r * c == 0:
-            # an empty result or inner dimension, or a zero constant operand
-            return SeriesMatrix.zeros(ctx, r, c)
-        dtype = product_dtype(bound, storage_dtype(ctx),
-                              signs=(left or right) and top == 1)
-        if dtype is GATHER:
-            if left:
-                out = _signed_gather(b, const[:, :, 0], 0, mod)
-            else:
-                out = _signed_gather(a, const[:, :, 0].T, 1, mod)
-        elif dtype is np.float64:
-            if left:
-                a = const
-            elif right:
-                b = const
-            out = reduce_mod(_float_product(a, b, left, right).astype(
-                np.int64, order="C"), mod)
-        elif dtype is np.int64:
-            out = _limb_product(a, b, left, right, k * pairs, ctx)
-        else:
-            out = reduce_mod(_convolve_pairs(a, b), mod)
+        place = None
+        if not (left or right):
+            # run on the support: the inner indices where both operands are
+            # non-zero, and the rows and columns non-zero on those
+            nz_a, nz_b = a.any(axis=2), b.any(axis=2)
+            inner = np.flatnonzero(nz_a.any(axis=0) & nz_b.any(axis=1))
+            rows = np.flatnonzero(nz_a[:, inner].any(axis=1))
+            cols = np.flatnonzero(nz_b[inner].any(axis=0))
+            if (rows.size, inner.size, cols.size) != (self.rows, self.cols,
+                                                      other.cols):
+                place = np.ix_(rows, cols)
+                a, b = a[np.ix_(rows, inner)], b[np.ix_(inner, cols)]
+                left = not a[:, :, 1:].any()
+                right = not left and not b[:, :, 1:].any()
+        out = _product(a, b, left, right, ctx)
+        if place is not None:
+            full = zeros_array(ctx, self.rows, other.cols)
+            full[place] = out
+            out = full
         return SeriesMatrix(ctx, out)
 
     def transpose(self) -> "SeriesMatrix":
@@ -257,7 +264,11 @@ class SeriesMatrix:
                             derivative_coeffs(self.arr, self.context))
 
     def phi_pullback(self) -> "SeriesMatrix":
-        """Entrywise substitution t |-> t^p."""
+        """Entrywise substitution t |-> t^p.  It fixes constants, so a
+        matrix already known to be constant (such as a shared block map
+        after its first product) is returned as it is, without a scan."""
+        if self._const:
+            return self
         return SeriesMatrix(self.context, frobenius_coeffs(self.arr, self.context))
 
     def oneform_pullback_bodies(self) -> "SeriesMatrix":
@@ -302,6 +313,39 @@ def series_inverse(a: SeriesMatrix) -> SeriesMatrix:
     for _ in range(ctx.M.bit_length()):
         x = x @ (two - a @ x)
     return x
+
+
+def _product(a: np.ndarray, b: np.ndarray, left: bool, right: bool,
+             context: PrecisionContext) -> np.ndarray:
+    """a @ b mod p^N for residue arrays, in the arithmetic product_dtype
+    picks; left or right marks a constant operand."""
+    mod = context.modulus
+    r, k, c = a.shape[0], a.shape[1], b.shape[1]
+    if left or right:
+        const = _balanced((a if left else b)[:, :, :1], mod)
+        top, pairs = int(np.abs(const).max(initial=0)), 1
+    else:
+        top, pairs = mod - 1, context.M + 1
+    bound = k * pairs * (mod - 1) * top
+    if bound == 0 or r * c == 0:
+        # an empty result or inner dimension, or a zero constant operand
+        return zeros_array(context, r, c)
+    dtype = product_dtype(bound, storage_dtype(context),
+                          signs=(left or right) and top == 1)
+    if dtype is GATHER:
+        if left:
+            return _signed_gather(b, const[:, :, 0], 0, mod)
+        return _signed_gather(a, const[:, :, 0].T, 1, mod)
+    if dtype is np.float64:
+        if left:
+            a = const
+        elif right:
+            b = const
+        return reduce_mod(_float_product(a, b, left, right).astype(
+            np.int64, order="C"), mod)
+    if dtype is np.int64:
+        return _limb_product(a, b, left, right, k * pairs, context)
+    return reduce_mod(_convolve_pairs(a, b), mod)
 
 
 def _balanced(layer: np.ndarray, mod: int) -> np.ndarray:

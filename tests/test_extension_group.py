@@ -15,7 +15,7 @@ from crystal_lab.crystal import induced_maps
 from crystal_lab.errors import (ContextMismatch, HypothesisMissing,
                                 InvalidExtension, NotStable,
                                 PrecisionInsufficient, WitnessInvalid)
-from crystal_lab.extension_group import _pushout, _readout
+from crystal_lab.extension_group import _blocks, _pushout, _readout
 from crystal_lab.sampling import (add_noise, random_extension,
                                   random_series_matrix, random_witness,
                                   witness_support)
@@ -311,6 +311,19 @@ class TestClosureChecks:
             _pushout(f, a, kernel, proj, section)
         f_q, a_q = _pushout(zero, zero, kernel, proj, section)
         assert f_q.is_zero() and a_q.is_zero() and f_q.rows == 1
+
+    def test_block_maps_are_shared(self, ctx3):
+        # each block map is built once per (context, height, pattern), and
+        # once a product has found it constant it is its own Frobenius
+        # pullback
+        m = _blocks(ctx3, 2, ("+0", "0-"))
+        assert _blocks(ctx3, 2, ("+0", "0-")) is m
+        zero = SeriesMatrix.zeros(ctx3, 2, 2)
+        assert m == SeriesMatrix.block(ctx3, [
+            [SeriesMatrix.identity(ctx3, 2), zero],
+            [zero, SeriesMatrix.identity(ctx3, 2, scale=-1)]])
+        m @ SeriesMatrix.identity(ctx3, 4)
+        assert m.phi_pullback() is m
 
     @pytest.mark.parametrize("which, entry, match", [
         ("frobenius", (3, 0), "output"),      # lower-left block

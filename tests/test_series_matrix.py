@@ -120,6 +120,40 @@ def test_entry_context_mismatch_names_both(small_ctx, ctx3):
     assert str(ctx3) in str(exc.value) and str(small_ctx) in str(exc.value)
 
 
+@pytest.mark.parametrize("case", ["gather", "zero", "general"])
+def test_matmul_checks_the_inner_dimension(small_ctx, case):
+    # each route used to run past the check: the gather read rows 0-1 of
+    # the 3x3, the zero shortcut returned a 2x2 and the general product
+    # failed inside numpy
+    rng = random.Random(5)
+    a, b = {"gather": (SeriesMatrix.identity(small_ctx, 2),
+                       SeriesMatrix.identity(small_ctx, 3)),
+            "zero": (SeriesMatrix.zeros(small_ctx, 2, 3),
+                     SeriesMatrix.zeros(small_ctx, 2, 2)),
+            "general": (random_matrix(rng, small_ctx, 2, 3),
+                        random_matrix(rng, small_ctx, 2, 2))}[case]
+    shapes = f"{a.rows}x{a.cols} by a {b.rows}x{b.cols}"
+    with pytest.raises(ValueError, match=shapes):
+        a @ b
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]]])
+def test_ragged_rows_are_refused(small_ctx, rows):
+    with pytest.raises(ValueError, match="do not form a matrix"):
+        SeriesMatrix.from_series_rows(small_ctx, rows)
+
+
+def test_phi_pullback_keeps_constants(small_ctx):
+    # t |-> t^p fixes constants, so a matrix known to be constant is its own
+    # pullback, and one not yet scanned gets an equal copy
+    rng = random.Random(6)
+    const = random_matrix(rng, small_ctx, 2, 3, constant=True)
+    copy = const.phi_pullback()
+    assert copy == const and copy is not const
+    assert const.is_constant()
+    assert const.phi_pullback() is const
+
+
 def test_det_mod_p():
     assert det_mod_p([[1, 0], [0, 1]], 3) == 1
     assert det_mod_p([[0, 1], [1, 0]], 3) == 2  # -1 mod 3
@@ -422,6 +456,143 @@ def test_limb_products_at_storage_edges(monkeypatch, n):
         assert out == naive_matmul(a, b)
 
 
+# -- general products on their support -----------------------------------------
+
+
+def support(a, b):
+    """(rows, inner, cols) of a @ b by definition: the inner indices where a
+    column of a and the matching row of b are both non-zero, then the rows
+    of a and the columns of b that are non-zero on those."""
+    nz_a = [[a.arr[i, j].any() for j in range(a.cols)] for i in range(a.rows)]
+    nz_b = [[b.arr[j, l].any() for l in range(b.cols)] for j in range(b.rows)]
+    inner = [j for j in range(a.cols)
+             if any(row[j] for row in nz_a) and any(nz_b[j])]
+    rows = [i for i in range(a.rows) if any(nz_a[i][j] for j in inner)]
+    cols = [l for l in range(b.cols) if any(nz_b[j][l] for j in inner)]
+    return rows, inner, cols
+
+
+def masked(m, rows=(), cols=(), constant_cols=()):
+    """m with the given rows and columns zero and the constant_cols cut to
+    their constant terms."""
+    arr = m.arr.copy()
+    arr[list(rows)] = 0
+    arr[:, list(cols)] = 0
+    arr[:, list(constant_cols), 1:] = 0
+    return SeriesMatrix(m.context, arr)
+
+
+def product_shapes(monkeypatch, a, b):
+    """a @ b, the (rows, inner, cols) its arithmetic ran on, and the kernel."""
+    shapes = []
+    real = series_matrix._product
+
+    def spy(x, y, *args):
+        shapes.append((x.shape[0], x.shape[1], y.shape[1]))
+        return real(x, y, *args)
+
+    monkeypatch.setattr(series_matrix, "_product", spy)
+    out, kernel = chosen_kernel(monkeypatch, a, b)  # undoes both patches
+    return out, shapes, kernel
+
+
+def constant_on_meeting_indices(ctx, fill, rng, lifts):
+    """4x5 by 5x3, where a is constant with balanced lifts drawn from lifts
+    on the inner indices 0-2, the only ones where b is non-zero."""
+    mod = ctx.modulus
+    a = filled(ctx, 4, 5, fill, False, rng)
+    arr = a.arr.copy()
+    arr[:, :3] = 0
+    for i in range(4):
+        for j in range(3):
+            arr[i, j, 0] = rng.choice(lifts) % mod
+    arr[0, 0, 0] = lifts[-1] % mod  # the widest lift occurs
+    b = masked(filled(ctx, 5, 3, fill, False, rng), rows=(3, 4))
+    return SeriesMatrix(ctx, arr), b
+
+
+def masked_pair(a_rows=(), a_cols=(), b_rows=(), b_cols=()):
+    return lambda ctx, fill, rng: (
+        masked(filled(ctx, 4, 5, fill, False, rng), a_rows, a_cols),
+        masked(filled(ctx, 5, 3, fill, False, rng), b_rows, b_cols))
+
+
+# (build a 4x5 and a 5x3 operand, the kernel of their product by context)
+GENERAL_KERNELS = {8: np.float64, 24: np.int64, 39: np.int64, 40: object}
+TRIMS = {
+    "full": (masked_pair(), GENERAL_KERNELS),
+    "zero-rows": (masked_pair(a_rows=(0, 2)), GENERAL_KERNELS),
+    "zero-cols": (masked_pair(b_cols=(1,)), GENERAL_KERNELS),
+    "zero-inner": (masked_pair(a_cols=(1,), b_rows=(3,)), GENERAL_KERNELS),
+    "mixed": (masked_pair(a_rows=(3,), a_cols=(0,), b_rows=(4,), b_cols=(2,)),
+              GENERAL_KERNELS),
+    "no-support": (masked_pair(a_cols=(0, 1, 2), b_rows=(3, 4)),
+                   dict.fromkeys(GENERAL_KERNELS)),
+    "constant-signs": (lambda ctx, fill, rng: constant_on_meeting_indices(
+        ctx, fill, rng, (0, 1, -1)),
+        dict.fromkeys(GENERAL_KERNELS, series_matrix.GATHER)),
+    "constant-lift-2": (lambda ctx, fill, rng: constant_on_meeting_indices(
+        ctx, fill, rng, (0, 1, -1, 2)),
+        {8: np.float64, 24: np.float64, 39: np.int64, 40: object}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRIMS))
+@pytest.mark.parametrize("fill", ["random", "top"])
+@pytest.mark.parametrize("n", [8, 24, 39, 40])
+def test_general_products_run_on_their_support(monkeypatch, n, fill, case):
+    # float64 (N=8), limbs (N=24), the int64 edge (N=39) and Python
+    # integers (N=40); a trimmed operand that is constant takes the route
+    # of a constant operand
+    ctx = KERNEL_CONTEXTS[n]
+    build, kernels = TRIMS[case]
+    a, b = build(ctx, fill, random.Random(f"{n} {fill} {case}"))
+    rows, inner, cols = support(a, b)
+    out, shapes, kernel = product_shapes(monkeypatch, a, b)
+    assert shapes == [(len(rows), len(inner), len(cols))]
+    assert kernel is kernels[n]
+    assert out.arr.dtype == storage_dtype(ctx)
+    assert out == naive_matmul(a, b)
+
+
+def test_bound_uses_the_trimmed_inner_dimension(monkeypatch):
+    # at the first inner dimension whose bound reaches 2^53 a product of
+    # all-top operands leaves float64; with one inner index zero it runs on
+    # one index fewer and stays on float64
+    ctx, build, per_k, limit = BOUND_CASES["general-2^53"]
+    a, b = build(ctx, first_k_at_or_above(limit, per_k(ctx)))
+    a = masked(a, cols=(0,))
+    out, kernel = chosen_kernel(monkeypatch, a, b)
+    assert kernel is np.float64
+    assert out == naive_matmul(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([8, 24, 39, 40, "mersenne"]),
+       fill=st.sampled_from(["random", "top", "signs"]),
+       shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 4)),
+       seed=st.integers(0, 2**32))
+def test_masked_products_match_reference(n, fill, shape, seed):
+    # random rows, columns and inner indices zero, and some columns of a
+    # constant, so that a trimmed operand may turn constant
+    ctx = KERNEL_CONTEXTS[n]
+    rng = random.Random(seed)
+    r, k, c = shape
+
+    def pick(size):
+        return [i for i in range(size) if rng.random() < 0.3]
+
+    a = masked(filled(ctx, r, k, fill, False, rng), pick(r), pick(k), pick(k))
+    b = masked(filled(ctx, k, c, fill, False, rng), pick(k), pick(c))
+    rows, inner, cols = support(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        out, shapes, _ = product_shapes(mp, a, b)
+    if not (a.is_constant() or b.is_constant()):
+        assert shapes == [(len(rows), len(inner), len(cols))]
+    assert out.arr.dtype == storage_dtype(ctx)
+    assert out == naive_matmul(a, b)
+
+
 @pytest.mark.parametrize("n", [39, 40, "huge"])
 def test_constructor_enforces_storage_dtype(n):
     # the dtype of every coefficient array is storage_dtype(context), so
@@ -434,12 +605,48 @@ def test_constructor_enforces_storage_dtype(n):
     assert SeriesMatrix(ctx, arr.astype(storage_dtype(ctx))).is_zero()
 
 
+def unit_work(monkeypatch, name):
+    """The kernels one seed-0 unit of the workload chose, and the summed
+    (rows, inner, cols) its products of two non-constant operands ran on."""
+    from test_perfbench_golden import load
+    workload = load("workloads").WORKLOADS[name]
+    pair = workload.setup(0)[0]
+    general, shapes = [], []
+    matmul, product = SeriesMatrix.__matmul__, series_matrix._product
+
+    def spy_matmul(a, b):
+        general.append(not (a.is_constant() or b.is_constant()))
+        return matmul(a, b)
+
+    def spy_product(a, b, *args):
+        if general[-1]:
+            shapes.append((a.shape[0], a.shape[1], b.shape[1]))
+        return product(a, b, *args)
+
+    monkeypatch.setattr(SeriesMatrix, "__matmul__", spy_matmul)
+    monkeypatch.setattr(series_matrix, "_product", spy_product)
+    # chosen_kernels undoes every patch once the unit has run
+    _, seen = chosen_kernels(monkeypatch, lambda: workload.unit(pair))
+    return Counter(seen), len(shapes), [sum(dims) for dims in zip(*shapes)]
+
+
 def test_oracle_unit_routes_its_block_maps_to_gathers(monkeypatch):
     # one seed-0 baer_oracle unit (p=3, h=10, N=8) makes 34 products: the
     # 28 block maps of the two Baer diagrams are 0/+-1 constants and take
-    # signed gathers; the 6 general products of the two checkers fit float64
-    from test_perfbench_golden import load
-    workload = load("workloads").WORKLOADS["baer_oracle"]
-    pair = workload.setup(0)[0]
-    _, seen = chosen_kernels(monkeypatch, lambda: workload.unit(pair))
-    assert Counter(seen) == {series_matrix.GATHER: 28, np.float64: 6}
+    # signed gathers; of the 6 general products of the two checkers, 4 run
+    # on a 10x10 by 10x10 support where one operand is constant (2 of them
+    # 0/+-1, gathers; 2 with a wider lift, float64) and 2 keep their full
+    # 20x20 by 20x20 support on float64
+    kernels, general, trimmed = unit_work(monkeypatch, "baer_oracle")
+    assert kernels == {series_matrix.GATHER: 30, np.float64: 4}
+    # rows, inner indices and columns: 120 each without the trim
+    assert (general, trimmed) == (6, [80, 80, 80])
+
+
+def test_wide_precision_unit_routes(monkeypatch):
+    # the same unit at h=5, N=24: the 2 products that keep their full
+    # support leave float64 for int64 limbs
+    kernels, general, trimmed = unit_work(monkeypatch, "wide_precision")
+    assert kernels == {series_matrix.GATHER: 30, np.float64: 2, np.int64: 2}
+    # rows, inner indices and columns: 60 each without the trim
+    assert (general, trimmed) == (6, [40, 40, 40])
