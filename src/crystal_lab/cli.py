@@ -19,8 +19,9 @@ from .errors import CrystalLabError, SchemaError
 from .extension_group import (ExtensionContext, Refuted, TorsionCertificate,
                               Untrivializable, baer_sum, p_torsion_check,
                               trivialize)
-from .moduli import (add_points, identity_point, multiply_by_p_injectivity_probe,
-                     negate_point, point_from_tangent, random_geometric_point,
+from .moduli import (_point_context, add_points, identity_point,
+                     multiply_by_p_injectivity_probe, negate_point,
+                     point_from_tangent, random_geometric_point,
                      tangent_coordinates, truncate_point)
 from .padic_series import PrecisionContext
 
@@ -126,7 +127,8 @@ def _samples(args) -> int:
 def _cmd_grouplaw(args):
     samples = _samples(args)
     ctx = PrecisionContext(args.p, args.N, args.M)
-    ectx = ExtensionContext(ctx, args.h)
+    # every point lives at t-adic degree p(n-1); the report names ctx
+    ectx = _point_context(ExtensionContext(ctx, args.h), args.n)
     rng = random.Random(args.seed)
     failures = []
 

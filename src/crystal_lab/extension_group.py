@@ -203,11 +203,13 @@ def _v_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
     indices mod h."""
     ctx = alpha.context
     p = ctx.p
-    term1 = np.roll(alpha.phi_pullback().arr, 1, axis=1)
-    term1[:, 1:, :] = mul_mod(term1[:, 1:, :], p, ctx)
-    term2 = np.roll(alpha.arr, -1, axis=0)
-    term2[:-1] = mul_mod(term2[:-1], p, ctx)
-    term2[-1] = mul_mod(term2[-1], p * p, ctx)
+    phi, a = alpha.phi_pullback().arr, alpha.arr
+    term1 = np.empty_like(phi)
+    term1[:, 0] = phi[:, -1]
+    term1[:, 1:] = mul_mod(phi[:, :-1], p, ctx)
+    term2 = np.empty_like(a)
+    term2[:-1] = mul_mod(a[1:], p, ctx)
+    term2[-1] = mul_mod(a[0], p * p, ctx)
     return SeriesMatrix(ctx, reduce_mod(term1 - term2, ctx.modulus))
 
 

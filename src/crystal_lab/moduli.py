@@ -8,6 +8,18 @@ image under the coefficient lift.  Requiring p*(n-1) <= M keeps the lift
 faithful on the data, which is what makes the torsion certification chain
 sound at finite truncation.
 
+The sampling verbs (the probe here, ``grouplaw`` in the CLI) therefore
+compute at t-adic degree p(n-1), the smallest ambient ring holding every
+point, and report the caller's context (``_point_context``).  This is
+exact.  Besides the modulus, the draws read M only through
+min(n-1, M//p), which is n-1 whenever p(n-1) <= M, so the same random
+words give the same coefficients.  Every step of the verbs (sums,
+integer multiples, ``truncate_point``, ``from_alpha``, whose phi* reads
+degrees <= M//p, ``integrate``, the comparisons of ``trivialize``, the
+torsion chain and ``tangent_coordinates``) maps data supported in degrees
+<= p(n-1) to such data and commutes with truncation there, so every
+equality and every outcome is the same.
+
 The filtration generator is normalized with unit coefficient on the last
 lifted basis vector, so the group law is literal addition of coordinates;
 isotropy pins the last coordinate to minus the corner of m.
@@ -25,6 +37,7 @@ from .extension_group import (ExtensionContext, ExtensionData,
                               TorsionCertificate, Untrivializable,
                               _check_matrix, _derived, baer_sum, int_scale,
                               p_torsion_check, trivialize)
+from .padic_series import PrecisionContext
 from .sampling import add_noise, random_extension, random_series_matrix
 from .series_matrix import SeriesMatrix, zeros_array
 
@@ -83,6 +96,18 @@ def _check_base_degree(ectx: ExtensionContext, n: int) -> None:
         raise InvalidExtension(
             f"need p*(n-1) <= M for a faithful coefficient lift "
             f"(p={ctx.p}, n={n}, M={ctx.M})")
+
+
+def _point_context(ectx: ExtensionContext, n: int) -> ExtensionContext:
+    """The context of t-adic degree p(n-1), the smallest that holds every
+    point over k[t]/(t^n), once n is checked against ectx; ectx itself
+    when its M is already p(n-1)."""
+    _check_base_degree(ectx, n)
+    ctx = ectx.ctx
+    if ctx.p * (n - 1) == ctx.M:
+        return ectx
+    return ExtensionContext(PrecisionContext(ctx.p, ctx.N, ctx.p * (n - 1)),
+                            ectx.h)
 
 
 def identity_point(ectx: ExtensionContext, n: int) -> DeformationPoint:
@@ -230,8 +255,12 @@ def multiply_by_p_injectivity_probe(ectx: ExtensionContext, n: int,
     For each random geometric point Y, [p]Y is computed by iterated
     addition; when its extension trivializes, the torsion chain must
     certify Y itself trivial (at its stated precision).  Any refusal is a
-    counterexample; the expected count is zero.
+    counterexample; the expected count is zero.  The points are drawn and
+    computed at t-adic degree p(n-1) (see the module docstring).
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
+    ectx = _point_context(ectx, n)  # before the first draw
     rng = random.Random(seed)
     p = ectx.ctx.p
     nontrivial_py = 0

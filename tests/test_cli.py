@@ -9,11 +9,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from crystal_lab import (ExtensionContext, ExtensionData, FCrystalPresentation,
                          PrecisionContext, from_alpha, int_scale,
                          make_standard_crystal, trivialize)
-from crystal_lab import serialize
+from crystal_lab import cli, moduli, serialize
 from crystal_lab.cli import run
 from crystal_lab.errors import SchemaError
 from crystal_lab.sampling import random_witness, witness_support
 from crystal_lab.series_matrix import SeriesMatrix
+
+from test_moduli import untrimmed
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +237,44 @@ class TestSamplingVerbs:
         code, text, _ = run_cli(capsys, verb, "--p", "3", "--h", "2",
                                 "--n", "4", "--samples", "0", "--seed", "1")
         assert code == 0 and json.loads(text)["samples"] == 0
+
+    @pytest.mark.parametrize("verb", ["probe", "grouplaw"])
+    @pytest.mark.parametrize("n, err", [
+        ("1", "error: base degree must be at least 2\n"),
+        ("20", "error: need p*(n-1) <= M for a faithful coefficient lift "
+               "(p=3, n=20, M=32)\n")])
+    def test_zero_samples_check_the_base_degree(self, capsys, verb, n, err):
+        assert run_cli(capsys, verb, "--h", "2", "--n", n, "--samples", "0",
+                       "--seed", "1") == (2, "", err)
+
+    # the base degree per prime; the report must not depend on the caller's
+    # M, nor on whether the verb trims to p(n-1)
+    BASE = {3: 6, 5: 4, 7: 3}
+
+    @pytest.mark.parametrize("h", [2, 3, 10])
+    @pytest.mark.parametrize("N", [8, 24, 40])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_reports_do_not_depend_on_the_callers_degree(
+            self, capsys, monkeypatch, p, N, h):
+        n = self.BASE[p]
+        top = p * (n - 1)
+        for verb in ("probe", "grouplaw"):
+            def report(M):
+                code, text, err = run_cli(
+                    capsys, verb, "--p", str(p), "--N", str(N), "--M", str(M),
+                    "--h", str(h), "--n", str(n), "--samples", "1",
+                    "--seed", str(p * N + h))
+                assert (code, err) == (0, "")
+                head = f'"context":{{"M":{M},'
+                assert text.count(head) == 1
+                return text.replace(head, '"context":{"M":null,')
+
+            wide = report(32)
+            assert report(top) == wide
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_point_context", untrimmed)
+                patch.setattr(moduli, "_point_context", untrimmed)
+                assert report(32) == wide
 
     def test_grouplaw_determinism(self, capsys):
         args = ["grouplaw", "--p", "5", "--h", "2", "--n", "4",

@@ -15,7 +15,9 @@ from crystal_lab.crystal import induced_maps
 from crystal_lab.errors import (ContextMismatch, HypothesisMissing,
                                 InvalidExtension, NotStable,
                                 PrecisionInsufficient, WitnessInvalid)
-from crystal_lab.extension_group import _blocks, _pushout, _readout
+from crystal_lab.extension_group import (_blocks, _pushout, _readout,
+                                         _v_from_alpha)
+from crystal_lab.padic_series import mul_mod, reduce_mod
 from crystal_lab.sampling import (add_noise, random_extension,
                                   random_series_matrix, random_witness,
                                   witness_support)
@@ -562,3 +564,27 @@ def test_criterion_03_in_every_regime(p, n_digits, storage):
         crystal = assemble_crystal(fast)
         assert check_horizontality(crystal).passed, seed
         assert check_pairing_compat(crystal).passed, seed
+
+
+def _v_by_roll(alpha: SeriesMatrix) -> np.ndarray:
+    """The Frobenius defect of ``_v_from_alpha`` with its index shifts
+    written as np.roll, the form the formula was first stated in."""
+    ctx = alpha.context
+    p = ctx.p
+    term1 = np.roll(alpha.phi_pullback().arr, 1, axis=1)
+    term1[:, 1:, :] = mul_mod(term1[:, 1:, :], p, ctx)
+    term2 = np.roll(alpha.arr, -1, axis=0)
+    term2[:-1] = mul_mod(term2[:-1], p, ctx)
+    term2[-1] = mul_mod(term2[-1], p * p, ctx)
+    return reduce_mod(term1 - term2, ctx.modulus)
+
+
+@pytest.mark.parametrize("n_digits, storage", [(8, np.int64), (40, object)])
+@pytest.mark.parametrize("h", [2, 3, 10])
+def test_v_from_alpha_matches_the_roll_formula(h, n_digits, storage):
+    # every degree drawn, so that the wrap row and column carry data
+    ctx = PrecisionContext(3, n_digits, 32)
+    alpha = random_series_matrix(random.Random(h), ctx, h, h, range(1, 33))
+    v = _v_from_alpha(alpha)
+    assert v.arr.dtype == storage
+    assert np.array_equal(v.arr, _v_by_roll(alpha))

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from crystal_lab import moduli
 from crystal_lab import (DeformationPoint, ExtensionContext, ExtensionData,
                          PrecisionContext, TruncatedSeries, add_points,
                          assemble_crystal, identity_point, int_scale,
@@ -11,6 +13,7 @@ from crystal_lab import (DeformationPoint, ExtensionContext, ExtensionData,
                          scale_point, slope_report, tangent_coordinates,
                          truncate_point)
 from crystal_lab.errors import ContextMismatch, InvalidExtension, WrongBase
+from crystal_lab.moduli import _check_base_degree, _point_context
 from crystal_lab.series_matrix import SeriesMatrix
 
 
@@ -254,6 +257,16 @@ class TestProbe:
         rep = multiply_by_p_injectivity_probe(ectx2, 6, 0, seed=1)
         assert rep.samples == 0 and not rep.counterexamples
 
+    def test_negative_samples(self, ectx2):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            multiply_by_p_injectivity_probe(ectx2, 6, -1)
+
+    @pytest.mark.parametrize("n, error", [(1, WrongBase),
+                                          (12, InvalidExtension)])
+    def test_empty_checks_the_base_degree(self, ectx2, n, error):
+        with pytest.raises(error):
+            multiply_by_p_injectivity_probe(ectx2, n, 0)
+
     def test_scaled_data_nonzero(self, ectx2):
         rng = random.Random(29)
         y = random_geometric_point(rng, ectx2, 6, nontrivial=True)
@@ -273,6 +286,59 @@ class TestProbe:
         rep = multiply_by_p_injectivity_probe(ectx2, 10, 40, seed=3)
         assert rep.counterexamples == ()
         assert rep.nontrivial_py > 0
+
+
+def untrimmed(ectx, n):
+    """``_point_context`` without the trim: the check, then the caller's
+    own context, as the verbs computed before they trimmed."""
+    _check_base_degree(ectx, n)
+    return ectx
+
+
+class TestPointContext:
+    @pytest.mark.parametrize("n", [2, 6, 11])
+    def test_degree_is_the_lifted_degree(self, ectx3, n):
+        pctx = _point_context(ectx3, n)
+        assert pctx == ExtensionContext(PrecisionContext(3, 8, 3 * (n - 1)), 3)
+
+    def test_exact_fit_is_the_callers_context(self):
+        ectx = ExtensionContext(PrecisionContext(5, 8, 15), 2)
+        assert _point_context(ectx, 4) is ectx
+
+    @pytest.mark.parametrize("n, error, message", [
+        (12, InvalidExtension, r"\(p=3, n=12, M=32\)$"),
+        (1, WrongBase, "at least 2")])
+    def test_invalid_base_degree_names_the_callers_context(
+            self, ectx3, n, error, message):
+        with pytest.raises(error, match=message):
+            _point_context(ectx3, n)
+
+    # noise at degrees 3, 6, 9 (p=3), at p (5 and 7) where p > n - 1
+    @pytest.mark.parametrize("p, n", [(3, 10), (5, 4), (7, 3)])
+    def test_draws_agree_on_the_lifted_degrees(self, p, n):
+        ectx = ExtensionContext(PrecisionContext(p, 8, 40), 3)
+        trimmed = _point_context(ectx, n)
+        top = p * (n - 1)
+        assert trimmed.ctx.M == top < 40
+        for seed in range(6):
+            rng, rng_trimmed = random.Random(seed), random.Random(seed)
+            y = random_geometric_point(rng, ectx, n, bool(seed % 2))
+            y_trimmed = random_geometric_point(rng_trimmed, trimmed, n,
+                                               bool(seed % 2))
+            assert rng.getstate() == rng_trimmed.getstate()
+            e, e_trimmed = y.extension, y_trimmed.extension
+            for full, low in ((e.xi, e_trimmed.xi), (e.v, e_trimmed.v),
+                              (e.m, e_trimmed.m), (y.hodge, y_trimmed.hodge)):
+                assert np.array_equal(full.arr[..., :top + 1], low.arr)
+                assert not full.arr[..., top + 1:].any()
+
+    @pytest.mark.parametrize("p, N, n", [(3, 8, 10), (5, 40, 4)])
+    def test_probe_reports_what_the_callers_context_gives(
+            self, monkeypatch, p, N, n):
+        ectx = ExtensionContext(PrecisionContext(p, N, 40), 3)
+        report = multiply_by_p_injectivity_probe(ectx, n, 8, seed=p)
+        monkeypatch.setattr(moduli, "_point_context", untrimmed)
+        assert multiply_by_p_injectivity_probe(ectx, n, 8, seed=p) == report
 
 
 class TestSlopeReport:
