@@ -8,6 +8,7 @@ an explicit seed and repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -196,7 +197,9 @@ def _cmd_probe(args):
     return 0 if not report.counterexamples else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="crystal-lab",
         description="Exact computations with extensions of truncated-ring "

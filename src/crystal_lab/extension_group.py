@@ -27,7 +27,8 @@ from .crystal import (FCrystalPresentation, direct_sum, induced_maps,
 from .errors import (ContextMismatch, HypothesisMissing, InvalidExtension,
                      NonIntegrable, NotStable, PrecisionInsufficient,
                      WitnessInvalid)
-from .padic_series import PrecisionContext, integrate, mul_mod, reduce_mod
+from .padic_series import (PrecisionContext, integrate, mul_mod, reduce_mod,
+                           storage_dtype)
 from .series_matrix import SeriesMatrix, zeros_array
 
 
@@ -114,7 +115,7 @@ class ExtensionData:
         xi, v, m = self.xi, self.v, self.m
         for name, mat in (("xi", xi), ("v", v), ("m", m)):
             _check_matrix(name, mat, self.context, self.h, self.h)
-        if v.arr[:, :, 0].any():
+        if v.arr[..., 0].any():
             raise InvalidExtension("v entries must lie in the t-ideal")
         if np.count_nonzero(xi.arr[..., -1]):
             raise InvalidExtension("xi entries must vanish at degree M")
@@ -124,7 +125,7 @@ class ExtensionData:
             self._check_geometric()
 
     def _check_geometric(self) -> None:
-        if (self.v.arr[:, 1:, :] % self.ectx.ctx.p).any():
+        if (self.v.arr[..., 1:, :] % self.ectx.ctx.p).any():
             raise InvalidExtension(
                 "geometric flag asserts v columns 2..h vanish mod p")
 
@@ -172,7 +173,7 @@ class TrivializationWitness:
 
     def __post_init__(self):
         _check_matrix("alpha", self.alpha, self.context, self.h, self.h)
-        if self.alpha.arr[:, :, 0].any():
+        if self.alpha.arr[..., 0].any():
             raise InvalidExtension("alpha entries must lie in the t-ideal")
 
     @property
@@ -200,25 +201,32 @@ class Untrivializable:
 def _v_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
     """Frobenius defect of the basis change by alpha:
     v[i][j] = p^(1-[j=0]) phi*(alpha[i][j-1]) - p^(1+[i=h-1]) alpha[i+1][j],
-    indices mod h."""
+    indices mod h.
+
+    The terms are summed unreduced, in [-p^2 (p^N - 1), p (p^N - 1)], and
+    reduced once: in int64 when (p^2 + 1)(p^N - 1) < 2^63, which reduce_mod
+    takes, and otherwise in Python integers."""
     ctx = alpha.context
     p = ctx.p
     phi, a = alpha.phi_pullback().arr, alpha.arr
-    term1 = np.empty_like(phi)
-    term1[:, 0] = phi[:, -1]
-    term1[:, 1:] = mul_mod(phi[:, :-1], p, ctx)
-    term2 = np.empty_like(a)
-    term2[:-1] = mul_mod(a[1:], p, ctx)
-    term2[-1] = mul_mod(a[0], p * p, ctx)
-    return SeriesMatrix(ctx, reduce_mod(term1 - term2, ctx.modulus))
+    if p * p + 1 > ctx.int64_scalar_max:
+        phi, a = phi.astype(object), a.astype(object)
+    v = np.empty_like(a)
+    v[..., 0, :] = phi[..., -1, :]
+    np.multiply(phi[..., :-1, :], p, out=v[..., 1:, :])
+    v[..., :-1, :, :] -= a[..., 1:, :, :] * p
+    v[..., -1, :, :] -= a[..., 0, :, :] * (p * p)
+    return SeriesMatrix(ctx, reduce_mod(v, ctx.modulus).astype(
+        storage_dtype(ctx), copy=False))
 
 
 def _m_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
     """Half-pairing of the changed basis: m[i][j] = alpha[i][j] + alpha[j][i]
     off the diagonal, m[i][i] = alpha[i][i]."""
-    arr = reduce_mod(alpha.arr + alpha.transpose().arr, alpha.context.modulus)
+    arr = reduce_mod(alpha.arr + alpha.transpose().arr, alpha.context.modulus,
+                     below_twice=True)
     diag = np.arange(alpha.rows)
-    arr[diag, diag] = alpha.arr[diag, diag]
+    arr[..., diag, diag, :] = alpha.arr[..., diag, diag, :]
     return SeriesMatrix(alpha.context, arr)
 
 
@@ -384,33 +392,71 @@ def int_scale(e: ExtensionData, n: int) -> ExtensionData:
 # -- trivialization -------------------------------------------------------------
 
 
+def _stacked(arr: np.ndarray) -> np.ndarray:
+    """arr with the sample axis: a record without it is one sample."""
+    return arr if arr.ndim == 4 else arr[None]
+
+
+def _differs(a: ExtensionData, b: ExtensionData, samples=slice(None)):
+    """Per sample of a and field xi, v, m: whether it differs from b's."""
+    return np.stack([
+        (_stacked(getattr(a, f).arr) != _stacked(getattr(b, f).arr)[samples])
+        .any(axis=(1, 2, 3)) for f in ("xi", "v", "m")], axis=1)
+
+
 def trivialize(e: ExtensionData):
     """Search for a splitting: antidifferentiate the connection defect, then
     verify the Frobenius and pairing equations at the post-integration
     precision.  Returns a TrivializationWitness or an Untrivializable value
     naming the first failing equation, and within it the first failing
     entry in row-major order.
+
+    A record with the sample axis gives a tuple with the outcome of each
+    sample alone, over its own context.  The only error is integrate's
+    PrecisionInsufficient, for the lowest integrable sample that has it.
     """
-    try:
-        alpha = integrate(e.xi)
-    except NonIntegrable as exc:
-        i, j = exc.index
-        return Untrivializable(
-            "xi", (i, j),
-            f"connection defect ({i},{j}) is not integrable at body "
-            f"degree {exc.degree}")
-    n = alpha.context.N
-    for name, expect, given, what in (("v", _v_from_alpha, e.v, "Frobenius"),
-                                      ("m", _m_from_alpha, e.m, "pairing")):
-        wrong = (expect(alpha).arr != given.reduce_precision(n).arr).any(axis=2)
-        if wrong.any():
-            i, j = (int(x) for x in np.argwhere(wrong)[0])
-            return Untrivializable(name, (i, j),
-                                   f"{what} equation ({i},{j}) fails")
-    # integrate returns an h x h antiderivative over its own context with
-    # zero constant term, so alpha lies in the t-ideal
-    return _derived(TrivializationWitness,
-                    ExtensionContext(alpha.context, e.h), alpha)
+    ctx, h = e.context, e.h
+    xi = _stacked(e.xi.arr)
+    outcomes = [None] * len(xi)
+    live, alpha = list(range(len(xi))), ()
+    while live:
+        try:
+            alpha = integrate(SeriesMatrix(ctx, xi[live]))
+            break
+        except NonIntegrable as exc:
+            s, i, j = exc.index
+            outcomes[live.pop(s)] = Untrivializable(
+                "xi", (i, j), f"connection defect ({i},{j}) is not integrable "
+                f"at body degree {exc.degree}")
+    # the samples of one precision are compared at once
+    if isinstance(alpha, SeriesMatrix):
+        groups = [(live, alpha)]
+    else:
+        by = {}
+        for s, a in zip(live, alpha):
+            by.setdefault(a.context, []).append((s, a.arr))
+        groups = [([s for s, _ in g], SeriesMatrix(c, np.stack([x for _, x in g])))
+                  for c, g in by.items()]
+    v, m = _stacked(e.v.arr), _stacked(e.m.arr)
+    for idx, a in groups:
+        n = a.context.N
+        for name, expect, given, what in (("v", _v_from_alpha, v, "Frobenius"),
+                                          ("m", _m_from_alpha, m, "pairing")):
+            wrong = (expect(a).arr != SeriesMatrix(ctx, given[idx])
+                     .reduce_precision(n).arr).any(axis=-1)
+            for k in np.flatnonzero(wrong.any(axis=(1, 2))):
+                if outcomes[idx[k]] is None:
+                    i, j = (int(x) for x in np.argwhere(wrong[k])[0])
+                    outcomes[idx[k]] = Untrivializable(
+                        name, (i, j), f"{what} equation ({i},{j}) fails")
+        wectx = e.ectx if a.context == ctx else ExtensionContext(a.context, h)
+        for k, s in enumerate(idx):
+            if outcomes[s] is None:
+                # integrate's antiderivatives, over its context, have zero
+                # constant term, so alpha lies in the t-ideal
+                outcomes[s] = _derived(TrivializationWitness, wectx,
+                                       SeriesMatrix(a.context, a.arr[k]))
+    return tuple(outcomes) if e.xi.arr.ndim == 4 else outcomes[0]
 
 
 # -- the p-torsion certification chain ------------------------------------------
@@ -493,45 +539,53 @@ def p_torsion_check(e: ExtensionData, w: TrivializationWitness):
     and confirms the quotient trivializes e at one fewer p-digit.  Returns a
     TorsionCertificate, or Refuted at the first congruence the data fails
     (which indicates corrupted input).
+
+    Records with the sample axis give a tuple with the outcome of each
+    sample alone.  The flag and the precisions are shared, and
+    WitnessInvalid names the first equation the lowest failing sample fails.
     """
     if not e.geometric_flag:
         raise HypothesisMissing(
             "p_torsion_check requires the rank-1-mod-p hypothesis "
             "(geometric_flag)")
-    ctx = e.context
-    h = e.h
-    p = ctx.p
+    ctx, h, p = e.context, e.h, e.context.p
     nc = min(ctx.N, w.context.N)
     if nc < 3:
         raise PrecisionInsufficient("need three p-digits: the quotient by p "
                                     "needs two")
     pe = int_scale(e, p).reduce_precision(nc)
     alpha = w.alpha.reduce_precision(nc)
-    image = from_alpha(TrivializationWitness(pe.ectx, alpha))
-    for name, what in (("xi", "connection"), ("v", "Frobenius"),
-                       ("m", "pairing")):
-        if getattr(image, name) != getattr(pe, name):
-            raise WitnessInvalid(f"witness fails the {what} equations for p*e")
+    differs = _differs(from_alpha(TrivializationWitness(pe.ectx, alpha)), pe)
+    if differs.any():
+        what = ("connection", "Frobenius", "pairing")[np.argwhere(differs)[0][1]]
+        raise WitnessInvalid(f"witness fails the {what} equations for p*e")
 
     # the eq5 hypothesis, the rank-1-mod-p Frobenius, holds: ExtensionData
     # checks it with the flag.  The chain tests every witness entry mod p,
     # and sums of entries that vanish mod p vanish too, so a step fails
     # exactly when some entry does not; the first failing step refutes
-    zero = ~(alpha.arr % p).any(axis=2)
-    if not zero.all():
-        sym = ~((alpha.arr + alpha.arr.transpose(1, 0, 2)) % p).any(axis=2)
-        label, failure = next((label, failure) for label, _, ok, failure
-                              in _congruence_chain(h, zero, sym) if not ok)
-        return Refuted(label, failure)
+    a = _stacked(alpha.arr)
+    zero = ~(a % p).any(axis=-1)
+    outcomes = [None] * len(a)
+    for s in np.flatnonzero(~zero.all(axis=(1, 2))):
+        sym = ~((a[s] + a[s].transpose(1, 0, 2)) % p).any(axis=2)
+        outcomes[s] = next(Refuted(label, failure) for label, _, ok, failure
+                           in _congruence_chain(h, zero[s], sym) if not ok)
 
-    beta_mat = _divide_matrix_by_p(alpha)
+    ok = [s for s, outcome in enumerate(outcomes) if outcome is None]
+    beta_mat = _divide_matrix_by_p(SeriesMatrix(alpha.context, a[ok]))
     beta_ctx = beta_mat.context
-    # the quotient by p of a t-ideal h x h matrix lies in the t-ideal
+    # the quotient by p of t-ideal h x h matrices lies in the t-ideal
     beta = _derived(TrivializationWitness, ExtensionContext(beta_ctx, h),
                     beta_mat)
 
     nb = beta_ctx.N
-    if from_alpha(beta) != e.reduce_precision(nb):
-        return Refuted("beta-verification",
-                       "divided witness does not trivialize the extension")
-    return TorsionCertificate(beta, nb)
+    wrong = _differs(from_alpha(beta), e.reduce_precision(nb), ok).any(axis=1)
+    for k, s in enumerate(ok):
+        # one sample of the checked stack
+        sample = _derived(TrivializationWitness, beta.ectx,
+                          SeriesMatrix(beta_ctx, beta_mat.arr[k]))
+        outcomes[s] = Refuted("beta-verification", "divided witness does not "
+                              "trivialize the extension") if wrong[k] \
+            else TorsionCertificate(sample, nb)
+    return tuple(outcomes) if e.xi.arr.ndim == 4 else outcomes[0]

@@ -25,6 +25,7 @@ series and matrices alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,7 +144,7 @@ def storage_dtype(context: PrecisionContext):
     return np.int64 if context.int64_safe else object
 
 
-def reduce_mod(arr: np.ndarray, mod: int) -> np.ndarray:
+def reduce_mod(arr: np.ndarray, mod: int, below_twice=False) -> np.ndarray:
     """arr mod `mod` as canonical residues in [0, mod), in arr's dtype.
 
     On int64 this is arr - (arr // mod) * mod: numpy divides an int64 array
@@ -153,9 +154,18 @@ def reduce_mod(arr: np.ndarray, mod: int) -> np.ndarray:
     exact and stays inside int64 for every entry arr >= -2^63 + mod, since
     then arr - mod < (arr // mod) * mod <= arr.  Object arrays use %, and
     keep Python integers.
+
+    below_twice states that the caller proves 0 <= arr < 2 mod.  Then int64
+    needs one subtraction: arr - mod is negative exactly where arr is already
+    reduced, and then above arr as an unsigned word, so the unsigned minimum
+    of the two is the residue.
     """
     if arr.dtype != np.int64:
         return arr % mod
+    if below_twice:
+        less = arr - mod
+        np.minimum(arr.view(np.uint64), less.view(np.uint64), out=less.view(np.uint64))
+        return less
     q = arr // mod
     q *= mod
     # into q: a second fresh array of a large result can cost more in page
@@ -369,50 +379,79 @@ def derivative(a: TruncatedSeries) -> OneForm:
 
 def integrate(form):
     """Antiderivative with zero constant term, of a OneForm or, entrywise,
-    of a matrix of one-form bodies (a SeriesMatrix).
+    of a matrix of one-form bodies (a SeriesMatrix, with or without the
+    leading sample axis).
 
     Works along the last axis of the (..., M+1) coefficient array.  Each
     body coefficient g_n (n <= M-1) must satisfy v_p(g_n) >= v_p(n+1);
     otherwise NonIntegrable is raised, naming the first failing entry in
     row-major order (``index``, empty for a OneForm) and its lowest failing
-    body degree (``degree``).  Following the global-precision model, the
-    whole result, every entry of a matrix alike, is returned at the one
-    reduced precision N' = N - max v_p(n+1) over the nonzero g_n.  Raises
-    PrecisionInsufficient when N' < 2; non-integrability of any entry is
-    reported first.  Returns a TruncatedSeries for a OneForm, and a matrix
-    of the argument's type otherwise.
+    body degree (``degree``).  Following the global-precision model, each
+    sample, every entry alike, is returned at the one reduced precision
+    N' = N - max v_p(n+1) over its nonzero g_n.  Raises
+    PrecisionInsufficient for the first sample with N' < 2; non-
+    integrability of any entry is reported first.  Returns a TruncatedSeries
+    for a OneForm, else a matrix of the argument's type, or, when samples
+    reach different N', a tuple of one matrix per sample.
     """
-    ctx = form.context
-    p, m = ctx.p, ctx.M
-    body = (form.body._arr if isinstance(form, OneForm) else form.arr)[..., :m]
-    # per body degree n: p^v with v = v_p(n+1), and the unit part (n+1)/p^v
+    ctx, series = form.context, isinstance(form, OneForm)
+    body = (form.body._arr if series else form.arr)[..., :ctx.M]
+    cols, vp, pv, _, _ = _integration_tables(ctx)
+    # only the degrees n with p | n+1 can fail or lose digits
+    part = body[..., cols]
+    bad = (part % pv).astype(bool)
+    if bad.any():
+        *index, k = (int(x) for x in np.argwhere(bad)[0])
+        raise NonIntegrable(int(cols[k]), tuple(index))
+    # the digits each sample loses: over its entries, not the sample axis
+    used = part.any(axis=tuple(range(max(part.ndim - 3, 0), part.ndim - 1)))
+    lost = np.atleast_1d((vp * used).max(axis=-1, initial=0)).tolist()
+    short = [x for x in lost if ctx.N - x < 2]
+    if short:
+        raise PrecisionInsufficient(
+            f"integration would exhaust the p-adic precision (loss "
+            f"{short[0]} of N={ctx.N} digits)")
+    top = ctx.reduce_precision(ctx.N - min(lost, default=0))
+    _, _, _, inv, inv_max = _integration_tables(top)
+    dtype = storage_dtype(top)
+    quot = body.copy()
+    # exact: p^v divides every coefficient it is applied to
+    quot[..., cols] = part // pv
+    if top is not ctx:
+        quot = reduce_mod(quot, top.modulus).astype(dtype, copy=False)
+    out = np.zeros(body.shape[:-1] + (ctx.M + 1,), dtype=dtype)
+    out[..., 1:] = mul_mod(quot, inv, top, inv_max)
+    wrap = TruncatedSeries._from_array if series else type(form)
+    if len(set(lost)) <= 1:
+        return wrap(top, out)
+    # a sample that loses more digits is reduced to its own precision
+    return tuple(wrap(c, reduce_mod(a, c.modulus).astype(storage_dtype(c),
+                                                        copy=False))
+                 for a, c in zip(out, (ctx.reduce_precision(ctx.N - x)
+                                       for x in lost)))
+
+
+@lru_cache(maxsize=64)
+def _integration_tables(context: PrecisionContext) -> tuple:
+    """(cols, v, p^v, inv, max inv) of ``integrate``: the body degrees n < M
+    with v = v_p(n+1) >= 1, their v and p^v, and per body degree the inverse
+    mod p^N of (n+1)/p^v.  Memoised by (p, N, M), so the arrays are
+    read-only."""
+    p, m = context.p, context.M
     unit = np.arange(1, m + 1)
-    pv = np.ones(m, dtype=np.int64)
+    vp = np.zeros(m, dtype=np.int64)
     if p <= m:  # a larger p divides no n+1 <= M (and may exceed int64)
         while (hit := unit % p == 0).any():
             unit[hit] //= p
-            pv[hit] *= p
-    bad = (body % pv).astype(bool)
-    if bad.any():
-        *index, degree = (int(x) for x in np.argwhere(bad)[0])
-        raise NonIntegrable(degree, tuple(index))
-    used = body.any(axis=tuple(range(body.ndim - 1)))
-    loss = p_valuation(int(pv[used].max(initial=1)), p)
-    if ctx.N - loss < 2:
-        raise PrecisionInsufficient(
-            f"integration would exhaust the p-adic precision (loss {loss} "
-            f"of N={ctx.N} digits)")
-    new_ctx = ctx.reduce_precision(ctx.N - loss)
-    mod = new_ctx.modulus
-    dtype = storage_dtype(new_ctx)
-    inv = np.array([pow(int(u), -1, mod) for u in unit], dtype=dtype)
-    out = np.zeros(body.shape[:-1] + (m + 1,), dtype=dtype)
-    # exact: p^v divides every coefficient it is applied to
-    quot = reduce_mod(body // pv, mod).astype(dtype, copy=False)
-    out[..., 1:] = mul_mod(quot, inv, new_ctx, int(inv.max(initial=0)))
-    if isinstance(form, OneForm):
-        return TruncatedSeries._from_array(new_ctx, out)
-    return type(form)(new_ctx, out)
+            vp[hit] += 1
+    cols = np.flatnonzero(vp)
+    inv = np.array([pow(int(u), -1, context.modulus) for u in unit],
+                   dtype=storage_dtype(context))
+    tables = (cols, vp[cols], np.array([p**v for v in vp[cols].tolist()],
+                                       dtype=np.int64), inv)
+    for arr in tables:
+        arr.setflags(write=False)
+    return (*tables, int(inv.max(initial=0)))
 
 
 def frobenius_pullback(a: TruncatedSeries) -> TruncatedSeries:

@@ -5,7 +5,10 @@ residues in the storage dtype of the context (``padic_series.storage_dtype``):
 numpy int64 when p^N < 2^62, Python integers in an object array otherwise.
 The constructor rejects any other dtype.  A matrix holds at most
 MAX_COEFFICIENTS coefficients; ``zeros_array`` checks this before it
-allocates.
+allocates.  A stack of samples of one shape and context is an
+(S, rows, cols, M+1) array: the elementwise operations, the calculus,
+``transpose`` and the reductions act per sample, ``@`` raises ValueError
+on it, and the constructors and accessors take no sample axis.
 
 The product here is the one product kernel: series products and inverses
 run as 1x1 matrix products.  It raises ValueError, before any arithmetic,
@@ -118,7 +121,7 @@ class SeriesMatrix:
             raise TypeError(f"coefficients must be stored as "
                             f"{np.dtype(storage_dtype(context))}, got {arr.dtype}")
         self.context = context
-        self.rows, self.cols = arr.shape[0], arr.shape[1]
+        self.rows, self.cols = arr.shape[-3:-1]
         arr.setflags(write=False)
         self.arr = arr
         self._const = None
@@ -184,11 +187,11 @@ class SeriesMatrix:
         return not self.arr.any()
 
     def is_zero_through(self, degree: int) -> bool:
-        return not self.arr[:, :, :degree + 1].any()
+        return not self.arr[..., :degree + 1].any()
 
     def is_constant(self) -> bool:
         if self._const is None:
-            self._const = not self.arr[:, :, 1:].any()
+            self._const = not self.arr[..., 1:].any()
         return self._const
 
     # -- ring operations ----------------------------------------------------
@@ -196,12 +199,16 @@ class SeriesMatrix:
     def __add__(self, other):
         _check_same_context(self, other)
         ctx = self.context
-        return SeriesMatrix(ctx, reduce_mod(self.arr + other.arr, ctx.modulus))
+        # two residues sum to less than 2 p^N
+        return SeriesMatrix(ctx, reduce_mod(self.arr + other.arr, ctx.modulus,
+                                            below_twice=True))
 
     def __sub__(self, other):
         _check_same_context(self, other)
         ctx = self.context
-        return SeriesMatrix(ctx, reduce_mod(self.arr - other.arr, ctx.modulus))
+        diff = self.arr - other.arr
+        diff += ctx.modulus  # a - b + p^N lies in (0, 2 p^N)
+        return SeriesMatrix(ctx, reduce_mod(diff, ctx.modulus, below_twice=True))
 
     def __neg__(self):
         ctx = self.context
@@ -213,6 +220,8 @@ class SeriesMatrix:
 
     def __matmul__(self, other):
         _check_same_context(self, other)
+        if 4 in (self.arr.ndim, other.arr.ndim):
+            raise ValueError("a product takes matrices without the sample axis")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply a {self.rows}x{self.cols} by a "
                              f"{other.rows}x{other.cols} matrix")
@@ -243,7 +252,7 @@ class SeriesMatrix:
 
     def transpose(self) -> "SeriesMatrix":
         return SeriesMatrix(self.context,
-                            np.ascontiguousarray(self.arr.transpose(1, 0, 2)))
+                            np.ascontiguousarray(np.swapaxes(self.arr, -3, -2)))
 
     def __eq__(self, other):
         if not isinstance(other, SeriesMatrix):
@@ -280,7 +289,7 @@ class SeriesMatrix:
         if d >= self.context.M:
             return self
         arr = self.arr.copy()
-        arr[:, :, d + 1:] = 0
+        arr[..., d + 1:] = 0
         return SeriesMatrix(self.context, arr)
 
     def reduce_precision(self, new_n: int) -> "SeriesMatrix":

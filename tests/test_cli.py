@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -554,3 +558,49 @@ def test_decimal_strings_parse_as_int_does(text):
         return
     m = serialize.matrix_from_json(FUZZ_CTX, [[["0", text]]], 1, 1)
     assert m.arr[0, 0].tolist() == [0, expected] + [0] * (FUZZ_CTX.M - 1)
+
+
+# -- one parser per process ------------------------------------------------------
+
+PROBE = ["probe", "--p", "3", "--h", "10", "--n", "6", "--N", "8",
+         "--samples", "5", "--seed", "3"]
+GROUPLAW = ["grouplaw", "--p", "3", "--h", "3", "--n", "4", "--samples", "2",
+            "--seed", "3"]
+
+
+def fresh_run(argv):
+    """stdout and exit code of the command in a new interpreter."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-m", "crystal_lab.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.stdout, done.returncode
+
+
+def test_shared_parser_gives_the_bytes_of_fresh_runs(capsys):
+    fresh = {tuple(argv): fresh_run(argv) for argv in (PROBE, GROUPLAW)}
+    for argv in (PROBE, GROUPLAW, PROBE):
+        code = run(argv)
+        assert (capsys.readouterr().out, code) == fresh[tuple(argv)]
+    assert cli.build_parser.cache_info().currsize == 1
+
+
+def test_a_usage_error_leaves_the_next_run_unaffected(capsys):
+    run(PROBE)
+    before = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run(["probe", "--p", "3", "--h", "10", "--samples", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(PROBE) == 0
+    assert capsys.readouterr().out == before
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import crystal_lab.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize)")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout == "0\n"

@@ -106,8 +106,10 @@ RECORDS = (ExtensionData, TrivializationWitness, DeformationPoint)
 
 @pytest.mark.parametrize("argv, checks", [
     (["grouplaw", "--p", "3", "--h", "10", "--n", "6", "--samples", "3"], 30),
+    # the five samples draw 13 checked records, and p_torsion_check checks
+    # the witness of p*Y once for the block of samples that reach it
     (["probe", "--p", "3", "--h", "10", "--n", "6", "--N", "8",
-      "--samples", "5"], 18),
+      "--samples", "5"], 14),
 ], ids=["grouplaw", "probe"])
 def test_full_record_checks_per_run(monkeypatch, capsys, argv, checks):
     """Full checks are the __post_init__ runs not made on behalf of a

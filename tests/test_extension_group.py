@@ -10,7 +10,8 @@ from crystal_lab import (ExtensionContext, ExtensionData, PrecisionContext,
                          TruncatedSeries, Untrivializable, assemble_crystal,
                          baer_sum, check_horizontality, check_pairing_compat,
                          from_alpha, int_scale, make_standard_crystal,
-                         p_torsion_check, trivialize)
+                         multiply_by_p_injectivity_probe, p_torsion_check,
+                         random_geometric_point, trivialize)
 from crystal_lab.crystal import induced_maps
 from crystal_lab.errors import (ContextMismatch, HypothesisMissing,
                                 InvalidExtension, NotStable,
@@ -588,3 +589,108 @@ def test_v_from_alpha_matches_the_roll_formula(h, n_digits, storage):
     v = _v_from_alpha(alpha)
     assert v.arr.dtype == storage
     assert np.array_equal(v.arr, _v_by_roll(alpha))
+
+
+@pytest.mark.parametrize("p, n_digits, storage", REGIMES)
+def test_criterion_07_in_every_regime(p, n_digits, storage):
+    ectx = ExtensionContext(PrecisionContext(p, n_digits, 32), 5)
+    n = 32 // p + 1  # the widest base: p(n-1) <= 32
+    report = multiply_by_p_injectivity_probe(ectx, n, 8, seed=n_digits)
+    assert report.counterexamples == ()
+    assert report.nontrivial_py + report.torsion_certified == 8
+    # one certification, and the dtypes on either side of the division
+    rng = random.Random(p)
+    y = random_geometric_point(rng, ectx, n)
+    w = trivialize(int_scale(y.extension, p))
+    assert w.alpha.arr.dtype == storage
+    cert = p_torsion_check(y.extension, w)
+    assert isinstance(cert, TorsionCertificate)
+    assert cert.precision == n_digits - 1
+    assert from_alpha(cert.beta) == y.extension.reduce_precision(n_digits - 1)
+
+
+def stacked(records):
+    """One ExtensionData with the sample axis from records of one context."""
+    e = records[0]
+    return ExtensionData(e.ectx, *(
+        SeriesMatrix(e.context, np.stack([getattr(r, f).arr for r in records]))
+        for f in ("xi", "v", "m")), all(r.geometric_flag for r in records))
+
+
+class TestSampleAxis:
+    """Records with the leading sample axis: each sample as if alone."""
+
+    @staticmethod
+    def mixed(ectx, seed):
+        """Extensions that lose 0, 2 and 1 digits to integration, one that
+        is not integrable, and two whose v or m equation fails after
+        integration."""
+        rng = random.Random(seed)
+
+        def image(degrees):
+            return from_alpha(random_witness(rng, ectx, degrees))
+
+        return [image(witness_support(ectx)), image(range(1, 11)), image([3]),
+                random_extension(rng, ectx, nontrivial=True),
+                add_noise(rng, image([3]), "v", 9),
+                add_noise(rng, image([1, 3]), "m", 9)]
+
+    @pytest.mark.parametrize("n_digits", [8, 40])
+    def test_trivialize_matches_the_per_sample_calls(self, n_digits):
+        ectx = ExtensionContext(PrecisionContext(3, n_digits, 32), 3)
+        es = self.mixed(ectx, n_digits)
+        out = trivialize(stacked(es))
+        assert out == tuple(trivialize(e) for e in es)
+        assert [o.context.N for o in out[:3]] == [n_digits, n_digits - 2,
+                                                  n_digits - 1]
+        assert [o.equation for o in out[3:]] == ["xi", "v", "m"]
+
+    def test_trivialize_raises_for_the_lowest_sample(self):
+        # at N=3 the loss-2 sample exhausts the precision; the sample
+        # before it is not integrable, which is an outcome, not an error
+        ectx = ExtensionContext(PrecisionContext(3, 3, 32), 3)
+        es = self.mixed(ectx, 1)
+        order = [es[3], es[2], es[1], es[0]]
+        with pytest.raises(PrecisionInsufficient, match="loss 2 of N=3"):
+            trivialize(order[2])
+        assert isinstance(trivialize(order[0]), Untrivializable)
+        with pytest.raises(PrecisionInsufficient, match="loss 2 of N=3"):
+            trivialize(stacked(order))
+
+    @pytest.mark.parametrize("n_digits", [8, 40])
+    def test_p_torsion_check_matches_the_per_sample_calls(self, n_digits):
+        ectx = ExtensionContext(PrecisionContext(3, n_digits, 32), 3)
+        rng = random.Random(n_digits)
+        ys = [random_geometric_point(rng, ectx, 6, bool(k % 2)).extension
+              for k in range(4)]
+        ws = [trivialize(int_scale(y, 3)) for y in ys]
+        alpha = SeriesMatrix(ectx.ctx, np.stack([w.alpha.arr for w in ws]))
+        out = p_torsion_check(stacked(ys), TrivializationWitness(ectx, alpha))
+        assert out == tuple(p_torsion_check(y, w) for y, w in zip(ys, ws))
+        assert all(isinstance(o, TorsionCertificate) for o in out)
+
+    def test_an_invalid_witness_names_the_lowest_sample(self):
+        ectx = ExtensionContext(PrecisionContext(3, 8, 32), 3)
+        ctx = ectx.ctx
+        rng = random.Random(0)
+        ys = [random_geometric_point(rng, ectx, 6).extension for _ in range(3)]
+        arr = np.stack([trivialize(int_scale(y, 3)).alpha.arr for y in ys])
+        arr[2, 0, 1, 1] += 1  # sample 2 fails the connection equation
+        # sample 1 fails the pairing equation only: p^(N-1) t^p has a
+        # vanishing derivative, and the Frobenius terms multiply it by p
+        arr[1, 0, 0, 3] = (arr[1, 0, 0, 3] + 3**7) % ctx.modulus
+        w = TrivializationWitness(ectx, SeriesMatrix(ctx, arr))
+        for k, what in ((1, "pairing"), (2, "connection")):
+            with pytest.raises(WitnessInvalid, match=what):
+                p_torsion_check(ys[k], TrivializationWitness(
+                    ectx, SeriesMatrix(ctx, arr[k])))
+        with pytest.raises(WitnessInvalid, match="pairing"):
+            p_torsion_check(stacked(ys), w)
+
+    def test_products_refuse_the_sample_axis(self):
+        ctx = PrecisionContext(3, 8, 32)
+        a = random_series_matrix(random.Random(0), ctx, 2, 2, [0, 1])
+        stack = SeriesMatrix(ctx, np.stack([a.arr, a.arr]))
+        for left, right in ((stack, a), (a, stack), (stack, stack)):
+            with pytest.raises(ValueError, match="sample axis"):
+                left @ right

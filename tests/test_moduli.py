@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crystal_lab import moduli
+from crystal_lab import extension_group, moduli
 from crystal_lab import (DeformationPoint, ExtensionContext, ExtensionData,
                          PrecisionContext, TruncatedSeries, add_points,
                          assemble_crystal, identity_point, int_scale,
@@ -12,9 +12,15 @@ from crystal_lab import (DeformationPoint, ExtensionContext, ExtensionData,
                          point_from_tangent, random_geometric_point,
                          scale_point, slope_report, tangent_coordinates,
                          truncate_point)
-from crystal_lab.errors import ContextMismatch, InvalidExtension, WrongBase
-from crystal_lab.moduli import _check_base_degree, _point_context
-from crystal_lab.series_matrix import SeriesMatrix
+from crystal_lab.errors import (ContextMismatch, InvalidExtension,
+                                PrecisionInsufficient, WrongBase)
+from crystal_lab.extension_group import (TorsionCertificate,
+                                         TrivializationWitness,
+                                         Untrivializable, from_alpha)
+from crystal_lab.extension_group import _derived as unchecked
+from crystal_lab.moduli import (ProbeReport, ProbeSampleIssue,
+                                _check_base_degree, _point_context)
+from crystal_lab.series_matrix import SeriesMatrix, zeros_array
 
 
 @pytest.fixture
@@ -353,3 +359,199 @@ class TestSlopeReport:
         assert len(rep.detail.entries) == 1
         assert rep.detail.entries[0][0] == Fraction(2 - Fraction(2, 3))
         assert rep.hom_common_slope == 2 - Fraction(2, 3)
+
+
+# -- the stacked probe against the probe one sample at a time ------------------
+
+
+def per_sample_probe(ectx, n, samples, seed=0):
+    """The probe one sample at a time, each step on records without the
+    sample axis: the reference of ``multiply_by_p_injectivity_probe``.
+    Module attributes are read at call time, so a patch applies to both."""
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
+    ectx = moduli._point_context(ectx, n)
+    rng = random.Random(seed)
+    p = ectx.ctx.p
+    nontrivial_py = certified = trivial_direct = 0
+    issues = []
+    for k in range(samples):
+        y = moduli.random_geometric_point(rng, ectx, n,
+                                          nontrivial=bool(rng.getrandbits(1)))
+        if not isinstance(extension_group.trivialize(y.extension),
+                          Untrivializable):
+            trivial_direct += 1
+        py = y
+        for _ in range(p - 1):
+            py = moduli.add_points(py, y)
+        if moduli.scale_point(y, p) != py:
+            issues.append(ProbeSampleIssue(
+                k, "linearity", "iterated sum disagrees with scaling"))
+            continue
+        w = extension_group.trivialize(py.extension)
+        if isinstance(w, Untrivializable):
+            nontrivial_py += 1
+            continue
+        outcome = extension_group.p_torsion_check(y.extension, w)
+        if isinstance(outcome, TorsionCertificate):
+            certified += 1
+        else:
+            issues.append(ProbeSampleIssue(k, outcome.step, outcome.detail))
+    return ProbeReport(seed, samples, nontrivial_py, certified, trivial_direct,
+                       tuple(issues))
+
+
+BLOCK = 3  # samples per block in these tests
+
+
+def set_block(monkeypatch, ectx, n, size=BLOCK):
+    """Make the probe's blocks `size` samples long at this shape."""
+    pctx = _point_context(ectx, n)
+    monkeypatch.setattr(moduli, "_BLOCK_COEFFICIENTS",
+                        size * pctx.h ** 2 * (pctx.ctx.M + 1))
+
+
+@pytest.mark.parametrize("h", [2, 3, 10])
+@pytest.mark.parametrize("n_digits", [3, 8, 24, 40])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_stacked_probe_matches_the_per_sample_probe(monkeypatch, p, n_digits,
+                                                    h):
+    ectx = ExtensionContext(PrecisionContext(p, n_digits, 32), h)
+    set_block(monkeypatch, ectx, 3)
+    for samples in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1):
+        seed = 100 * p + n_digits + samples
+        report = multiply_by_p_injectivity_probe(ectx, 3, samples, seed)
+        assert report == per_sample_probe(ectx, 3, samples, seed)
+        assert report.counterexamples == ()
+
+
+def test_blocks_stay_within_the_budget(monkeypatch):
+    # 25 samples at h=10, M=15 take three blocks of the default budget
+    ectx = ExtensionContext(PrecisionContext(3, 8, 32), 10)
+    sizes = []
+    trivialize = moduli.trivialize
+
+    def spy(e):
+        sizes.append(e.xi.arr.shape[0])
+        return trivialize(e)
+
+    monkeypatch.setattr(moduli, "trivialize", spy)
+    report = multiply_by_p_injectivity_probe(ectx, 6, 25, seed=1)
+    assert sizes == [10, 10, 10, 10, 5, 5]
+    assert all(size * 10 * 10 * 16 <= moduli._BLOCK_COEFFICIENTS
+               for size in sizes)
+    monkeypatch.undo()
+    assert report == per_sample_probe(ectx, 6, 25, seed=1)
+
+
+def sample_fault(target, fault):
+    """Wrap a function that returns a matrix or an extension, with or
+    without the sample axis, so that the target-th sample it returns,
+    counted over all calls, is changed by fault(array of that sample): of
+    the matrix, or of the extension's m."""
+    seen = [0]
+
+    def wrap(func):
+        def wrapper(record, *args):
+            out = func(record, *args)
+            arr = out.arr if isinstance(out, SeriesMatrix) else out.m.arr
+            stack = arr if arr.ndim == 4 else arr[None]
+            k = target - seen[0]
+            seen[0] += len(stack)
+            if not 0 <= k < len(stack):
+                return out
+            stack = stack.copy()
+            fault(stack[k])
+            new = stack if arr.ndim == 4 else stack[0]
+            if isinstance(out, SeriesMatrix):
+                return SeriesMatrix(out.context, new)
+            return ExtensionData(out.ectx, out.xi, out.v,
+                                 SeriesMatrix(out.context, new),
+                                 out.geometric_flag)
+        return wrapper
+    return wrap
+
+
+def bump(arr):
+    """Change one coefficient, keeping it a residue: m stays symmetric."""
+    arr[0, 0, 1] = 2 if arr[0, 0, 1] == 1 else 1
+
+
+@pytest.mark.parametrize("h", [2, 10])
+def test_a_linearity_failure_is_pinned(monkeypatch, h):
+    ectx = ExtensionContext(PrecisionContext(3, 8, 32), h)
+    set_block(monkeypatch, ectx, 6)
+    scale = moduli.int_scale
+    reports = []
+    for probe in (multiply_by_p_injectivity_probe, per_sample_probe):
+        # the scaled extension of sample 4, the second of the second
+        # block, disagrees with the iterated sum
+        monkeypatch.setattr(moduli, "int_scale", sample_fault(4, bump)(scale))
+        reports.append(probe(ectx, 6, 7, seed=5))
+    assert reports[0].counterexamples == (
+        ProbeSampleIssue(4, "linearity", "iterated sum disagrees with scaling"),)
+    assert reports[0] == reports[1]
+
+
+def misflagged_point(ectx, n):
+    """A point whose extension claims the rank-1-mod-p hypothesis falsely:
+    e = from_alpha(alpha) / p for alpha = t^p (E_01 - E_10), so p*e is
+    trivial with witness alpha, which does not vanish mod p.  Its xi is
+    not integrable, and p*e loses one digit to integration."""
+    ctx = ectx.ctx
+    arr = zeros_array(ctx, ectx.h, ectx.h)
+    arr[0, 1, ctx.p], arr[1, 0, ctx.p] = 1, ctx.modulus - 1
+    image = from_alpha(TrivializationWitness(ectx, SeriesMatrix(ctx, arr)))
+    e = unchecked(ExtensionData, ectx, *(
+        SeriesMatrix(ctx, getattr(image, f).arr // ctx.p)
+        for f in ("xi", "v", "m")), True)
+    return DeformationPoint(ectx, n, e, SeriesMatrix.zeros(ctx, ectx.h, 1))
+
+
+def test_a_refuted_congruence_is_pinned(monkeypatch):
+    ectx = ExtensionContext(PrecisionContext(3, 8, 32), 3)
+    set_block(monkeypatch, ectx, 6)
+    # the records derived from the misflagged point break the flag's
+    # condition, which the suite would check: here they stay unchecked
+    for module in (moduli, extension_group):
+        monkeypatch.setattr(module, "_derived", unchecked)
+    draw = moduli.random_geometric_point
+    calls = [0]
+
+    def faulty_draw(rng, pctx, n, nontrivial=False):
+        y = draw(rng, pctx, n, nontrivial)
+        calls[0] += 1
+        return misflagged_point(pctx, n) if calls[0] == 3 else y
+
+    monkeypatch.setattr(moduli, "random_geometric_point", faulty_draw)
+    report = multiply_by_p_injectivity_probe(ectx, 6, 5, seed=2)
+    assert report.counterexamples == (
+        ProbeSampleIssue(2, "descend(0,1)", "column induction fails"),)
+    calls[0] = 0
+    assert report == per_sample_probe(ectx, 6, 5, seed=2)
+
+
+def test_a_refuted_beta_verification_is_pinned(monkeypatch):
+    ectx = ExtensionContext(PrecisionContext(5, 8, 32), 3)
+    set_block(monkeypatch, ectx, 4)
+    divide = extension_group._divide_matrix_by_p
+    reports = []
+    for probe in (multiply_by_p_injectivity_probe, per_sample_probe):
+        # the second quotient by p is changed
+        monkeypatch.setattr(extension_group, "_divide_matrix_by_p",
+                            sample_fault(1, bump)(divide))
+        reports.append(probe(ectx, 4, 5, seed=4))
+    assert reports[0].counterexamples == (ProbeSampleIssue(
+        1, "beta-verification",
+        "divided witness does not trivialize the extension"),)
+    assert reports[0] == reports[1]
+
+
+def test_two_digits_raise_the_per_sample_error(monkeypatch):
+    ectx = ExtensionContext(PrecisionContext(3, 2, 32), 3)
+    set_block(monkeypatch, ectx, 6)
+    message = "need three p-digits: the quotient by p needs two"
+    with pytest.raises(PrecisionInsufficient, match=message):
+        per_sample_probe(ectx, 6, 7, seed=0)
+    with pytest.raises(PrecisionInsufficient, match=message):
+        multiply_by_p_injectivity_probe(ectx, 6, 7, seed=0)

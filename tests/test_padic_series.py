@@ -9,8 +9,11 @@ from crystal_lab import (OneForm, PrecisionContext, TruncatedSeries,
                          oneform_pullback)
 from crystal_lab.errors import (ContextMismatch, NonIntegrable,
                                 PrecisionInsufficient)
+from crystal_lab import padic_series
 from crystal_lab.padic_series import (MAX_MODULUS_BITS, MAX_PRIME,
-                                     _is_odd_prime, p_valuation, reduce_mod)
+                                     _integration_tables, _is_odd_prime,
+                                     p_valuation, reduce_mod)
+from crystal_lab.series_matrix import SeriesMatrix
 
 
 def poly_mul_oracle(a, b, modulus, top):
@@ -266,3 +269,106 @@ class TestFrobeniusPullback:
             lhs = oneform_pullback(derivative(a))
             rhs = derivative(frobenius_pullback(a))
             assert (lhs - rhs).is_zero_through(ctx3.M - 1)
+
+
+@pytest.mark.parametrize("n_digits", [2, 8, 40])
+@pytest.mark.parametrize("m", [0, 1, 15, 32, 121])
+@pytest.mark.parametrize("p", [3, 5, 7, 37])
+def test_integration_tables_match_the_direct_formula(p, m, n_digits):
+    ctx = PrecisionContext(p, n_digits, m)
+    cols, vp, pv, inv, inv_max = _integration_tables(ctx)
+    assert _integration_tables(PrecisionContext(p, n_digits, m)) is \
+        _integration_tables(ctx)  # memoised by value
+    expect = [(n, p_valuation(n + 1, p)) for n in range(m)]
+    assert cols.tolist() == [n for n, v in expect if v]
+    assert vp.tolist() == [v for _, v in expect if v]
+    assert pv.tolist() == [p**v for _, v in expect if v]
+    units = [(n + 1) // p**v for n, v in expect]
+    assert [int(x) for x in inv] == [pow(u, -1, ctx.modulus) for u in units]
+    assert inv.dtype == (np.int64 if ctx.int64_safe else object)
+    assert inv_max == max((int(x) for x in inv), default=0)
+    for arr in (cols, vp, pv, inv):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**64 + 13])
+def test_integration_tables_at_a_prime_beyond_every_degree(p):
+    # no n+1 <= M is divisible by p, which need not fit in int64
+    ctx = PrecisionContext(p, 2, 8)
+    cols, vp, pv, inv, _ = _integration_tables(ctx)
+    assert cols.size == vp.size == pv.size == 0
+    assert [int(x) for x in inv] == [pow(n, -1, p**2) for n in range(1, 9)]
+    g = OneForm(TruncatedSeries(ctx, [1, 2, 3]))
+    assert integrate(g) == TruncatedSeries(ctx, [0, 1, 1, 1])
+
+
+@pytest.mark.parametrize("n_digits", [8, 39, 40])
+def test_stated_range_reduction_matches_the_division(n_digits):
+    mod = 3**n_digits
+    rng = random.Random(n_digits)
+    values = [0, 1, mod - 1, mod, mod + 1, 2 * mod - 1]
+    values += [rng.randrange(2 * mod) for _ in range(200)]
+    dtype = np.int64 if mod < 2**62 else object
+    arr = np.array(values, dtype=dtype)
+    out = reduce_mod(arr, mod, below_twice=True)
+    assert out.dtype == dtype
+    assert [int(x) for x in out] == [x % mod for x in values]
+
+
+def test_stated_ranges_are_checked_under_the_suite():
+    mod = 3**8
+    with pytest.raises(AssertionError, match="outside"):
+        padic_series.reduce_mod(np.array([2 * mod]), mod, below_twice=True)
+    with pytest.raises(AssertionError, match="outside"):
+        padic_series.reduce_mod(np.array([-1]), mod, below_twice=True)
+
+
+class TestStackedIntegrate:
+    """integrate on a matrix with the sample axis: each sample as alone."""
+
+    @staticmethod
+    def stack(ctx, degrees, seed=0):
+        """Per sample, the derivative bodies of a random 2 x 3 matrix drawn
+        at the given degrees, stacked."""
+        rng = random.Random(seed)
+        arrs = []
+        for ds in degrees:
+            arr = np.zeros((2, 3, ctx.M + 1), dtype=np.int64 if ctx.int64_safe
+                           else object)
+            for d in ds:
+                for i in range(2):
+                    for j in range(3):
+                        arr[i, j, d] = rng.randrange(ctx.modulus)
+            arrs.append(SeriesMatrix(ctx, arr).derivative_bodies().arr)
+        return SeriesMatrix(ctx, np.stack(arrs))
+
+    @pytest.mark.parametrize("n_digits", [8, 40])
+    def test_mixed_losses_match_the_per_sample_calls(self, n_digits):
+        ctx = PrecisionContext(3, n_digits, 32)
+        # losses 0, 1, 2 and 0 again: degrees off 3, at 3, at 9
+        forms = self.stack(ctx, [(1, 2), (3, 4), (9, 1), (5,)])
+        out = integrate(forms)
+        assert isinstance(out, tuple)
+        assert out == tuple(integrate(SeriesMatrix(ctx, a)) for a in forms.arr)
+        assert [a.context.N for a in out] == [n_digits, n_digits - 1,
+                                              n_digits - 2, n_digits]
+
+    def test_equal_losses_give_one_stack(self):
+        ctx = PrecisionContext(3, 8, 32)
+        forms = self.stack(ctx, [(3, 1), (6,), (3, 30)])
+        out = integrate(forms)
+        assert isinstance(out, SeriesMatrix) and out.context.N == 7
+        for a, sample in zip(out.arr, forms.arr):
+            assert SeriesMatrix(out.context, a) == integrate(
+                SeriesMatrix(ctx, sample))
+
+    def test_errors_name_the_first_sample(self):
+        ctx = PrecisionContext(3, 3, 32)
+        forms = self.stack(ctx, [(1,), (9,), (3,)])
+        with pytest.raises(PrecisionInsufficient, match="loss 2 of N=3"):
+            integrate(forms)
+        arr = forms.arr.copy()
+        arr[2, 1, 0, 2] = 1  # t^2 dt: not integrable mod p
+        with pytest.raises(NonIntegrable) as exc:
+            integrate(SeriesMatrix(ctx, arr))
+        assert (exc.value.index, exc.value.degree) == ((2, 1, 0), 2)
