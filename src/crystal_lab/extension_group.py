@@ -25,9 +25,9 @@ import numpy as np
 from .crystal import (FCrystalPresentation, direct_sum, induced_maps,
                       make_standard_crystal)
 from .errors import (ContextMismatch, HypothesisMissing, InvalidExtension,
-                     NonIntegrable, NotStable, PrecisionInsufficient,
-                     WitnessInvalid)
-from .padic_series import (PrecisionContext, integrate, mul_mod, reduce_mod,
+                     NotStable, PrecisionInsufficient, WitnessInvalid)
+from .padic_series import (PrecisionContext, _divisibility,
+                           _integration_tables, integrate, mul_mod, reduce_mod,
                            storage_dtype)
 from .series_matrix import SeriesMatrix, zeros_array
 
@@ -115,6 +115,8 @@ class ExtensionData:
         xi, v, m = self.xi, self.v, self.m
         for name, mat in (("xi", xi), ("v", v), ("m", m)):
             _check_matrix(name, mat, self.context, self.h, self.h)
+        if not xi.arr.shape[:-3] == v.arr.shape[:-3] == m.arr.shape[:-3]:
+            raise ValueError("xi, v and m must hold the same samples")
         if v.arr[..., 0].any():
             raise InvalidExtension("v entries must lie in the t-ideal")
         if np.count_nonzero(xi.arr[..., -1]):
@@ -223,8 +225,7 @@ def _v_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
 def _m_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
     """Half-pairing of the changed basis: m[i][j] = alpha[i][j] + alpha[j][i]
     off the diagonal, m[i][i] = alpha[i][i]."""
-    arr = reduce_mod(alpha.arr + alpha.transpose().arr, alpha.context.modulus,
-                     below_twice=True)
+    arr = reduce_mod(alpha.arr + alpha.transpose().arr, alpha.context.modulus)
     diag = np.arange(alpha.rows)
     arr[..., diag, diag, :] = alpha.arr[..., diag, diag, :]
     return SeriesMatrix(alpha.context, arr)
@@ -418,16 +419,16 @@ def trivialize(e: ExtensionData):
     ctx, h = e.context, e.h
     xi = _stacked(e.xi.arr)
     outcomes = [None] * len(xi)
-    live, alpha = list(range(len(xi))), ()
-    while live:
-        try:
-            alpha = integrate(SeriesMatrix(ctx, xi[live]))
-            break
-        except NonIntegrable as exc:
-            s, i, j = exc.index
-            outcomes[live.pop(s)] = Untrivializable(
-                "xi", (i, j), f"connection defect ({i},{j}) is not integrable "
-                f"at body degree {exc.degree}")
+    # every non-integrable sample is found in one pass, then the rest are
+    # integrated at once
+    bad = _divisibility(xi[..., :ctx.M], ctx)[1]
+    for s in np.flatnonzero(bad.any(axis=(1, 2, 3))):
+        i, j, k = (int(x) for x in np.argwhere(bad[s])[0])
+        outcomes[s] = Untrivializable(
+            "xi", (i, j), f"connection defect ({i},{j}) is not integrable at "
+            f"body degree {_integration_tables(ctx)[0][k]}")
+    live = [s for s, outcome in enumerate(outcomes) if outcome is None]
+    alpha = integrate(SeriesMatrix(ctx, xi[live]))
     # the samples of one precision are compared at once
     if isinstance(alpha, SeriesMatrix):
         groups = [(live, alpha)]
@@ -544,6 +545,9 @@ def p_torsion_check(e: ExtensionData, w: TrivializationWitness):
     sample alone.  The flag and the precisions are shared, and
     WitnessInvalid names the first equation the lowest failing sample fails.
     """
+    if e.xi.arr.shape[:-3] != w.alpha.arr.shape[:-3]:
+        raise ValueError("the extension and the witness must hold the same "
+                         "samples")
     if not e.geometric_flag:
         raise HypothesisMissing(
             "p_torsion_check requires the rank-1-mod-p hypothesis "

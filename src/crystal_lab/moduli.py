@@ -317,7 +317,9 @@ def multiply_by_p_injectivity_probe(ectx: ExtensionContext, n: int,
                 nontrivial_py += 1
             else:
                 found.setdefault(w.context, []).append((k, w))
-        # one group: no sample loses digits (see the module docstring)
+        # drawn points lose no digit, so they make one group (see the module
+        # docstring); a corrupted point, one that breaks the condition of
+        # its flag, can, and is then checked at its own precision, as alone
         for c, group in found.items():
             # the witnesses of one precision, each checked, stacked
             w = _derived(TrivializationWitness, group[0][1].ectx, SeriesMatrix(

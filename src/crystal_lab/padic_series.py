@@ -144,7 +144,7 @@ def storage_dtype(context: PrecisionContext):
     return np.int64 if context.int64_safe else object
 
 
-def reduce_mod(arr: np.ndarray, mod: int, below_twice=False) -> np.ndarray:
+def reduce_mod(arr: np.ndarray, mod: int) -> np.ndarray:
     """arr mod `mod` as canonical residues in [0, mod), in arr's dtype.
 
     On int64 this is arr - (arr // mod) * mod: numpy divides an int64 array
@@ -154,18 +154,9 @@ def reduce_mod(arr: np.ndarray, mod: int, below_twice=False) -> np.ndarray:
     exact and stays inside int64 for every entry arr >= -2^63 + mod, since
     then arr - mod < (arr // mod) * mod <= arr.  Object arrays use %, and
     keep Python integers.
-
-    below_twice states that the caller proves 0 <= arr < 2 mod.  Then int64
-    needs one subtraction: arr - mod is negative exactly where arr is already
-    reduced, and then above arr as an unsigned word, so the unsigned minimum
-    of the two is the residue.
     """
     if arr.dtype != np.int64:
         return arr % mod
-    if below_twice:
-        less = arr - mod
-        np.minimum(arr.view(np.uint64), less.view(np.uint64), out=less.view(np.uint64))
-        return less
     q = arr // mod
     q *= mod
     # into q: a second fresh array of a large result can cost more in page
@@ -397,9 +388,7 @@ def integrate(form):
     ctx, series = form.context, isinstance(form, OneForm)
     body = (form.body._arr if series else form.arr)[..., :ctx.M]
     cols, vp, pv, _, _ = _integration_tables(ctx)
-    # only the degrees n with p | n+1 can fail or lose digits
-    part = body[..., cols]
-    bad = (part % pv).astype(bool)
+    part, bad = _divisibility(body, ctx)
     if bad.any():
         *index, k = (int(x) for x in np.argwhere(bad)[0])
         raise NonIntegrable(int(cols[k]), tuple(index))
@@ -429,6 +418,15 @@ def integrate(form):
                                                         copy=False))
                  for a, c in zip(out, (ctx.reduce_precision(ctx.N - x)
                                        for x in lost)))
+
+
+def _divisibility(body: np.ndarray, ctx: PrecisionContext) -> tuple:
+    """(part, bad) for the body coefficients g_n of ``integrate``: part holds
+    them at the degrees n with p | n+1, the only ones that can fail
+    v_p(g_n) >= v_p(n+1) or lose digits, and bad marks where they fail."""
+    cols, _, pv, _, _ = _integration_tables(ctx)
+    part = body[..., cols]
+    return part, (part % pv).astype(bool)
 
 
 @lru_cache(maxsize=64)

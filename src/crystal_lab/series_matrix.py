@@ -199,16 +199,12 @@ class SeriesMatrix:
     def __add__(self, other):
         _check_same_context(self, other)
         ctx = self.context
-        # two residues sum to less than 2 p^N
-        return SeriesMatrix(ctx, reduce_mod(self.arr + other.arr, ctx.modulus,
-                                            below_twice=True))
+        return SeriesMatrix(ctx, reduce_mod(self.arr + other.arr, ctx.modulus))
 
     def __sub__(self, other):
         _check_same_context(self, other)
         ctx = self.context
-        diff = self.arr - other.arr
-        diff += ctx.modulus  # a - b + p^N lies in (0, 2 p^N)
-        return SeriesMatrix(ctx, reduce_mod(diff, ctx.modulus, below_twice=True))
+        return SeriesMatrix(ctx, reduce_mod(self.arr - other.arr, ctx.modulus))
 
     def __neg__(self):
         ctx = self.context

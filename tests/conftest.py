@@ -6,7 +6,6 @@ import pytest
 import crystal_lab
 from crystal_lab import PrecisionContext
 from crystal_lab.extension_group import _derived
-from crystal_lab.padic_series import reduce_mod
 
 # every module of the package, so that no binding of _derived is missed
 MODULES = [importlib.import_module(f"crystal_lab.{info.name}")
@@ -29,24 +28,6 @@ def derived_records_are_checked(monkeypatch):
     for module in MODULES:
         if getattr(module, "_derived", None) is _derived:
             monkeypatch.setattr(module, "_derived", checked)
-
-
-def range_checked(arr, mod, below_twice=False):
-    """reduce_mod, after checking the range its caller states."""
-    if below_twice and arr.size:
-        low, high = arr.min(), arr.max()
-        assert 0 <= low and high < 2 * mod, \
-            f"values in [{low}, {high}] outside the stated [0, 2 * {mod})"
-    return reduce_mod(arr, mod, below_twice)
-
-
-@pytest.fixture(autouse=True)
-def stated_ranges_are_checked(monkeypatch):
-    """Every reduction whose caller states that its input lies in
-    [0, 2 p^N) is checked to be in that range, on every run."""
-    for module in MODULES:
-        if getattr(module, "reduce_mod", None) is reduce_mod:
-            monkeypatch.setattr(module, "reduce_mod", range_checked)
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from crystal_lab import (ExtensionContext, ExtensionData, PrecisionContext,
                          from_alpha, int_scale, make_standard_crystal,
                          multiply_by_p_injectivity_probe, p_torsion_check,
                          random_geometric_point, trivialize)
+from crystal_lab import extension_group
 from crystal_lab.crystal import induced_maps
 from crystal_lab.errors import (ContextMismatch, HypothesisMissing,
                                 InvalidExtension, NotStable,
@@ -694,3 +695,52 @@ class TestSampleAxis:
         for left, right in ((stack, a), (a, stack), (stack, stack)):
             with pytest.raises(ValueError, match="sample axis"):
                 left @ right
+
+    def test_non_integrable_samples_cost_one_integration(self, monkeypatch):
+        ectx = ExtensionContext(PrecisionContext(3, 8, 32), 3)
+        rng = random.Random(3)
+        es = self.mixed(ectx, 3)
+        es[1:1] = [random_extension(rng, ectx, nontrivial=True)
+                   for _ in range(3)]
+        calls = []
+        integrate = extension_group.integrate
+        monkeypatch.setattr(extension_group, "integrate",
+                            lambda form: calls.append(form) or integrate(form))
+        out = trivialize(stacked(es))
+        assert len(calls) == 1
+        assert calls[0].arr.shape[0] == len(es) - 4
+        monkeypatch.setattr(extension_group, "integrate", integrate)
+        assert out == tuple(trivialize(e) for e in es)
+        assert [out[k].equation for k in (1, 2, 3, 6)] == ["xi"] * 4
+
+    def test_all_samples_non_integrable(self):
+        ectx = ExtensionContext(PrecisionContext(3, 8, 32), 3)
+        es = [random_extension(random.Random(k), ectx, nontrivial=True)
+              for k in range(2)]
+        assert trivialize(stacked(es)) == tuple(trivialize(e) for e in es)
+
+    def test_records_refuse_unequal_sample_counts(self):
+        ectx = ExtensionContext(PrecisionContext(3, 8, 32), 3)
+        rng = random.Random(0)
+        ys = [random_geometric_point(rng, ectx, 6).extension for _ in range(2)]
+        e = stacked(ys)
+        for f in ("xi", "v", "m"):
+            fields = {g: getattr(e, g) for g in ("xi", "v", "m")}
+            fields[f] = getattr(ys[0], f)
+            with pytest.raises(ValueError, match="same samples"):
+                ExtensionData(ectx, **fields)
+            fields[f] = SeriesMatrix(ectx.ctx, getattr(e, f).arr[:1])
+            with pytest.raises(ValueError, match="same samples"):
+                ExtensionData(ectx, **fields)
+
+    def test_p_torsion_check_refuses_unequal_sample_counts(self):
+        ectx = ExtensionContext(PrecisionContext(3, 8, 32), 3)
+        rng = random.Random(0)
+        ys = [random_geometric_point(rng, ectx, 6).extension for _ in range(2)]
+        ws = [trivialize(int_scale(y, 3)) for y in ys]
+        one = TrivializationWitness(ectx, SeriesMatrix(ectx.ctx,
+                                                       ws[0].alpha.arr[None]))
+        for e, w in ((stacked(ys), ws[0]), (stacked(ys), one),
+                     (ys[0], one), (stacked(ys[:1]), ws[0])):
+            with pytest.raises(ValueError, match="same samples"):
+                p_torsion_check(e, w)

@@ -9,7 +9,6 @@ from crystal_lab import (OneForm, PrecisionContext, TruncatedSeries,
                          oneform_pullback)
 from crystal_lab.errors import (ContextMismatch, NonIntegrable,
                                 PrecisionInsufficient)
-from crystal_lab import padic_series
 from crystal_lab.padic_series import (MAX_MODULUS_BITS, MAX_PRIME,
                                      _integration_tables, _is_odd_prime,
                                      p_valuation, reduce_mod)
@@ -300,27 +299,6 @@ def test_integration_tables_at_a_prime_beyond_every_degree(p):
     assert [int(x) for x in inv] == [pow(n, -1, p**2) for n in range(1, 9)]
     g = OneForm(TruncatedSeries(ctx, [1, 2, 3]))
     assert integrate(g) == TruncatedSeries(ctx, [0, 1, 1, 1])
-
-
-@pytest.mark.parametrize("n_digits", [8, 39, 40])
-def test_stated_range_reduction_matches_the_division(n_digits):
-    mod = 3**n_digits
-    rng = random.Random(n_digits)
-    values = [0, 1, mod - 1, mod, mod + 1, 2 * mod - 1]
-    values += [rng.randrange(2 * mod) for _ in range(200)]
-    dtype = np.int64 if mod < 2**62 else object
-    arr = np.array(values, dtype=dtype)
-    out = reduce_mod(arr, mod, below_twice=True)
-    assert out.dtype == dtype
-    assert [int(x) for x in out] == [x % mod for x in values]
-
-
-def test_stated_ranges_are_checked_under_the_suite():
-    mod = 3**8
-    with pytest.raises(AssertionError, match="outside"):
-        padic_series.reduce_mod(np.array([2 * mod]), mod, below_twice=True)
-    with pytest.raises(AssertionError, match="outside"):
-        padic_series.reduce_mod(np.array([-1]), mod, below_twice=True)
 
 
 class TestStackedIntegrate:
