@@ -34,8 +34,11 @@ _MODE_ALIASES = {"fast": "fast", "pp": "pullback_pushout", "pop": "pushout_pullb
 def _emit(doc, out=None):
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {out}: {exc}") from None
     sys.stdout.write(text)
 
 

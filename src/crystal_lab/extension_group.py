@@ -28,7 +28,7 @@ from .errors import (ContextMismatch, HypothesisMissing, InvalidExtension,
                      NotStable, PrecisionInsufficient, WitnessInvalid)
 from .padic_series import (PrecisionContext, _divisibility,
                            _integration_tables, integrate, mul_mod, reduce_mod,
-                           storage_dtype)
+                           residues)
 from .series_matrix import SeriesMatrix, zeros_array
 
 
@@ -218,8 +218,7 @@ def _v_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
     np.multiply(phi[..., :-1, :], p, out=v[..., 1:, :])
     v[..., :-1, :, :] -= a[..., 1:, :, :] * p
     v[..., -1, :, :] -= a[..., 0, :, :] * (p * p)
-    return SeriesMatrix(ctx, reduce_mod(v, ctx.modulus).astype(
-        storage_dtype(ctx), copy=False))
+    return SeriesMatrix(ctx, residues(v, ctx))
 
 
 def _m_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
@@ -413,38 +412,33 @@ def trivialize(e: ExtensionData):
     entry in row-major order.
 
     A record with the sample axis gives a tuple with the outcome of each
-    sample alone, over its own context.  The only error is integrate's
-    PrecisionInsufficient, for the lowest integrable sample that has it.
+    sample alone, over its own context.  Each sample's precision is decided
+    here: the pass that finds the non-integrable samples gives every other
+    one its loss, and the samples of one loss are integrated together, in
+    order of their first sample.  So the first group to raise integrate's
+    PrecisionInsufficient, the only error, holds the lowest sample that
+    would raise it alone.
     """
     ctx, h = e.context, e.h
-    xi = _stacked(e.xi.arr)
+    xi, v, m = (_stacked(f.arr) for f in (e.xi, e.v, e.m))
     outcomes = [None] * len(xi)
-    # every non-integrable sample is found in one pass, then the rest are
-    # integrated at once
-    bad = _divisibility(xi[..., :ctx.M], ctx)[1]
-    for s in np.flatnonzero(bad.any(axis=(1, 2, 3))):
-        i, j, k = (int(x) for x in np.argwhere(bad[s])[0])
-        outcomes[s] = Untrivializable(
-            "xi", (i, j), f"connection defect ({i},{j}) is not integrable at "
-            f"body degree {_integration_tables(ctx)[0][k]}")
-    live = [s for s, outcome in enumerate(outcomes) if outcome is None]
-    alpha = integrate(SeriesMatrix(ctx, xi[live]))
-    # the samples of one precision are compared at once
-    if isinstance(alpha, SeriesMatrix):
-        groups = [(live, alpha)]
-    else:
-        by = {}
-        for s, a in zip(live, alpha):
-            by.setdefault(a.context, []).append((s, a.arr))
-        groups = [([s for s, _ in g], SeriesMatrix(c, np.stack([x for _, x in g])))
-                  for c, g in by.items()]
-    v, m = _stacked(e.v.arr), _stacked(e.m.arr)
-    for idx, a in groups:
-        n = a.context.N
+    _, bad, lost = _divisibility(xi[..., :ctx.M], ctx)
+    groups = {}
+    for s, (fails, loss) in enumerate(zip(bad.any(axis=(1, 2, 3)),
+                                          lost.tolist())):
+        if fails:
+            i, j, k = (int(x) for x in np.argwhere(bad[s])[0])
+            outcomes[s] = Untrivializable(
+                "xi", (i, j), f"connection defect ({i},{j}) is not integrable "
+                f"at body degree {_integration_tables(ctx)[0][k]}")
+        else:
+            groups.setdefault(loss, []).append(s)
+    for idx in groups.values():
+        a = integrate(SeriesMatrix(ctx, xi[idx]))
         for name, expect, given, what in (("v", _v_from_alpha, v, "Frobenius"),
                                           ("m", _m_from_alpha, m, "pairing")):
             wrong = (expect(a).arr != SeriesMatrix(ctx, given[idx])
-                     .reduce_precision(n).arr).any(axis=-1)
+                     .reduce_precision(a.context.N).arr).any(axis=-1)
             for k in np.flatnonzero(wrong.any(axis=(1, 2))):
                 if outcomes[idx[k]] is None:
                     i, j = (int(x) for x in np.argwhere(wrong[k])[0])

@@ -176,8 +176,14 @@ def mul_mod(arr: np.ndarray, k, context: PrecisionContext, k_max: int | None = N
         k_max = k
     if k_max <= context.int64_scalar_max:
         return reduce_mod(arr * k, context.modulus)
-    out = reduce_mod(np.multiply(arr, k, dtype=object), context.modulus)
-    return out.astype(arr.dtype, copy=False)
+    return residues(np.multiply(arr, k, dtype=object), context)
+
+
+def residues(arr: np.ndarray, context: PrecisionContext) -> np.ndarray:
+    """arr mod p^N in the storage dtype of the context: the one way an
+    array of integers enters a context."""
+    return reduce_mod(arr, context.modulus).astype(storage_dtype(context),
+                                                   copy=False)
 
 
 def _check_same_context(a, b):
@@ -238,8 +244,7 @@ class TruncatedSeries:
         ctx = self.context.reduce_precision(new_n)
         if ctx is self.context:
             return self
-        return TruncatedSeries._from_array(ctx, reduce_mod(
-            self._arr, ctx.modulus).astype(storage_dtype(ctx), copy=False))
+        return TruncatedSeries._from_array(ctx, residues(self._arr, ctx))
 
     def truncate_degree(self, d: int) -> "TruncatedSeries":
         """Reduce mod t^(d+1) inside the same ring (zero out degrees > d)."""
@@ -377,56 +382,47 @@ def integrate(form):
     body coefficient g_n (n <= M-1) must satisfy v_p(g_n) >= v_p(n+1);
     otherwise NonIntegrable is raised, naming the first failing entry in
     row-major order (``index``, empty for a OneForm) and its lowest failing
-    body degree (``degree``).  Following the global-precision model, each
-    sample, every entry alike, is returned at the one reduced precision
-    N' = N - max v_p(n+1) over its nonzero g_n.  Raises
-    PrecisionInsufficient for the first sample with N' < 2; non-
-    integrability of any entry is reported first.  Returns a TruncatedSeries
-    for a OneForm, else a matrix of the argument's type, or, when samples
-    reach different N', a tuple of one matrix per sample.
+    body degree (``degree``).  Following the global-precision model, the
+    result, all entries and samples alike, is one TruncatedSeries (for a
+    OneForm) or matrix at N' = N - max v_p(n+1) over the nonzero g_n;
+    PrecisionInsufficient is raised when N' < 2, after non-integrability.
+    ``extension_group.trivialize`` decides each sample's precision, by
+    integrating the samples of one loss together.
     """
     ctx, series = form.context, isinstance(form, OneForm)
     body = (form.body._arr if series else form.arr)[..., :ctx.M]
-    cols, vp, pv, _, _ = _integration_tables(ctx)
-    part, bad = _divisibility(body, ctx)
+    cols, _, pv, _, _ = _integration_tables(ctx)
+    part, bad, lost = _divisibility(body, ctx)
     if bad.any():
         *index, k = (int(x) for x in np.argwhere(bad)[0])
         raise NonIntegrable(int(cols[k]), tuple(index))
-    # the digits each sample loses: over its entries, not the sample axis
-    used = part.any(axis=tuple(range(max(part.ndim - 3, 0), part.ndim - 1)))
-    lost = np.atleast_1d((vp * used).max(axis=-1, initial=0)).tolist()
-    short = [x for x in lost if ctx.N - x < 2]
-    if short:
+    loss = int(lost.max(initial=0))
+    if ctx.N - loss < 2:
         raise PrecisionInsufficient(
             f"integration would exhaust the p-adic precision (loss "
-            f"{short[0]} of N={ctx.N} digits)")
-    top = ctx.reduce_precision(ctx.N - min(lost, default=0))
+            f"{loss} of N={ctx.N} digits)")
+    top = ctx.reduce_precision(ctx.N - loss)
     _, _, _, inv, inv_max = _integration_tables(top)
-    dtype = storage_dtype(top)
     quot = body.copy()
     # exact: p^v divides every coefficient it is applied to
     quot[..., cols] = part // pv
     if top is not ctx:
-        quot = reduce_mod(quot, top.modulus).astype(dtype, copy=False)
-    out = np.zeros(body.shape[:-1] + (ctx.M + 1,), dtype=dtype)
+        quot = residues(quot, top)
+    out = np.zeros(body.shape[:-1] + (ctx.M + 1,), dtype=quot.dtype)
     out[..., 1:] = mul_mod(quot, inv, top, inv_max)
-    wrap = TruncatedSeries._from_array if series else type(form)
-    if len(set(lost)) <= 1:
-        return wrap(top, out)
-    # a sample that loses more digits is reduced to its own precision
-    return tuple(wrap(c, reduce_mod(a, c.modulus).astype(storage_dtype(c),
-                                                        copy=False))
-                 for a, c in zip(out, (ctx.reduce_precision(ctx.N - x)
-                                       for x in lost)))
+    return (TruncatedSeries._from_array if series else type(form))(top, out)
 
 
 def _divisibility(body: np.ndarray, ctx: PrecisionContext) -> tuple:
-    """(part, bad) for the body coefficients g_n of ``integrate``: part holds
-    them at the degrees n with p | n+1, the only ones that can fail
-    v_p(g_n) >= v_p(n+1) or lose digits, and bad marks where they fail."""
-    cols, _, pv, _, _ = _integration_tables(ctx)
+    """(part, bad, lost) for the body coefficients g_n of ``integrate``:
+    part holds them at the degrees n with p | n+1, the only ones that can
+    fail v_p(g_n) >= v_p(n+1) or lose digits, bad marks where they fail,
+    and lost is the largest v_p(n+1) over the nonzero ones, per sample: over
+    the last three axes of part (entry rows, entry columns, degrees)."""
+    cols, vp, pv, _, _ = _integration_tables(ctx)
     part = body[..., cols]
-    return part, (part % pv).astype(bool)
+    used = part.any(axis=tuple(range(max(part.ndim - 3, 0), part.ndim - 1)))
+    return part, (part % pv).astype(bool), (vp * used).max(axis=-1, initial=0)
 
 
 @lru_cache(maxsize=64)

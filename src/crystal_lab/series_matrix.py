@@ -7,8 +7,8 @@ The constructor rejects any other dtype.  A matrix holds at most
 MAX_COEFFICIENTS coefficients; ``zeros_array`` checks this before it
 allocates.  A stack of samples of one shape and context is an
 (S, rows, cols, M+1) array: the elementwise operations, the calculus,
-``transpose`` and the reductions act per sample, ``@`` raises ValueError
-on it, and the constructors and accessors take no sample axis.
+``transpose`` and the reductions act per sample; ``@``, ``entry`` and
+``select_rows`` raise ValueError on it, and the constructors take none.
 
 The product here is the one product kernel: series products and inverses
 run as 1x1 matrix products.  It raises ValueError, before any arithmetic,
@@ -80,7 +80,7 @@ from .errors import ContextMismatch
 from .padic_series import (PrecisionContext, TruncatedSeries,
                            _check_same_context, derivative_coeffs,
                            frobenius_coeffs, mul_mod, oneform_pullback_coeffs,
-                           reduce_mod, storage_dtype)
+                           reduce_mod, residues, storage_dtype)
 
 _FLOAT64_EXACT = 2**53
 # the product_dtype of a constant 0/+-1 operand: signed gathers
@@ -176,11 +176,17 @@ class SeriesMatrix:
 
     # -- accessors ---------------------------------------------------------
 
+    def _unstacked(self, what: str) -> None:
+        if self.arr.ndim == 4:
+            raise ValueError(f"{what} takes matrices without the sample axis")
+
     def entry(self, i, j) -> TruncatedSeries:
+        self._unstacked("entry")
         a = np.array(self.arr[i, j], copy=True)
         return TruncatedSeries._from_array(self.context, a)
 
     def select_rows(self, indices) -> "SeriesMatrix":
+        self._unstacked("select_rows")
         return SeriesMatrix(self.context, np.array(self.arr[list(indices)], copy=True))
 
     def is_zero(self) -> bool:
@@ -216,8 +222,8 @@ class SeriesMatrix:
 
     def __matmul__(self, other):
         _check_same_context(self, other)
-        if 4 in (self.arr.ndim, other.arr.ndim):
-            raise ValueError("a product takes matrices without the sample axis")
+        self._unstacked("a product")
+        other._unstacked("a product")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply a {self.rows}x{self.cols} by a "
                              f"{other.rows}x{other.cols} matrix")
@@ -292,8 +298,7 @@ class SeriesMatrix:
         ctx = self.context.reduce_precision(new_n)
         if ctx is self.context:
             return self
-        return SeriesMatrix(ctx, reduce_mod(self.arr, ctx.modulus).astype(
-            storage_dtype(ctx), copy=False))
+        return SeriesMatrix(ctx, residues(self.arr, ctx))
 
     # -- constant-layer helpers ----------------------------------------------
 

@@ -307,6 +307,19 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "slopes", "/nonexistent.json")
         assert code == 2 and "cannot read" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--h", "2", "--kind", "sub1"],
+        ["probe", "--p", "3", "--h", "2", "--n", "6", "--N", "8",
+         "--samples", "2", "--seed", "0"],
+    ], ids=["gen", "probe"])
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_out(self, capsys, tmp_path, argv, where):
+        out = tmp_path / "no" / "x.json" if where == "missing" else tmp_path
+        code, text, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, text) == (2, "")
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+
     def test_bad_json(self, capsys, tmp_path):
         f = tmp_path / "junk.json"
         f.write_text("{not json")

@@ -7,11 +7,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crystal_lab import (ExtensionContext, ExtensionData, PrecisionContext,
                          Refuted, TorsionCertificate, TrivializationWitness,
-                         TruncatedSeries, Untrivializable, assemble_crystal,
-                         baer_sum, check_horizontality, check_pairing_compat,
-                         from_alpha, int_scale, make_standard_crystal,
+                         TruncatedSeries, Untrivializable, add_points,
+                         assemble_crystal, baer_sum, check_horizontality,
+                         check_pairing_compat, from_alpha, int_scale,
+                         make_standard_crystal,
                          multiply_by_p_injectivity_probe, p_torsion_check,
-                         random_geometric_point, trivialize)
+                         random_geometric_point, trivialize, truncate_point)
 from crystal_lab import extension_group
 from crystal_lab.crystal import induced_maps
 from crystal_lab.errors import (ContextMismatch, HypothesisMissing,
@@ -610,6 +611,37 @@ def test_criterion_07_in_every_regime(p, n_digits, storage):
     assert from_alpha(cert.beta) == y.extension.reduce_precision(n_digits - 1)
 
 
+@pytest.mark.parametrize("p, n_digits, storage", REGIMES)
+def test_criterion_06_in_every_regime(p, n_digits, storage):
+    ectx = ExtensionContext(PrecisionContext(p, n_digits, 32), 5)
+    rng = random.Random(n_digits)
+    # t^9 at p=3 and t^5 at p=5 cost 2 and 1 digits, which moves N=40 and
+    # N=27 from Python integers to int64
+    n_out = n_digits - (2 if p == 3 else 1)
+    for _ in range(4):
+        w = random_witness(rng, ectx, range(1, 32 // p + 1))
+        assert w.alpha.arr.dtype == storage
+        out = trivialize(from_alpha(w))
+        assert isinstance(out, TrivializationWitness)
+        assert out.context.N == n_out
+        assert out.alpha == w.alpha.reduce_precision(n_out)
+        assert out.alpha.arr.dtype == np.int64
+
+
+@pytest.mark.parametrize("p, n_digits, storage", REGIMES)
+def test_criterion_09_in_every_regime(p, n_digits, storage):
+    ectx = ExtensionContext(PrecisionContext(p, n_digits, 32), 5)
+    n = 32 // p + 1
+    rng = random.Random(n_digits)
+    for k in range(4):
+        y = random_geometric_point(rng, ectx, n, bool(k % 2))
+        z = random_geometric_point(rng, ectx, n, bool(k % 3))
+        assert y.extension.xi.arr.dtype == storage
+        n2 = rng.randrange(2, n)
+        assert truncate_point(add_points(y, z), n2) == add_points(
+            truncate_point(y, n2), truncate_point(z, n2)), k
+
+
 def stacked(records):
     """One ExtensionData with the sample axis from records of one context."""
     e = records[0]
@@ -696,7 +728,18 @@ class TestSampleAxis:
             with pytest.raises(ValueError, match="sample axis"):
                 left @ right
 
-    def test_non_integrable_samples_cost_one_integration(self, monkeypatch):
+    def test_accessors_refuse_the_sample_axis(self):
+        ctx = PrecisionContext(3, 8, 32)
+        a = random_series_matrix(random.Random(0), ctx, 2, 3, [0, 1])
+        stack = SeriesMatrix(ctx, np.stack([a.arr, a.arr]))
+        with pytest.raises(ValueError, match="entry .*sample axis"):
+            stack.entry(1, 2)
+        with pytest.raises(ValueError, match="select_rows .*sample axis"):
+            stack.select_rows([0])
+        assert a.entry(1, 2) == TruncatedSeries._from_array(ctx, a.arr[1, 2])
+        assert a.select_rows([1]) == SeriesMatrix(ctx, a.arr[1:])
+
+    def test_one_integration_per_loss(self, monkeypatch):
         ectx = ExtensionContext(PrecisionContext(3, 8, 32), 3)
         rng = random.Random(3)
         es = self.mixed(ectx, 3)
@@ -707,8 +750,11 @@ class TestSampleAxis:
         monkeypatch.setattr(extension_group, "integrate",
                             lambda form: calls.append(form) or integrate(form))
         out = trivialize(stacked(es))
-        assert len(calls) == 1
-        assert calls[0].arr.shape[0] == len(es) - 4
+        # losses 0, 2 and 1 (three samples), in order of first appearance;
+        # no call holds one of the four non-integrable samples
+        assert [c.arr.shape[0] for c in calls] == [1, 1, 3]
+        assert np.array_equal(np.concatenate([c.arr for c in calls]), np.stack(
+            [es[k].xi.arr for k in (0, 4, 5, 7, 8)]))
         monkeypatch.setattr(extension_group, "integrate", integrate)
         assert out == tuple(trivialize(e) for e in es)
         assert [out[k].equation for k in (1, 2, 3, 6)] == ["xi"] * 4

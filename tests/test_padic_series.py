@@ -322,14 +322,21 @@ class TestStackedIntegrate:
 
     @pytest.mark.parametrize("n_digits", [8, 40])
     def test_mixed_losses_match_the_per_sample_calls(self, n_digits):
+        # one matrix at the lowest precision, as for a record: each sample
+        # is its own antiderivative reduced to that N
         ctx = PrecisionContext(3, n_digits, 32)
         # losses 0, 1, 2 and 0 again: degrees off 3, at 3, at 9
         forms = self.stack(ctx, [(1, 2), (3, 4), (9, 1), (5,)])
         out = integrate(forms)
-        assert isinstance(out, tuple)
-        assert out == tuple(integrate(SeriesMatrix(ctx, a)) for a in forms.arr)
-        assert [a.context.N for a in out] == [n_digits, n_digits - 1,
-                                              n_digits - 2, n_digits]
+        assert isinstance(out, SeriesMatrix)
+        assert out.context.N == n_digits - 2
+        assert out.arr.dtype == (np.int64 if out.context.int64_safe else object)
+        alone = [integrate(SeriesMatrix(ctx, a)) for a in forms.arr]
+        assert [a.context.N for a in alone] == [n_digits, n_digits - 1,
+                                                n_digits - 2, n_digits]
+        for a, sample in zip(out.arr, alone):
+            assert SeriesMatrix(out.context, a) == sample.reduce_precision(
+                n_digits - 2)
 
     def test_equal_losses_give_one_stack(self):
         ctx = PrecisionContext(3, 8, 32)
