@@ -11,11 +11,11 @@ from .extension_group import (ExtensionContext, ExtensionData, Refuted,
                               TrivializationWitness, Untrivializable,
                               assemble_crystal, baer_sum, from_alpha,
                               int_scale, p_torsion_check, trivialize)
-from .moduli import (DeformationPoint, ProbeReport, SlopeReport, add_points,
-                     identity_point, multiply_by_p_injectivity_probe,
-                     negate_point, point_from_tangent, random_geometric_point,
-                     scale_point, slope_report, tangent_coordinates,
-                     truncate_point)
+from .moduli import (DeformationPoint, GroupLawReport, ProbeReport,
+                     SlopeReport, add_points, group_law_check, identity_point,
+                     multiply_by_p_injectivity_probe, negate_point,
+                     point_from_tangent, random_geometric_point, scale_point,
+                     slope_report, tangent_coordinates, truncate_point)
 from .padic_series import (OneForm, PrecisionContext, TruncatedSeries,
                            derivative, frobenius_pullback, integrate,
                            oneform_pullback)
@@ -25,16 +25,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplementResult", "DeformationPoint", "ExtensionContext",
-    "ExtensionData", "FCrystalPresentation", "HorizontalityReport", "OneForm",
-    "PairingReport", "PrecisionContext", "ProbeReport", "Refuted",
-    "SeriesMatrix", "SlopeMultiset", "SlopeReport", "TorsionCertificate",
-    "TraceStep", "TrivializationWitness", "TruncatedSeries", "Untrivializable",
+    "ExtensionData", "FCrystalPresentation", "GroupLawReport",
+    "HorizontalityReport", "OneForm", "PairingReport", "PrecisionContext",
+    "ProbeReport", "Refuted", "SeriesMatrix", "SlopeMultiset",
+    "SlopeReport", "TorsionCertificate", "TraceStep",
+    "TrivializationWitness", "TruncatedSeries", "Untrivializable",
     "add_points", "assemble_crystal", "baer_sum", "check_horizontality",
-    "check_pairing_compat", "derivative", "direct_sum", "errors", "from_alpha",
-    "frobenius_pullback", "hom_crystal", "identity_point", "int_scale",
-    "integrate", "make_standard_crystal", "multiply_by_p_injectivity_probe",
-    "negate_point", "newton_slopes", "oneform_pullback",
-    "orthogonal_complement", "p_torsion_check", "point_from_tangent",
-    "random_geometric_point", "scale_point", "slope_report",
-    "tangent_coordinates", "trivialize", "truncate_point",
+    "check_pairing_compat", "derivative", "direct_sum", "errors",
+    "from_alpha", "frobenius_pullback", "group_law_check", "hom_crystal",
+    "identity_point", "int_scale", "integrate", "make_standard_crystal",
+    "multiply_by_p_injectivity_probe", "negate_point", "newton_slopes",
+    "oneform_pullback", "orthogonal_complement", "p_torsion_check",
+    "point_from_tangent", "random_geometric_point", "scale_point",
+    "slope_report", "tangent_coordinates", "trivialize", "truncate_point",
 ]

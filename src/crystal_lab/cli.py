@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 
 from . import serialize
@@ -20,10 +19,7 @@ from .errors import CrystalLabError, SchemaError
 from .extension_group import (ExtensionContext, Refuted, TorsionCertificate,
                               Untrivializable, baer_sum, p_torsion_check,
                               trivialize)
-from .moduli import (_point_context, add_points, identity_point,
-                     multiply_by_p_injectivity_probe, negate_point,
-                     point_from_tangent, random_geometric_point,
-                     tangent_coordinates, truncate_point)
+from .moduli import group_law_check, multiply_by_p_injectivity_probe
 from .padic_series import PrecisionContext
 
 _MODE_ALIASES = {"fast": "fast", "pp": "pullback_pushout", "pop": "pushout_pullback",
@@ -128,76 +124,23 @@ def _samples(args) -> int:
     return args.samples
 
 
-def _cmd_grouplaw(args):
+def _sampling_verb(args, verb) -> int:
     samples = _samples(args)
     ctx = PrecisionContext(args.p, args.N, args.M)
-    # every point lives at t-adic degree p(n-1); the report names ctx
-    ectx = _point_context(ExtensionContext(ctx, args.h), args.n)
-    rng = random.Random(args.seed)
-    failures = []
-
-    def tally(name, ok):
-        if not ok:
-            failures.append(name)
-
-    ident = identity_point(ectx, args.n)
-    for k in range(samples):
-        y = random_geometric_point(rng, ectx, args.n, nontrivial=False)
-        z = random_geometric_point(rng, ectx, args.n, nontrivial=False)
-        w = random_geometric_point(rng, ectx, args.n, nontrivial=False)
-        tally(f"commutative[{k}]", add_points(y, z) == add_points(z, y))
-        tally(f"associative[{k}]",
-              add_points(add_points(y, z), w) == add_points(y, add_points(z, w)))
-        tally(f"identity[{k}]", add_points(y, ident) == y)
-        tally(f"inverse[{k}]", add_points(y, negate_point(y)) == ident)
-        tally(f"functorial[{k}]",
-              truncate_point(add_points(y, z), 2)
-              == add_points(truncate_point(y, 2), truncate_point(z, 2)))
-
-    p = ctx.p
-    tangent_ok = True
-    for k in range(samples):
-        a = [rng.randrange(p) for _ in range(args.h - 1)]
-        b = [rng.randrange(p) for _ in range(args.h - 1)]
-        ya, yb = point_from_tangent(ectx, a), point_from_tangent(ectx, b)
-        lhs = tangent_coordinates(add_points(ya, yb))
-        rhs = tuple((x + y) % p for x, y in zip(a, b))
-        if lhs != rhs or tangent_coordinates(ya) != tuple(a):
-            tangent_ok = False
-    tally("tangent_additive", tangent_ok)
-
-    # level-by-level view of one sum: the single-shot law agrees with the
-    # successive lifts through every truncation of the base
-    y = random_geometric_point(rng, ectx, args.n, nontrivial=True)
-    z = random_geometric_point(rng, ectx, args.n, nontrivial=False)
-    total = add_points(y, z)
-    levels = []
-    for i in range(2, args.n + 1):
-        lhs = truncate_point(total, i) if i < args.n else total
-        rhs = add_points(truncate_point(y, i) if i < args.n else y,
-                         truncate_point(z, i) if i < args.n else z)
-        levels.append({"level": i, "agrees": lhs == rhs})
-        tally(f"level[{i}]", lhs == rhs)
-
-    doc = {**serialize.header(ctx), "h": args.h, "n": args.n,
-           "seed": args.seed, "samples": samples,
-           "tangent_dimension": args.h - 1,
-           "successive_levels": levels,
-           "failures": failures, "passed": not failures}
-    _emit(doc, args.out)
-    return 0 if not failures else 1
-
-
-def _cmd_probe(args):
-    samples = _samples(args)
-    ctx = PrecisionContext(args.p, args.N, args.M)
-    ectx = ExtensionContext(ctx, args.h)
-    report = multiply_by_p_injectivity_probe(ectx, args.n, samples,
-                                             seed=args.seed)
+    report = verb(ExtensionContext(ctx, args.h), args.n, samples,
+                  seed=args.seed)
     doc = {**serialize.header(ctx), "h": args.h, "n": args.n}
     doc.update(report.to_json())
     _emit(doc, args.out)
-    return 0 if not report.counterexamples else 1
+    return 0 if report.passed else 1
+
+
+def _cmd_grouplaw(args):
+    return _sampling_verb(args, group_law_check)
+
+
+def _cmd_probe(args):
+    return _sampling_verb(args, multiply_by_p_injectivity_probe)
 
 
 @functools.cache

@@ -8,27 +8,30 @@ image under the coefficient lift.  Requiring p*(n-1) <= M keeps the lift
 faithful on the data, which is what makes the torsion certification chain
 sound at finite truncation.
 
-The sampling verbs (the probe here, ``grouplaw`` in the CLI) therefore
-compute at t-adic degree p(n-1), the smallest ambient ring holding every
-point, and report the caller's context (``_point_context``).  This is
-exact.  Besides the modulus, the draws read M only through
-min(n-1, M//p), which is n-1 whenever p(n-1) <= M, so the same random
-words give the same coefficients.  Every step of the verbs (sums,
-integer multiples, ``truncate_point``, ``from_alpha``, whose phi* reads
-degrees <= M//p, ``integrate``, the comparisons of ``trivialize``, the
-torsion chain and ``tangent_coordinates``) maps data supported in degrees
-<= p(n-1) to such data and commutes with truncation there, so every
-equality and every outcome is the same.
+The sampling verbs (the probe and the group-law check, both here; the CLI
+only parses, calls them and emits) therefore compute at t-adic degree
+p(n-1), the smallest ambient ring holding every point, and report the
+caller's context (``_point_context``).  This is exact.  Besides the
+modulus, the draws read M only through min(n-1, M//p), which is n-1
+whenever p(n-1) <= M, so the same random words give the same coefficients.
+Every step of the verbs (sums, integer multiples, ``truncate_point``,
+``from_alpha``, whose phi* reads degrees <= M//p, ``integrate``, the
+comparisons of ``trivialize``, the torsion chain and
+``tangent_coordinates``) maps data supported in degrees <= p(n-1) to such
+data and commutes with truncation there, so every equality and every
+outcome is the same.
 
-The probe runs its samples in blocks, as records with a leading sample
-axis.  It draws a block first, with the calls of the per-sample loop in its
-order, which read only the generator.  Every later step acts on each sample
-alone, so the counts and counterexamples are those of the loop.  So is any
-error.  Once ``_point_context`` accepts n, drawing never raises.  Every xi
-is the derivative of a witness supported off multiples of p, so
-``integrate`` loses no digit and trivialization never raises.  Each witness
-then holds at N for p*Y, so the torsion check raises only for N < 3, with
-one message for any sample.
+Both verbs run their samples in blocks, as records with a leading sample
+axis.  A block is drawn first, with the calls of the per-sample loop in its
+order, which read only the generator; the group-law check reads all of a
+block's point residues in one ``_draw_residues`` call (``_draw_points``)
+and builds the block's points at once (``_build_points``).  Every later
+step acts on each sample alone, so the counts, counterexamples and failed
+checks are those of the loop.  So is any error.  Once ``_point_context``
+accepts n, drawing never raises.  Every xi is the derivative of a witness
+supported off multiples of p, so ``integrate`` loses no digit and
+trivialization never raises.  Each witness then holds at N for p*Y, so the
+torsion check raises only for N < 3, with one message for any sample.
 
 The filtration generator is normalized with unit coefficient on the last
 lifted basis vector, so the group law is literal addition of coordinates;
@@ -48,11 +51,12 @@ from .errors import ContextMismatch, InvalidExtension, WrongBase
 from .extension_group import (ExtensionContext, ExtensionData,
                               TorsionCertificate, TrivializationWitness,
                               Untrivializable, _check_matrix, _derived,
-                              _differs, baer_sum, int_scale, p_torsion_check,
-                              trivialize)
-from .padic_series import PrecisionContext
-from .sampling import add_noise, random_extension, random_series_matrix
-from .series_matrix import SeriesMatrix, zeros_array
+                              _differs, _stacked, baer_sum, from_alpha,
+                              int_scale, p_torsion_check, trivialize)
+from .padic_series import PrecisionContext, storage_dtype
+from .sampling import (_draw_residues, _noise_draws, _put_noise,
+                       witness_support)
+from .series_matrix import SeriesMatrix
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,9 @@ class DeformationPoint:
     """A deformation point: extension data plus filtration coordinates.
 
     hodge is the h x 1 column (s_0, ..., s_{h-1}) presenting the filtration
-    generator as the last lifted basis vector plus sum s_i a_i.
+    generator as the last lifted basis vector plus sum s_i a_i.  A stack of
+    points carries the leading sample axis in hodge and in the extension,
+    with the same samples in both; every condition is checked per sample.
     """
 
     ectx: ExtensionContext
@@ -76,20 +82,32 @@ class DeformationPoint:
             raise ContextMismatch(f"extension context {e.ectx} differs from "
                                   f"{ectx}")
         _check_matrix("hodge", hodge, ctx, h, 1)
+        if hodge.arr.shape[:-3] != e.m.arr.shape[:-3]:
+            raise ValueError("the extension and hodge must hold the same "
+                             "samples")
         # degree bounds: xi below n - 1, v up to p(n - 1), m and hodge below n
-        if e.xi.arr[:, :, n - 1:].any():
+        if e.xi.arr[..., n - 1:].any():
             raise InvalidExtension("connection defect exceeds the base degree")
-        if e.v.arr[:, :, ctx.p * (n - 1) + 1:].any():
+        if e.v.arr[..., ctx.p * (n - 1) + 1:].any():
             raise InvalidExtension("Frobenius defect exceeds the lifted degree")
-        if e.m.arr[:, :, n:].any():
+        if e.m.arr[..., n:].any():
             raise InvalidExtension("pairing data exceeds the base degree")
-        if e.m.arr[:, :, 0].any():
+        if e.m.arr[..., 0].any():
             raise InvalidExtension("pairing data must vanish at t=0")
-        if hodge.arr[:, :, 0].any():
+        if hodge.arr[..., 0].any():
             raise InvalidExtension("hodge coordinates must vanish at t=0")
-        if hodge.arr[:, :, n:].any():
+        if hodge.arr[..., n:].any():
             raise InvalidExtension("hodge coordinate exceeds the base degree")
-        if hodge.entry(h - 1, 0) != -e.m.entry(h - 1, h - 1):
+        if hodge.arr.ndim == 4:
+            anisotropic = ((hodge.arr[..., h - 1, 0, :]
+                            + e.m.arr[..., h - 1, h - 1, :]) % ctx.modulus).any()
+        else:
+            # the same test through two entry copies: they are the probe's
+            # only SeriesMatrix.entry calls, which DOMINANT["probe"] in
+            # perfbench/workloads.py requires; this branch goes when that
+            # requirement does
+            anisotropic = hodge.entry(h - 1, 0) != -e.m.entry(h - 1, h - 1)
+        if anisotropic:
             raise InvalidExtension(
                 "isotropy requires the last hodge coordinate to equal minus "
                 "the corner of m")
@@ -130,7 +148,10 @@ def identity_point(ectx: ExtensionContext, n: int) -> DeformationPoint:
 
 def add_points(y: DeformationPoint, z: DeformationPoint) -> DeformationPoint:
     """Group law: Baer sum of the extensions, addition of the filtration
-    coordinates.  Isotropy is preserved because both constraints are linear."""
+    coordinates.  Isotropy is preserved because both constraints are linear.
+
+    Stacks add sample by sample; a point without the sample axis adds to
+    every sample of a stack."""
     if y.ectx != z.ectx or y.base_degree != z.base_degree:
         raise ContextMismatch("points live over different bases")
     # sums keep the degree bounds and the t=0 conditions, and isotropy
@@ -172,33 +193,130 @@ def truncate_point(y: DeformationPoint, new_n: int) -> DeformationPoint:
 
 
 def tangent_coordinates(y: DeformationPoint) -> tuple:
-    """Free filtration coordinates over the dual numbers, reduced mod p.
+    """Free filtration coordinates over the dual numbers, reduced mod p;
+    for a stack, one tuple per sample.
 
     Only defined at base degree 2; the last coordinate is excluded since
     isotropy determines it.
     """
     if y.base_degree != 2:
         raise WrongBase("tangent coordinates require base degree 2")
-    p = y.ectx.ctx.p
-    return tuple(int(x) % p for x in y.hodge.arr[:y.h - 1, 0, 1])
+    coords = (y.hodge.arr[..., :y.h - 1, 0, 1] % y.ectx.ctx.p).tolist()
+    return tuple(map(tuple, coords)) if y.hodge.arr.ndim == 4 else tuple(coords)
 
 
 def point_from_tangent(ectx: ExtensionContext, values) -> DeformationPoint:
     """The point over the dual numbers with prescribed tangent coordinates
-    and split extension; witnesses surjectivity of the tangent map."""
-    ctx = ectx.ctx
-    h = ectx.h
-    values = list(values)
-    if len(values) != h - 1:
+    and split extension; witnesses surjectivity of the tangent map.  Rows
+    of h-1 coordinates, one per sample, give a stack."""
+    ctx, h = ectx.ctx, ectx.h
+    coords = np.array(values, dtype=object)
+    if coords.ndim not in (1, 2) or coords.shape[-1] != h - 1:
         raise ValueError(f"expected {h - 1} coordinates")
-    arr = zeros_array(ctx, h, 1)
+    arr = np.zeros((*coords.shape[:-1], h, 1, ctx.M + 1),
+                   dtype=storage_dtype(ctx))
     # canonical residues first: int64 storage cannot hold every integer
-    arr[:h - 1, 0, 1] = [int(v) % ctx.modulus for v in values]
-    return DeformationPoint(ectx, 2, ExtensionData.zero(ectx),
-                            SeriesMatrix(ctx, arr))
+    arr[..., :h - 1, 0, 1] = np.array(
+        [int(v) % ctx.modulus for v in coords.flat], dtype=object
+    ).reshape(coords.shape)
+    e = ExtensionData.zero(ectx)
+    if coords.ndim == 2:
+        z = SeriesMatrix(ctx, np.broadcast_to(e.xi.arr, (len(coords),
+                                                         *e.xi.arr.shape)))
+        # the zero extension in every sample, as read-only views
+        e = _derived(ExtensionData, ectx, z, z, z, True)
+    return DeformationPoint(ectx, 2, e, SeriesMatrix(ctx, arr))
+
+
+def _samples_of(y: DeformationPoint, index: slice) -> DeformationPoint:
+    """The samples `index` of the stack y, as a stack."""
+    e, ctx = y.extension, y.ectx.ctx
+    mats = [SeriesMatrix(ctx, getattr(e, f).arr[index])
+            for f in ("xi", "v", "m")]
+    # samples of a checked stack meet its conditions
+    ext = _derived(ExtensionData, e.ectx, *mats, e.geometric_flag)
+    # samples of a checked stack meet its conditions
+    return _derived(DeformationPoint, y.ectx, y.base_degree, ext,
+                    SeriesMatrix(ctx, y.hodge.arr[index]))
+
+
+def _point_differs(y: DeformationPoint, z: DeformationPoint) -> np.ndarray:
+    """Per sample of points of one context and base degree: whether they
+    differ, which is what == tells of that sample alone.  A point without
+    the sample axis is one sample, or is compared with every sample."""
+    return _differs(y.extension, z.extension).any(axis=1) | (
+        _stacked(y.hodge.arr) != _stacked(z.hodge.arr)).any(axis=(1, 2, 3))
 
 
 # -- random geometric points ----------------------------------------------------
+
+
+def _draw_points(rng: random.Random, ectx: ExtensionContext, n: int,
+                 nontrivial) -> tuple:
+    """Read the generator for one point per flag of `nontrivial`, in the
+    order of drawing the points one at a time: per point the witness
+    residues, then for a set flag the noise (its degree, field, entry and
+    unit), then the hodge residues.  Needs a checked base degree n.
+
+    Returns (alpha, hodge, noise): the (S, h, h, M+1) witness residues, the
+    (S, h, 1, M+1) hodge column without its last coordinate, and a tuple
+    (k, field, degree, entry, unit) for each noisy point k.  The residues
+    between two noise draws come from one ``_draw_residues`` call, which
+    gives the values of the randrange loop.
+    """
+    ctx, h, p = ectx.ctx, ectx.h, ectx.ctx.p
+    degrees = witness_support(ectx, n - 1)
+    size = h * h * len(degrees)
+    step = size + (h - 1) * (n - 1)
+    top = min(n - 1, ctx.M // p)
+    # v_p(d) < N, or the noise would be a unit or zero
+    noise_degrees = [d for d in range(p, top + 1, p) if d % ctx.modulus]
+    chunks, noise, pending = [], [], 0
+    for k, flag in enumerate(nontrivial):
+        pending += size
+        if flag:
+            chunks.append(_draw_residues(rng, ctx.modulus, pending))
+            pending = 0
+            deg = rng.choice(noise_degrees) if noise_degrees else p
+            field = "m" if deg <= n - 1 and rng.getrandbits(1) else "v"
+            noise.append((k, field, deg, *_noise_draws(rng, h, p)))
+        pending += step - size
+    chunks.append(_draw_residues(rng, ctx.modulus, pending))
+    flat = np.concatenate(chunks).reshape(len(nontrivial), step)
+    alpha = np.zeros((len(flat), h, h, ctx.M + 1), dtype=flat.dtype)
+    alpha[..., degrees] = flat[:, :size].reshape(-1, h, h, len(degrees))
+    hodge = np.zeros((len(flat), h, 1, ctx.M + 1), dtype=flat.dtype)
+    # n - 1 <= M / p, so every degree below n is stored
+    hodge[:, :h - 1, :, 1:n] = flat[:, size:].reshape(-1, h - 1, 1, n - 1)
+    return alpha, hodge, tuple(noise)
+
+
+def _build_points(ectx: ExtensionContext, n: int, draws: tuple,
+                  stack: bool = True) -> DeformationPoint:
+    """The points of `draws` (``_draw_points``) as one checked stack, or,
+    with stack False, its one point as a record without the sample axis:
+    the geometric image of each witness plus its noise, and the hodge
+    column whose last coordinate isotropy sets."""
+    ctx, h = ectx.ctx, ectx.h
+    alpha, hodge, noise = draws
+    e = from_alpha(TrivializationWitness(ectx, SeriesMatrix(ctx, alpha))
+                   ).mark_geometric()
+    arrs = [e.xi.arr, e.v.arr, e.m.arr]
+    if noise:
+        arrs[1:] = [a.copy() for a in arrs[1:]]
+        for k, field, degree, entry, unit in noise:
+            _put_noise(arrs[1 if field == "v" else 2][k], field, degree,
+                       entry, unit, ctx)
+    hodge[:, h - 1, 0] = -arrs[2][:, h - 1, h - 1] % ctx.modulus
+    lead = slice(None) if stack else 0
+    if noise:
+        e = ExtensionData(ectx, *(SeriesMatrix(ctx, a[lead]) for a in arrs),
+                          True)
+    elif not stack:
+        # the one sample of a checked geometric stack
+        e = _derived(ExtensionData, ectx, *(SeriesMatrix(ctx, a[0])
+                                            for a in arrs), True)
+    return DeformationPoint(ectx, n, e, SeriesMatrix(ctx, hodge[lead]))
 
 
 def random_geometric_point(rng: random.Random, ectx: ExtensionContext, n: int,
@@ -208,25 +326,13 @@ def random_geometric_point(rng: random.Random, ectx: ExtensionContext, n: int,
     The witness support stays within degrees < n and within the faithful
     range M/p, avoiding multiples of p so antidifferentiation is lossless;
     nontrivial points add derivative-free valuation-matched noise to v (or
-    symmetrically to m) at a degree d with 1 <= v_p(d) < N.
+    symmetrically to m) at a degree d with 1 <= v_p(d) < N.  This is the
+    one-point case of a block of points: ``_draw_points``, then
+    ``_build_points``.
     """
     _check_base_degree(ectx, n)  # before the first draw
-    ctx = ectx.ctx
-    h = ectx.h
-    e = random_extension(rng, ectx, max_degree=n - 1).mark_geometric()
-    if nontrivial:
-        top = min(n - 1, ctx.M // ctx.p)
-        # v_p(d) < N, or the noise would be a unit or zero
-        noise_degrees = [d for d in range(ctx.p, top + 1, ctx.p)
-                         if d % ctx.modulus]
-        deg = rng.choice(noise_degrees) if noise_degrees else ctx.p
-        field = "m" if deg <= n - 1 and rng.getrandbits(1) else "v"
-        e = add_noise(rng, e, field, deg)
-    hodge = zeros_array(ctx, h, 1)
-    # n - 1 <= M / p, so every degree below n is stored
-    hodge[:h - 1] = random_series_matrix(rng, ctx, h - 1, 1, range(1, n)).arr
-    hodge[h - 1, 0] = -e.m.arr[h - 1, h - 1] % ctx.modulus
-    return DeformationPoint(ectx, n, e, SeriesMatrix(ctx, hodge))
+    return _build_points(ectx, n, _draw_points(rng, ectx, n, [nontrivial]),
+                         stack=False)
 
 
 # -- the [p]-injectivity experiment ----------------------------------------------
@@ -247,6 +353,10 @@ class ProbeReport:
     torsion_certified: int      # trivial-p-multiple samples certified trivial
     trivial_direct: int         # samples already trivial at full precision
     counterexamples: tuple
+
+    @property
+    def passed(self) -> bool:
+        return not self.counterexamples
 
     def to_json(self):
         return {
@@ -277,9 +387,9 @@ def multiply_by_p_injectivity_probe(ectx: ExtensionContext, n: int,
                                     samples: int, seed: int = 0) -> ProbeReport:
     """Sampled check that multiplication by p has trivial kernel.
 
-    For each random geometric point Y, [p]Y is computed by iterated
-    addition; when its extension trivializes, the torsion chain must
-    certify Y itself trivial (at its stated precision).  Any refusal is a
+    For each random geometric point Y, [p]Y is computed by a binary
+    addition chain, at most 2 log2(p) sums; when its extension trivializes,
+    the torsion chain must certify Y itself trivial (at its stated precision).  Any refusal is a
     counterexample; the expected count is zero.  The points are drawn and
     computed at t-adic degree p(n-1), in blocks with the sample axis (see
     the module docstring).
@@ -300,9 +410,13 @@ def multiply_by_p_injectivity_probe(ectx: ExtensionContext, n: int,
         hodge = SeriesMatrix(ctx, np.stack([pt.hodge.arr for pt in ys]))
         trivial_direct += sum(not isinstance(w, Untrivializable)
                               for w in trivialize(y))
+        # [p]Y by a binary addition chain: double, and add Y at each set
+        # bit; at p=3 these are the sums (Y, Y) and (2Y, Y) of p-1 additions
         py, p_hodge = y, hodge
-        for _ in range(p - 1):
-            py, p_hodge = baer_sum(py, y), p_hodge + hodge
+        for bit in bin(p)[3:]:
+            py, p_hodge = baer_sum(py, py), p_hodge + p_hodge
+            if bit == "1":
+                py, p_hodge = baer_sum(py, y), p_hodge + hodge
         # scale_point(Y, p) != [p]Y, sample by sample
         nonlinear = _differs(int_scale(y, p), py).any(axis=1) | (
             hodge.scale_int(p).arr != p_hodge.arr).any(axis=(1, 2, 3))
@@ -335,6 +449,107 @@ def multiply_by_p_injectivity_probe(ectx: ExtensionContext, n: int,
     issues.sort(key=lambda issue: issue.index)
     return ProbeReport(seed, samples, nontrivial_py, certified, trivial_direct,
                        tuple(issues))
+
+
+# -- the group-law axioms ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GroupLawReport:
+    seed: int
+    samples: int
+    tangent_dimension: int
+    levels: tuple       # (level, whether the single-shot sum agrees there)
+    failures: tuple     # names of the failed checks, in the order run
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def to_json(self):
+        return {
+            "seed": self.seed,
+            "samples": self.samples,
+            "tangent_dimension": self.tangent_dimension,
+            "successive_levels": [{"level": i, "agrees": ok}
+                                  for i, ok in self.levels],
+            "failures": list(self.failures),
+            "passed": self.passed,
+        }
+
+
+_AXIOMS = ("commutative", "associative", "identity", "inverse", "functorial")
+
+
+def group_law_check(ectx: ExtensionContext, n: int, samples: int,
+                    seed: int = 0) -> GroupLawReport:
+    """Sampled check of the group law on points over k[t]/(t^n).
+
+    Each sample draws three trivial geometric points y, z, w and checks
+    that the law is commutative, associative, has the identity and
+    inverses, and commutes with truncation to the dual numbers; then each
+    sample checks that the tangent coordinates add, on points from drawn
+    coordinates; then one sum of a nontrivial and a trivial point is
+    compared with the sum of its truncations at every level 2..n.  A
+    failed check is named with its sample, every check of sample k before
+    any of sample k+1.  The samples run in blocks with the sample axis,
+    drawn in the order of a per-sample loop, and the points are computed at
+    t-adic degree p(n-1) (see the module docstring).
+    """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
+    ectx = _point_context(ectx, n)  # before the first draw
+    rng = random.Random(seed)
+    ctx, h, p = ectx.ctx, ectx.h, ectx.ctx.p
+    # three points per sample
+    size = max(1, _BLOCK_COEFFICIENTS // (3 * h ** 2 * (ctx.M + 1)))
+    blocks = [range(start, min(start + size, samples))
+              for start in range(0, samples, size)]
+    ident = identity_point(ectx, n)
+    failures = []
+    for block in blocks:
+        points = _build_points(ectx, n, _draw_points(
+            rng, ectx, n, [False] * (3 * len(block))))
+        # each sample draws y, z, w in turn
+        y, z, w = (_samples_of(points, slice(i, None, 3)) for i in range(3))
+        yz = add_points(y, z)
+        differs = np.stack([
+            _point_differs(yz, add_points(z, y)),
+            _point_differs(add_points(yz, w), add_points(y, add_points(z, w))),
+            _point_differs(add_points(y, ident), y),
+            _point_differs(add_points(y, negate_point(y)), ident),
+            _point_differs(truncate_point(yz, 2),
+                           add_points(truncate_point(y, 2),
+                                      truncate_point(z, 2)))], axis=1)
+        failures += [f"{name}[{k}]" for k, row in zip(block, differs)
+                     for name, bad in zip(_AXIOMS, row) if bad]
+
+    tangent_ok = True
+    for block in blocks:
+        # each sample draws the coordinates a, then b, one randrange(p) each
+        a, b = _draw_residues(rng, p, 2 * (h - 1) * len(block)).reshape(
+            len(block), 2, h - 1).transpose(1, 0, 2)
+        ya, yb = point_from_tangent(ectx, a), point_from_tangent(ectx, b)
+        tangent_ok &= (
+            tangent_coordinates(add_points(ya, yb))
+            == tuple(map(tuple, ((a + b) % p).tolist()))
+            and tangent_coordinates(ya) == tuple(map(tuple, a.tolist())))
+    if not tangent_ok:
+        failures.append("tangent_additive")
+
+    # level-by-level view of one sum: the single-shot law agrees with the
+    # successive lifts through every truncation of the base
+    y = random_geometric_point(rng, ectx, n, nontrivial=True)
+    z = random_geometric_point(rng, ectx, n, nontrivial=False)
+    total = add_points(y, z)
+    levels = []
+    for i in range(2, n + 1):
+        lhs = truncate_point(total, i) if i < n else total
+        rhs = add_points(truncate_point(y, i) if i < n else y,
+                         truncate_point(z, i) if i < n else z)
+        levels.append((i, lhs == rhs))
+    failures += [f"level[{i}]" for i, agrees in levels if not agrees]
+    return GroupLawReport(seed, samples, h - 1, tuple(levels), tuple(failures))
 
 
 # -- the slope report -------------------------------------------------------------

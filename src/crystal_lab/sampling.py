@@ -116,16 +116,31 @@ def add_noise(rng: random.Random, e: ExtensionData, field: str, degree: int,
     vp = p_valuation(degree, ctx.p)
     if not 1 <= vp < ctx.N:
         raise ValueError(f"noise degree {degree} needs 1 <= v_p < N={ctx.N}")
-    i, j = entry if entry is not None else (rng.randrange(e.h), rng.randrange(e.h))
-    unit = rng.randrange(1, ctx.p)
-    coeff = (ctx.p ** (ctx.N - vp)) * unit % ctx.modulus
+    entry, unit = _noise_draws(rng, e.h, ctx.p, entry)
     arr = getattr(e, field).arr.copy()
-    cells = {(i, j), (j, i)} if field == "m" else {(i, j)}
-    for a, b in cells:
-        arr[a, b, degree] = (arr[a, b, degree] + coeff) % ctx.modulus
+    _put_noise(arr, field, degree, entry, unit, ctx)
     noisy = SeriesMatrix(ctx, arr)
     v, m = (noisy, e.m) if field == "v" else (e.v, noisy)
     return ExtensionData(e.ectx, e.xi, v, m, e.geometric_flag)
+
+
+def _noise_draws(rng: random.Random, h: int, p: int, entry=None) -> tuple:
+    """The draws of ``add_noise``, in its order: the entry (i, j), unless
+    given, then the unit in [1, p)."""
+    if entry is None:
+        entry = rng.randrange(h), rng.randrange(h)
+    return entry, rng.randrange(1, p)
+
+
+def _put_noise(arr: np.ndarray, field: str, degree: int, entry: tuple,
+               unit: int, ctx: PrecisionContext) -> None:
+    """Add the noise of ``add_noise`` to the h x h x (M+1) residue array of
+    e.v or e.m, in place: p^(N - v_p(degree)) * unit at the entry and the
+    degree, and on m at the transposed entry too."""
+    coeff = ctx.p ** (ctx.N - p_valuation(degree, ctx.p)) * unit % ctx.modulus
+    i, j = entry
+    for a, b in {(i, j), (j, i)} if field == "m" else {(i, j)}:
+        arr[a, b, degree] = (arr[a, b, degree] + coeff) % ctx.modulus
 
 
 def perturb_xi_antisym(e: ExtensionData, i0: int, j0: int,

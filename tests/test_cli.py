@@ -276,7 +276,7 @@ class TestSamplingVerbs:
             wide = report(32)
             assert report(top) == wide
             with monkeypatch.context() as patch:
-                patch.setattr(cli, "_point_context", untrimmed)
+                # both verbs take their context from moduli
                 patch.setattr(moduli, "_point_context", untrimmed)
                 assert report(32) == wide
 

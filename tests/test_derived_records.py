@@ -105,7 +105,12 @@ RECORDS = (ExtensionData, TrivializationWitness, DeformationPoint)
 
 
 @pytest.mark.parametrize("argv, checks", [
-    (["grouplaw", "--p", "3", "--h", "10", "--n", "6", "--samples", "3"], 30),
+    # the three samples make one block of nine points: its witness and its
+    # points are checked once each (2); then the identity point (1), the
+    # two stacks of tangent points (2), and the level pair: the nontrivial
+    # point's witness, noisy extension and point (3), the trivial one's
+    # witness and point (2)
+    (["grouplaw", "--p", "3", "--h", "10", "--n", "6", "--samples", "3"], 10),
     # the five samples draw 13 checked records, and p_torsion_check checks
     # the witness of p*Y once for the block of samples that reach it
     (["probe", "--p", "3", "--h", "10", "--n", "6", "--N", "8",

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+the package exports what `__all__` names.
 
 ``__init__.py`` re-exports by importing, so it is skipped, and so are
 ``__future__`` imports.
@@ -38,3 +39,18 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_reported():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == \
         ["b (line 2)", "os (line 1)"]
+
+
+def test_every_exported_name_exists_once():
+    names = crystal_lab.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(crystal_lab, name)] == []
+
+
+@pytest.mark.parametrize("name", ["multiply_by_p_injectivity_probe",
+                                  "ProbeReport", "group_law_check",
+                                  "GroupLawReport"])
+def test_the_sampling_verbs_and_their_reports_are_exported(name):
+    from crystal_lab import moduli
+    assert name in crystal_lab.__all__
+    assert getattr(crystal_lab, name) is getattr(moduli, name)

@@ -1,25 +1,31 @@
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from crystal_lab import extension_group, moduli
+from crystal_lab import extension_group, moduli, serialize
 from crystal_lab import (DeformationPoint, ExtensionContext, ExtensionData,
-                         PrecisionContext, TruncatedSeries, add_points,
-                         assemble_crystal, identity_point, int_scale,
+                         GroupLawReport, PrecisionContext, TruncatedSeries,
+                         add_points, assemble_crystal, group_law_check,
+                         identity_point, int_scale,
                          multiply_by_p_injectivity_probe, negate_point,
                          point_from_tangent, random_geometric_point,
                          scale_point, slope_report, tangent_coordinates,
                          truncate_point)
+from crystal_lab.cli import run
 from crystal_lab.errors import (ContextMismatch, InvalidExtension,
                                 PrecisionInsufficient, WrongBase)
 from crystal_lab.extension_group import (TorsionCertificate,
                                          TrivializationWitness,
                                          Untrivializable, from_alpha)
 from crystal_lab.extension_group import _derived as unchecked
-from crystal_lab.moduli import (ProbeReport, ProbeSampleIssue,
-                                _check_base_degree, _point_context)
+from crystal_lab.moduli import (ProbeReport, ProbeSampleIssue, _build_points,
+                                _check_base_degree, _draw_points,
+                                _point_context, _point_differs)
+from crystal_lab.sampling import (add_noise, random_extension,
+                                  random_series_matrix)
 from crystal_lab.series_matrix import SeriesMatrix, zeros_array
 
 
@@ -555,3 +561,361 @@ def test_two_digits_raise_the_per_sample_error(monkeypatch):
         per_sample_probe(ectx, 6, 7, seed=0)
     with pytest.raises(PrecisionInsufficient, match=message):
         multiply_by_p_injectivity_probe(ectx, 6, 7, seed=0)
+
+
+def test_the_p_multiple_takes_a_logarithmic_chain(monkeypatch):
+    # p = 4093 passes every cap; p - 1 additions took minutes at h=10
+    ectx = ExtensionContext(PrecisionContext(4093, 3, 4093), 2)
+    calls = [0]
+    baer_sum = moduli.baer_sum
+
+    def counted(e1, e2, *args):
+        calls[0] += 1
+        return baer_sum(e1, e2, *args)
+
+    monkeypatch.setattr(moduli, "baer_sum", counted)
+    report = multiply_by_p_injectivity_probe(ectx, 2, 1, seed=0)
+    assert calls[0] <= 2 * (4093).bit_length()
+    assert report.counterexamples == ()
+    assert report.nontrivial_py + report.torsion_certified == 1
+
+
+# -- points drawn as a block ---------------------------------------------------
+
+
+def per_point_random_geometric_point(rng, ectx, n, nontrivial=False):
+    """The point drawn and built one step at a time, through the sampling
+    functions: the reference of the block steps."""
+    _check_base_degree(ectx, n)
+    ctx, h = ectx.ctx, ectx.h
+    e = random_extension(rng, ectx, max_degree=n - 1).mark_geometric()
+    if nontrivial:
+        top = min(n - 1, ctx.M // ctx.p)
+        noise_degrees = [d for d in range(ctx.p, top + 1, ctx.p)
+                         if d % ctx.modulus]
+        deg = rng.choice(noise_degrees) if noise_degrees else ctx.p
+        field = "m" if deg <= n - 1 and rng.getrandbits(1) else "v"
+        e = add_noise(rng, e, field, deg)
+    hodge = zeros_array(ctx, h, 1)
+    hodge[:h - 1] = random_series_matrix(rng, ctx, h - 1, 1, range(1, n)).arr
+    hodge[h - 1, 0] = -e.m.arr[h - 1, h - 1] % ctx.modulus
+    return DeformationPoint(ectx, n, e, SeriesMatrix(ctx, hodge))
+
+
+def point_arrays(y):
+    return [y.extension.xi.arr, y.extension.v.arr, y.extension.m.arr,
+            y.hodge.arr]
+
+
+# noise degrees exist at p=3, n=10 (and at N=2 one with v_p >= N); none at
+# p=7, n=3, which falls back to degree p
+@pytest.mark.parametrize("p, N, h, n", [
+    (3, 8, 10, 6), (3, 40, 3, 10), (5, 24, 2, 4), (7, 8, 3, 3), (3, 2, 3, 10)])
+def test_a_drawn_point_is_the_per_step_point(p, N, h, n):
+    ectx = ExtensionContext(PrecisionContext(p, N, 32), h)
+    for seed in range(8):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for k in range(4):
+            flag = bool((seed + k) % 2)
+            y = random_geometric_point(rng, ectx, n, flag)
+            ref = per_point_random_geometric_point(ref_rng, ectx, n, flag)
+            assert y == ref
+            assert y.extension.geometric_flag and y.hodge.arr.ndim == 3
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("N", [8, 40], ids=["int64", "object"])
+def test_a_block_of_points_is_its_points_stacked(N):
+    ectx = ExtensionContext(PrecisionContext(3, N, 32), 3)
+    flags = [False, True, True, False, False, True, False]
+    for seed in range(6):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        block = _build_points(ectx, 10, _draw_points(rng, ectx, 10, flags))
+        points = [random_geometric_point(ref_rng, ectx, 10, flag)
+                  for flag in flags]
+        assert rng.getstate() == ref_rng.getstate()
+        for got, *want in zip(point_arrays(block),
+                              *map(point_arrays, points)):
+            assert np.array_equal(got, np.stack(want))
+        assert block.extension.geometric_flag
+
+
+class TestStackedPoints:
+    def stack(self, ectx, n, seed, count=4):
+        rng = random.Random(seed)
+        flags = [bool(k % 2) for k in range(count)]
+        return _build_points(ectx, n, _draw_points(rng, ectx, n, flags))
+
+    def sample(self, y, k):
+        return moduli._samples_of(y, slice(k, k + 1))
+
+    def test_the_samples_must_agree(self, ectx3):
+        y = self.stack(ectx3, 4, 1)
+        hodge = SeriesMatrix(ectx3.ctx, y.hodge.arr[:3])
+        with pytest.raises(ValueError, match="the same samples"):
+            DeformationPoint(ectx3, 4, y.extension, hodge)
+        with pytest.raises(ValueError, match="the same samples"):
+            DeformationPoint(ectx3, 4, y.extension,
+                             SeriesMatrix(ectx3.ctx, y.hodge.arr[0]))
+
+    def test_isotropy_is_checked_per_sample(self, ectx3):
+        y = self.stack(ectx3, 4, 2)
+        arr = y.hodge.arr.copy()
+        arr[2, 2, 0, 1] += 1
+        with pytest.raises(InvalidExtension, match="isotropy requires"):
+            DeformationPoint(ectx3, 4, y.extension,
+                             SeriesMatrix(ectx3.ctx, arr % ectx3.ctx.modulus))
+
+    def test_the_operations_act_per_sample(self, ectx3):
+        y, z = self.stack(ectx3, 5, 3), self.stack(ectx3, 5, 4)
+        ident = identity_point(ectx3, 5)
+        for k in range(4):
+            yk, zk = self.sample(y, k), self.sample(z, k)
+            assert self.sample(add_points(y, z), k) == add_points(yk, zk)
+            assert self.sample(add_points(y, ident), k) == add_points(yk, ident)
+            assert self.sample(negate_point(y), k) == negate_point(yk)
+            assert self.sample(scale_point(y, 7), k) == scale_point(yk, 7)
+            assert self.sample(truncate_point(y, 3), k) == truncate_point(yk, 3)
+
+    def test_the_comparison_is_per_sample(self, ectx3):
+        y = self.stack(ectx3, 4, 5)
+        arr = y.extension.v.arr.copy()
+        arr[1, 0, 1, 1] = (arr[1, 0, 1, 1] + 3) % ectx3.ctx.modulus
+        e = y.extension
+        other = DeformationPoint(ectx3, 4, ExtensionData(
+            ectx3, e.xi, SeriesMatrix(ectx3.ctx, arr), e.m, True), y.hodge)
+        differs = _point_differs(y, other)
+        assert differs.tolist() == [False, True, False, False]
+        assert differs.tolist() == [self.sample(y, k) != self.sample(other, k)
+                                    for k in range(4)]
+        assert y != other and y == y
+        assert _point_differs(y, identity_point(ectx3, 4)).all()
+
+    @pytest.mark.parametrize("N", [8, 40], ids=["int64", "object"])
+    def test_tangent_rows_make_a_stack(self, N):
+        ectx = ExtensionContext(PrecisionContext(3, N, 32), 4)
+        rows = [[-1, 5, 2**70], [0, 1, 2], [4, 4, 4]]
+        y = point_from_tangent(ectx, rows)
+        points = [point_from_tangent(ectx, row) for row in rows]
+        for k, pt in enumerate(points):
+            assert self.sample(y, k) == moduli._samples_of(
+                point_from_tangent(ectx, [rows[k]]), slice(None))
+            assert tangent_coordinates(pt) == tangent_coordinates(y)[k]
+        assert tangent_coordinates(y) == tuple(
+            tuple(v % 3 for v in row) for row in rows)
+        empty = point_from_tangent(ectx, np.zeros((0, 3), dtype=np.int64))
+        assert tangent_coordinates(empty) == ()
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            point_from_tangent(ectx, [[1, 2]])
+
+
+# -- the block grouplaw against the grouplaw one point at a time -------------
+
+
+def per_point_grouplaw(ectx, n, samples, seed=0):
+    """The grouplaw checks one point at a time, on records without the
+    sample axis: the reference of ``group_law_check``.  Module attributes
+    are read at call time, so a patch applies to both."""
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
+    ectx = moduli._point_context(ectx, n)
+    rng = random.Random(seed)
+    add, trunc = moduli.add_points, moduli.truncate_point
+    failures = []
+
+    def tally(name, ok):
+        if not ok:
+            failures.append(name)
+
+    ident = moduli.identity_point(ectx, n)
+    for k in range(samples):
+        y, z, w = (moduli.random_geometric_point(rng, ectx, n, nontrivial=False)
+                   for _ in range(3))
+        tally(f"commutative[{k}]", add(y, z) == add(z, y))
+        tally(f"associative[{k}]", add(add(y, z), w) == add(y, add(z, w)))
+        tally(f"identity[{k}]", add(y, ident) == y)
+        tally(f"inverse[{k}]", add(y, moduli.negate_point(y)) == ident)
+        tally(f"functorial[{k}]",
+              trunc(add(y, z), 2) == add(trunc(y, 2), trunc(z, 2)))
+
+    p, h = ectx.ctx.p, ectx.h
+    tangent_ok = True
+    for k in range(samples):
+        a = [rng.randrange(p) for _ in range(h - 1)]
+        b = [rng.randrange(p) for _ in range(h - 1)]
+        ya = moduli.point_from_tangent(ectx, a)
+        yb = moduli.point_from_tangent(ectx, b)
+        lhs = moduli.tangent_coordinates(add(ya, yb))
+        rhs = tuple((x + y) % p for x, y in zip(a, b))
+        if lhs != rhs or moduli.tangent_coordinates(ya) != tuple(a):
+            tangent_ok = False
+    tally("tangent_additive", tangent_ok)
+
+    y = moduli.random_geometric_point(rng, ectx, n, nontrivial=True)
+    z = moduli.random_geometric_point(rng, ectx, n, nontrivial=False)
+    total = add(y, z)
+    levels = []
+    for i in range(2, n + 1):
+        lhs = trunc(total, i) if i < n else total
+        rhs = add(trunc(y, i) if i < n else y, trunc(z, i) if i < n else z)
+        levels.append((i, lhs == rhs))
+        tally(f"level[{i}]", lhs == rhs)
+    return GroupLawReport(seed, samples, h - 1, tuple(levels), tuple(failures))
+
+
+def set_grouplaw_block(monkeypatch, ectx, n, size=BLOCK):
+    """Make the grouplaw's blocks `size` samples long at this shape."""
+    pctx = _point_context(ectx, n)
+    monkeypatch.setattr(moduli, "_BLOCK_COEFFICIENTS",
+                        size * 3 * pctx.h ** 2 * (pctx.ctx.M + 1))
+
+
+@pytest.mark.parametrize("h", [2, 3, 10])
+@pytest.mark.parametrize("n_digits", [8, 40], ids=["int64", "object"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_block_grouplaw_matches_the_per_point_grouplaw(monkeypatch, p,
+                                                       n_digits, h):
+    ectx = ExtensionContext(PrecisionContext(p, n_digits, 32), h)
+    set_grouplaw_block(monkeypatch, ectx, 3)
+    for samples in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1):
+        seed = 100 * p + n_digits + samples
+        report = group_law_check(ectx, 3, samples, seed)
+        assert report == per_point_grouplaw(ectx, 3, samples, seed)
+        assert report.passed and len(report.levels) == 2
+
+
+def test_grouplaw_blocks_stay_within_the_budget(monkeypatch):
+    # 25 samples of three points at h=10, M=15 take nine blocks
+    ectx = ExtensionContext(PrecisionContext(3, 8, 32), 10)
+    sizes = []
+    negate = moduli.negate_point
+
+    def spy(y):
+        sizes.append(y.hodge.arr.shape[0])
+        return negate(y)
+
+    monkeypatch.setattr(moduli, "negate_point", spy)
+    report = group_law_check(ectx, 6, 25, seed=1)
+    assert sizes == [3] * 8 + [1]
+    assert all(3 * size * 10 * 10 * 16 <= moduli._BLOCK_COEFFICIENTS
+               for size in sizes)
+    monkeypatch.undo()
+    assert report == per_point_grouplaw(ectx, 6, 25, seed=1)
+
+
+ANY = object()  # a key that every argument matches
+
+
+def drawn(ectx, n, samples, seed):
+    """The hodge columns of the points y, z, w, the tangent rows a, b and
+    the hodge columns of their points ya, yb, of every sample, as the verb
+    draws them, and the zero column."""
+    pctx = _point_context(ectx, n)
+    rng = random.Random(seed)
+    hodges = [random_geometric_point(rng, pctx, n).hodge.arr
+              for _ in range(3 * samples)]
+    rows = [[rng.randrange(pctx.ctx.p) for _ in range(pctx.h - 1)]
+            for _ in range(2 * samples)]
+    tangent = [point_from_tangent(pctx, row).hodge.arr for row in rows]
+    return {"y": hodges[0::3], "z": hodges[1::3], "w": hodges[2::3],
+            "a": rows[0::2], "b": rows[1::2],
+            "ya": tangent[0::2], "yb": tangent[1::2],
+            "zero": zeros_array(pctx.ctx, pctx.h, 1)}
+
+
+def matches(arg, key, sample):
+    """Whether the sample of an argument (a point, with or without the
+    sample axis, keyed by its hodge column; an integer; or coordinate
+    rows) is the key."""
+    if key is ANY:
+        return True
+    if isinstance(arg, int):
+        return arg == key
+    arr = arg.hodge.arr if isinstance(arg, DeformationPoint) else np.asarray(arg)
+    stacked = arr.ndim == (4 if isinstance(arg, DeformationPoint) else 2)
+    return np.array_equal(arr[sample] if stacked else arr, key)
+
+
+def keyed_fault(func, key, delta):
+    """Wrap a function that returns a point, with or without the sample
+    axis, so that every sample of a result whose arguments match the key
+    has delta added to the degree-1 coefficient of its first hodge
+    coordinate, off the isotropy corner."""
+    def wrapper(*args):
+        out = func(*args)
+        ctx, arr = out.ectx.ctx, out.hodge.arr
+        stack = (arr if arr.ndim == 4 else arr[None]).copy()
+        hits = [k for k in range(len(stack))
+                if all(matches(a, part, k) for a, part in zip(args, key))]
+        if not hits:
+            return out
+        for k in hits:
+            stack[k, 0, 0, 1] = (stack[k, 0, 0, 1] + delta) % ctx.modulus
+        return DeformationPoint(out.ectx, out.base_degree, out.extension,
+                                SeriesMatrix(ctx, stack.reshape(arr.shape)))
+    return wrapper
+
+
+# each fault shifts a result of sample 4 of 7, the second of the second
+# block of three, chosen by the points or rows it is computed from; the
+# tangent round trip shifts ya and yb oppositely, so that only the check of
+# a's coordinates sees it, and the tangent sum is seen only by the check
+# that coordinates add
+FAULTS = {
+    "commutative": ([("add_points", lambda d: (d["z"][4], d["y"][4]), 1)],
+                    ("commutative[4]",)),
+    "associative": ([("add_points", lambda d: (d["z"][4], d["w"][4]), 1)],
+                    ("associative[4]",)),
+    "identity": ([("add_points", lambda d: (d["y"][4], d["zero"]), 1)],
+                 ("identity[4]",)),
+    "inverse": ([("negate_point", lambda d: (d["y"][4],), 1)],
+                ("inverse[4]",)),
+    "functorial": ([("truncate_point", lambda d: (d["y"][4], 2), 1)],
+                   ("functorial[4]",)),
+    "tangent-sum": ([("add_points", lambda d: (d["ya"][4], d["yb"][4]), 1)],
+                    ("tangent_additive",)),
+    "tangent-round-trip": (
+        [("point_from_tangent", lambda d: (ANY, d["a"][4]), 1),
+         ("point_from_tangent", lambda d: (ANY, d["b"][4]), -1)],
+        ("tangent_additive",)),
+    "two-in-a-block": ([("negate_point", lambda d: (d["y"][4],), 1),
+                        ("truncate_point", lambda d: (d["y"][3], 2), 1)],
+                       ("functorial[3]", "inverse[4]")),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_failed_check_is_pinned(monkeypatch, fault):
+    faults, failures = FAULTS[fault]
+    ectx = ExtensionContext(PrecisionContext(7, 8, 32), 4)
+    set_grouplaw_block(monkeypatch, ectx, 4)
+    draws = drawn(ectx, 4, 7, seed=6)
+    # each keyed row is drawn once, so each fault hits one sample
+    rows = draws["a"] + draws["b"]
+    assert rows.count(draws["a"][4]) == rows.count(draws["b"][4]) == 1
+    for name, key, delta in faults:
+        monkeypatch.setattr(moduli, name, keyed_fault(
+            getattr(moduli, name), key(draws), delta))
+    report = group_law_check(ectx, 4, 7, seed=6)
+    assert report.failures == failures
+    assert report == per_point_grouplaw(ectx, 4, 7, seed=6)
+    assert not report.passed
+
+
+def test_the_report_gives_the_cli_bytes(capsys):
+    ctx = PrecisionContext(3, 8, 32)
+    report = group_law_check(ExtensionContext(ctx, 10), 6, 3, seed=4)
+    doc = {**serialize.header(ctx), "h": 10, "n": 6, **report.to_json()}
+    assert run(["grouplaw", "--p", "3", "--h", "10", "--n", "6",
+                "--samples", "3", "--seed", "4"]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert report.passed and report.tangent_dimension == 9
+
+
+@pytest.mark.parametrize("n, error", [(1, WrongBase), (12, InvalidExtension)])
+def test_grouplaw_checks_before_drawing(ectx2, n, error):
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        group_law_check(ectx2, n, -1)
+    with pytest.raises(error):
+        group_law_check(ectx2, n, 0)
