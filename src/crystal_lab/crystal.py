@@ -433,7 +433,9 @@ def induced_maps(frobenius: SeriesMatrix, connection: SeriesMatrix,
     f = rhs_f.select_rows(pivot_rows)
     if basis @ f != rhs_f:
         raise NotStable("span is not Frobenius-stable")
-    rhs_a = basis.derivative_bodies() + (connection @ basis)
+    rhs_a = connection @ basis
+    if not basis.is_constant():
+        rhs_a = basis.derivative_bodies() + rhs_a
     a = rhs_a.select_rows(pivot_rows)
     if not (basis @ a - rhs_a).is_zero_through(ctx.M - 1):
         raise NotStable("span is not connection-stable")

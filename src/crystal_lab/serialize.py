@@ -11,6 +11,8 @@ matrix is read.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .crystal import FCrystalPresentation
@@ -70,7 +72,20 @@ def _coefficients(ctx: PrecisionContext, obj) -> list:
     return out + [0] * (ctx.M + 1 - len(out))
 
 
+# the largest modulus whose decimal strings are read from one table
+DECIMAL_TABLE_MAX = 2**14
+
+
+@lru_cache(maxsize=4)
+def _decimals(modulus: int) -> np.ndarray:
+    """The decimal strings of the residues 0 .. modulus - 1, indexed by the
+    residue."""
+    return np.array([str(c) for c in range(modulus)], dtype=object)
+
+
 def matrix_to_json(m: SeriesMatrix) -> list:
+    if m.context.modulus <= DECIMAL_TABLE_MAX:
+        return _decimals(m.context.modulus)[m.arr].tolist()
     return [[[str(c) for c in cell] for cell in row] for row in m.arr.tolist()]
 
 

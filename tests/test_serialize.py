@@ -125,3 +125,37 @@ def test_serialized_bytes_match_per_entry_conversion(n_digits):
         per_entry = [[[str(int(c)) for c in m.arr[i, j]] for j in range(m.cols)]
                      for i in range(m.rows)]
         assert json.dumps(serialize.matrix_to_json(m)) == json.dumps(per_entry)
+
+
+# (p, N, the table's bound, whether the table is read): 127^2 = 16129 is
+# the largest p^N (N >= 2, p odd) below 2^14, and none is 2^14 itself, so
+# the edge is checked by moving the bound onto 16129 and one below it
+DECIMAL_CASES = [(127, 2, 2**14, True), (127, 2, 16129, True),
+                 (127, 2, 16128, False), (3, 9, 2**14, False),
+                 (3, 40, 2**14, False)]
+
+
+@pytest.mark.parametrize("p, n, bound, table", DECIMAL_CASES)
+def test_decimal_table_matches_str(monkeypatch, p, n, bound, table):
+    # just below 2^14, at and just above the bound, above 2^14 (3^9 =
+    # 19683) and on Python-integer storage (3^40): the strings equal str()
+    # of each residue
+    from crystal_lab.series_matrix import SeriesMatrix, zeros_array
+    ctx = PrecisionContext(p, n, 3)
+    mod = ctx.modulus
+    rng = random.Random(mod)
+    arr = zeros_array(ctx, 3, 2)
+    for i in range(3):
+        for j in range(2):
+            arr[i, j] = [0, 1, mod - 1, rng.randrange(mod)]
+    m = SeriesMatrix(ctx, arr)
+    built = []
+    real = serialize._decimals
+    monkeypatch.setattr(serialize, "DECIMAL_TABLE_MAX", bound)
+    monkeypatch.setattr(serialize, "_decimals",
+                        lambda modulus: built.append(modulus) or real(modulus))
+    doc = serialize.matrix_to_json(m)
+    assert doc == [[[str(c) for c in cell] for cell in row]
+                   for row in arr.tolist()]
+    assert built == ([mod] if table else [])
+    assert serialize.matrix_from_json(ctx, roundtrip(doc), 3, 2) == m

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystal_lab import PrecisionContext, TruncatedSeries
+from crystal_lab import PrecisionContext, TruncatedSeries, make_standard_crystal
 from crystal_lab import series_matrix
 from crystal_lab.errors import ContextMismatch
 from crystal_lab.series_matrix import SeriesMatrix, det_mod_p, storage_dtype
@@ -593,6 +593,203 @@ def test_masked_products_match_reference(n, fill, shape, seed):
     assert out == naive_matmul(a, b)
 
 
+# -- layered products and the degree convolution -------------------------------
+
+# (p, N) of every storage regime: float64 (3^8), limbs (3^24, 5^26), the
+# int64 edge (3^39) and Python integers (3^40, 5^27)
+REGIMES = [(3, 8), (3, 24), (3, 39), (3, 40), (5, 26), (5, 27)]
+
+
+def layer(m, t_ideal):
+    """The degree-0 layer of m, or its t-ideal part."""
+    arr = m.arr.copy()
+    if t_ideal:
+        arr[:, :, 0] = 0
+    else:
+        arr[:, :, 1:] = 0
+    return SeriesMatrix(m.context, arr)
+
+
+def runs_by_definition(a, b):
+    """The (rows, inner, cols) of each product a @ b runs with LAYERED_MIN
+    = 0, by the rule of the module docstring: a constant operand untrimmed;
+    a product whose trimmed operand is constant, or whose t-ideal term is
+    non-empty (on int64 storage) or above a quarter of the support, whole
+    on its support; otherwise A0 B, A1 B0 and A1 B1 on their own supports,
+    without the empty ones."""
+    if a.is_constant() or b.is_constant():
+        return [(a.rows, a.cols, b.cols)]
+    rows, inner, cols = support(a, b)
+    whole = [(len(rows), len(inner), len(cols))]
+    trimmed_a = SeriesMatrix(a.context, a.arr[np.ix_(rows, inner)])
+    trimmed_b = SeriesMatrix(b.context, b.arr[np.ix_(inner, cols)])
+    if trimmed_a.is_constant() or trimmed_b.is_constant():
+        return whole
+    a0, a1, b0, b1 = layer(a, False), layer(a, True), layer(b, False), layer(b, True)
+    t_volume = np.prod([len(idx) for idx in support(a1, b1)])
+    if t_volume and (storage_dtype(a.context) is not object
+                     or 4 * t_volume > np.prod(whole[0])):
+        return whole
+    terms = [support(x, y) for x, y in ((a0, b), (a1, b0), (a1, b1))]
+    return [(len(r), len(i), len(c)) for r, i, c in terms if i]
+
+
+def frame_operand(ctx, h, rng, constant, t_rows, t_cols):
+    """A 2h x 2h operand: its degree-0 layer random and non-zero ("dense"),
+    the standard pair's Frobenius ("pair") or zero ("zero"), plus non-zero
+    random t-ideal entries on the block t_rows x t_cols."""
+    mod = ctx.modulus
+    arr = np.zeros((2 * h, 2 * h, ctx.M + 1), dtype=storage_dtype(ctx))
+    if constant == "dense":
+        for i in range(2 * h):
+            for j in range(2 * h):
+                arr[i, j, 0] = rng.randrange(1, mod)
+    elif constant == "pair":
+        arr[:, :, :1] = make_standard_crystal(ctx, h, "pair").frobenius.arr[:, :, :1]
+    for i in t_rows:
+        for j in t_cols:
+            for n in range(1, ctx.M + 1):
+                arr[i, j, n] = rng.randrange(1, mod)
+    return SeriesMatrix(ctx, arr)
+
+
+H = 3
+TOP, LOW = range(H), range(H, 2 * H)
+# (block of A's t-ideal part, block of B's): where A1's columns and B1's
+# rows meet nowhere (the F^T G of the pairing check), on one index, on all
+FRAMES = {
+    "apart": ((LOW, TOP), (LOW, LOW)),
+    "partly": ((LOW, [*TOP, H]), (LOW, LOW)),
+    "fully": ((LOW, LOW), (LOW, LOW)),
+}
+CONSTANTS = [("dense", "dense"), ("pair", "pair"), ("zero", "dense"),
+             ("dense", "zero"), ("zero", "zero")]
+
+
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+@pytest.mark.parametrize("constants", CONSTANTS)
+@pytest.mark.parametrize("m", [0, 1, 2, 32])
+@pytest.mark.parametrize("p, n", REGIMES)
+def test_layered_products_match_reference(monkeypatch, p, n, m, constants,
+                                          frame):
+    # LAYERED_MIN = 0 lets the rule alone pick the layered form at every M
+    monkeypatch.setattr(series_matrix, "LAYERED_MIN", 0)
+    ctx = PrecisionContext(p, n, m)
+    rng = random.Random(f"{p} {n} {m} {constants} {frame}")
+    (a_block, b_block) = FRAMES[frame]
+    a = frame_operand(ctx, H, rng, constants[0], *a_block)
+    b = frame_operand(ctx, H, rng, constants[1], *b_block)
+    out, shapes, _ = product_shapes(monkeypatch, a, b)
+    assert shapes == runs_by_definition(a, b)
+    assert out.arr.dtype == storage_dtype(ctx)
+    assert out == naive_matmul(a, b)
+
+
+def test_layered_terms_of_the_frames(monkeypatch):
+    # the terms by hand at h=3, M=32 (support 6 x 6 x 6 with dense
+    # constants): apart, A0 B on everything and A1 B0 from A1's 3 x 3
+    # block; meeting on one index or fully, the whole product on int64
+    # storage, and on Python integers also the A1 B1 term (9 and 27 of 216)
+    expected = {
+        (8, "apart"): [(6, 6, 6), (3, 3, 6)],
+        (8, "partly"): [(6, 6, 6)],
+        (8, "fully"): [(6, 6, 6)],
+        (40, "apart"): [(6, 6, 6), (3, 3, 6)],
+        (40, "partly"): [(6, 6, 6), (3, 4, 6), (3, 1, 3)],
+        (40, "fully"): [(6, 6, 6), (3, 3, 6), (3, 3, 3)],
+    }
+    for (n, frame), terms in expected.items():
+        ctx = PrecisionContext(3, n, 32)
+        rng = random.Random(frame)
+        a_block, b_block = FRAMES[frame]
+        a = frame_operand(ctx, H, rng, "dense", *a_block)
+        b = frame_operand(ctx, H, rng, "dense", *b_block)
+        out, shapes, _ = product_shapes(monkeypatch, a, b)
+        assert shapes == terms, (n, frame)
+        assert out == naive_matmul(a, b)
+
+
+@pytest.mark.parametrize("n", [8, 40])
+def test_layered_form_starts_at_layered_min(monkeypatch, n):
+    # the apart frame at h=3 runs on 6 x 6 x 6 = 216 of rows x inner x
+    # cols: layered from M + 1 = 4096 / 216 rounded up (M = 18), whole below
+    ctx_min = 4096 // 216 + 1
+    assert series_matrix.LAYERED_MIN == 4096
+    for m, layered in ((ctx_min - 2, False), (ctx_min - 1, True)):
+        ctx = PrecisionContext(3, n, m)
+        rng = random.Random(m)
+        a = frame_operand(ctx, H, rng, "dense", *FRAMES["apart"][0])
+        b = frame_operand(ctx, H, rng, "dense", *FRAMES["apart"][1])
+        out, shapes, _ = product_shapes(monkeypatch, a, b)
+        assert len(shapes) == (2 if layered else 1), m
+        assert out == naive_matmul(a, b)
+
+
+def test_one_by_one_and_dense_products_stay_whole(monkeypatch):
+    # a series product (as in series_inverse) and dense operands: the
+    # t-ideal term is the whole support
+    monkeypatch.setattr(series_matrix, "LAYERED_MIN", 0)
+    for n in (8, 40):
+        ctx = KERNEL_CONTEXTS[n]
+        rng = random.Random(n)
+        for shape in ((1, 1, 1), (3, 4, 2)):
+            r, k, c = shape
+            a = filled(ctx, r, k, "random", False, rng)
+            b = filled(ctx, k, c, "random", False, rng)
+            out, shapes, _ = product_shapes(monkeypatch, a, b)
+            assert shapes == [shape]
+            assert out == naive_matmul(a, b)
+        x = SeriesMatrix.from_series_rows(ctx, [[TruncatedSeries(ctx, [2, 1])]])
+        assert (series_matrix.series_inverse(x) @ x).arr.tolist() == \
+            SeriesMatrix.identity(ctx, 1).arr.tolist()
+
+
+def degrees_only(m, degrees):
+    """m with every coefficient outside the given degrees zero."""
+    arr = np.zeros_like(m.arr)
+    arr[:, :, list(degrees)] = m.arr[:, :, list(degrees)]
+    return SeriesMatrix(m.context, arr)
+
+
+@settings(max_examples=120, deadline=None)
+@given(regime=st.sampled_from(REGIMES), m=st.sampled_from([0, 1, 2, 32]),
+       shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+       seed=st.integers(0, 2**32))
+def test_degree_span_convolution_matches_reference(regime, m, shape, seed):
+    # general products of operands with few non-zero degrees, so that the
+    # loop runs over either operand and stops at the other's highest degree
+    ctx = PrecisionContext(*regime, m)
+    rng = random.Random(seed)
+    r, k, c = shape
+
+    def sparse(rows, cols):
+        degrees = rng.sample(range(m + 1), rng.randint(1, m + 1))
+        return degrees_only(filled(ctx, rows, cols, "random", False, rng),
+                            degrees)
+
+    a, b = sparse(r, k), sparse(k, c)
+    out = a @ b
+    assert out.arr.dtype == storage_dtype(ctx)
+    assert out == naive_matmul(a, b)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_convolve_float_matches_reference(seed):
+    # unreduced float64 convolution of small integers: exact in any order
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 12))
+    r, k, c = (int(x) for x in rng.integers(1, 5, 3))
+    a = rng.integers(-50, 50, (r, k, d)) * (rng.random(d) < rng.random())
+    b = rng.integers(-50, 50, (k, c, d)) * (rng.random(d) < rng.random())
+    expected = np.zeros((r, c, d), dtype=np.int64)
+    for x in range(d):
+        for y in range(d - x):
+            expected[:, :, x + y] += a[:, :, x] @ b[:, :, y]
+    out = series_matrix._convolve_float(a, b)
+    assert out.shape == (r, c, d)
+    assert np.array_equal(out.astype(np.int64), expected)
+
+
 @pytest.mark.parametrize("n", [39, 40, "huge"])
 def test_constructor_enforces_storage_dtype(n):
     # the dtype of every coefficient array is storage_dtype(context), so
@@ -633,20 +830,23 @@ def unit_work(monkeypatch, name):
 def test_oracle_unit_routes_its_block_maps_to_gathers(monkeypatch):
     # one seed-0 baer_oracle unit (p=3, h=10, N=8) makes 34 products: the
     # 28 block maps of the two Baer diagrams are 0/+-1 constants and take
-    # signed gathers; of the 6 general products of the two checkers, 4 run
+    # signed gathers.  Of the 6 general products of the two checkers, 4 run
     # on a 10x10 by 10x10 support where one operand is constant (2 of them
-    # 0/+-1, gathers; 2 with a wider lift, float64) and 2 keep their full
-    # 20x20 by 20x20 support on float64
+    # 0/+-1, gathers; 2 with a wider lift, float64).  The other 2, F^T G and
+    # (F^T G) F, are layered: their t-ideal parts meet nowhere, so each runs
+    # as A0 B on 20x20 by 20x20 (float64) plus A1 B0 on 10x10 by 10x10 (a
+    # gather for F^T G, float64 for (F^T G) F), with no general term
     kernels, general, trimmed = unit_work(monkeypatch, "baer_oracle")
-    assert kernels == {series_matrix.GATHER: 30, np.float64: 4}
+    assert kernels == {series_matrix.GATHER: 31, np.float64: 5}
     # rows, inner indices and columns: 120 each without the trim
-    assert (general, trimmed) == (6, [80, 80, 80])
+    assert (general, trimmed) == (8, [100, 100, 100])
 
 
 def test_wide_precision_unit_routes(monkeypatch):
-    # the same unit at h=5, N=24: the 2 products that keep their full
-    # support leave float64 for int64 limbs
+    # the same unit at h=5, N=24: the constant layers of the two layered
+    # products have one degree pair and small lifts, so they stay on
+    # float64 where the whole products took int64 limbs
     kernels, general, trimmed = unit_work(monkeypatch, "wide_precision")
-    assert kernels == {series_matrix.GATHER: 30, np.float64: 2, np.int64: 2}
+    assert kernels == {series_matrix.GATHER: 31, np.float64: 5}
     # rows, inner indices and columns: 60 each without the trim
-    assert (general, trimmed) == (6, [40, 40, 40])
+    assert (general, trimmed) == (8, [50, 50, 50])
