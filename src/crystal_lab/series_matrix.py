@@ -464,8 +464,8 @@ def _general_product(a: np.ndarray, b: np.ndarray,
                      context: PrecisionContext) -> np.ndarray:
     """a @ b mod p^N for two non-constant operands: on its support, where a
     trimmed operand that is constant takes a constant route, and in layers
-    when the rule of the module docstring allows.  The terms are summed
-    into zeros with one reduction each."""
+    when the rule of the module docstring allows.  The terms are added
+    into zeros, with one reduction per term after the first."""
     a0, a1 = a[:, :, 0] != 0, a[:, :, 1:].any(axis=2)
     b0, b1 = b[:, :, 0] != 0, b[:, :, 1:].any(axis=2)
     rows, inner, cols = _support(a0 | a1, b0 | b1)
