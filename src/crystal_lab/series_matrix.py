@@ -27,30 +27,25 @@ parts, the product runs in layers,
 
     A B = A0 B + A1 B0 + A1 B1,
 
-when its support holds at least LAYERED_MIN = 2^12 multiply-adds (rows x
-inner x cols x (M+1)) and the t-ideal term A1 B1 is empty or, on
-Python-integer storage only, at most a quarter of the support (rows x
-inner x cols).  Each term runs on its own support and by its own bound:
-A0 B and A1 B0 through the constant routes below (one degree pair, and the
-top of the constant layer's lift), A1 B1 as a general product; an empty
-term is skipped.  Otherwise the product runs whole.  Results are added
-into zeros, with one reduction per term after the first.  The frame of
-``extension_group._frame`` makes F^T G and (F^T G) F of the pairing check
-layered with no A1 B1 term: their t-ideal parts meet nowhere.
+when its t-ideal term A1 B1 is empty: no column of A1 meets a row of B1.
+Each of the two terms runs on its own support through the constant routes
+below, with one degree pair and the top of its constant layer's lift as
+its bound; an empty term is skipped.  Otherwise the product runs whole.
+Results are added into zeros, with one reduction per term after the
+first.  The frame of ``extension_group._frame`` makes F^T G and (F^T G) F
+of the pairing check layered: their t-ideal parts meet nowhere.
 
 The rule is measured, at p=3, M=32 on 2 vCPUs, on rank-n products whose
 constant layers are dense and whose t-ideal parts sit on blocks of columns
 (left) and rows (right).  With an empty A1 B1 the layered form took 0.76
 against 1.05 ms at n=20 on float64 (N=8), 0.51 against 4.1-4.9 ms on
 limbs (N=24), and 27 against 147 ms on Python integers (N=40); with
-constant layers of wide lifts at N=24 it tied up to n=4 (2,112
-multiply-adds) and won from n=6 (7,128), hence LAYERED_MIN.  On int64
+constant layers of wide lifts at N=24 it tied up to n=4 and won from n=6.
+A non-empty A1 B1 would run as a third, general term, and on int64
 storage a general product costs mostly its one GEMM per degree, which a
 smaller support does not shorten: an A1 B1 of 5-25% of the support made
 the layered form 1.3-1.4x slower on float64 at n=10 and 20, and 1.1x
-slower on limbs at n=10 (1.4-2.1x faster at n=20).  On Python integers
-each multiply costs, and at a quarter of the support the layered form won
-1.3x (n=4) to 1.75x (n=20).
+slower on limbs at n=10.
 
 Each product picks its arithmetic in ``product_dtype``.  When an operand is
 constant, it is lifted to balanced representatives in (-p^N/2, p^N/2] (so
@@ -115,8 +110,6 @@ from .padic_series import (PrecisionContext, TruncatedSeries,
 _FLOAT64_EXACT = 2**53
 # the product_dtype of a constant 0/+-1 operand: signed gathers
 GATHER = "gather"
-# the least rows x inner x cols x (M+1) of a layered product
-LAYERED_MIN = 2**12
 # size cap of one matrix: 2^22 coefficients, 32 MiB as int64
 MAX_COEFFICIENTS = 2**22
 
@@ -428,23 +421,14 @@ def _t_part(arr: np.ndarray, at: tuple) -> np.ndarray:
     return part
 
 
-def _layers(a: np.ndarray, b: np.ndarray, masks: tuple, volume: int,
-            context: PrecisionContext):
-    """The terms A0 B, A1 B0 and A1 B1 of a layered product, each on its
-    own support and without the empty ones, or None when the rule of the
-    module docstring keeps the product whole.  masks holds the non-zero
-    patterns of the four layers, volume the size of the support."""
+def _layers(a: np.ndarray, b: np.ndarray, masks: tuple):
+    """The terms A0 B and A1 B0 of a layered product, each on its own
+    support and without the empty ones, or None when the t-ideal term
+    A1 B1 is not empty and the product runs whole.  masks holds the
+    non-zero patterns of the four layers."""
     a0, a1, b0, b1 = masks
-    if volume * (context.M + 1) < LAYERED_MIN:
-        return None
-    t_volume = 0
     if (a1.any(axis=0) & b1.any(axis=1)).any():
-        if storage_dtype(context) is not object:
-            return None
-        r2, i2, c2 = _support(a1, b1)
-        t_volume = r2.size * i2.size * c2.size
-        if 4 * t_volume > volume:
-            return None
+        return None
     terms = []
     r0, i0, c0 = _support(a0, b0 | b1)
     if i0.size:
@@ -454,9 +438,6 @@ def _layers(a: np.ndarray, b: np.ndarray, masks: tuple, volume: int,
     if i1.size:
         terms.append((r1, c1, _t_part(a, _block(r1, i1)),
                       b[:, :, :1][_block(i1, c1)], False, True))
-    if t_volume:
-        terms.append((r2, c2, _t_part(a, _block(r2, i2)),
-                      _t_part(b, _block(i2, c2)), False, False))
     return terms
 
 
@@ -474,8 +455,7 @@ def _general_product(a: np.ndarray, b: np.ndarray,
     right = not left and not b1[at_b].any()
     terms = None
     if not (left or right):
-        terms = _layers(a, b, (a0, a1, b0, b1),
-                        rows.size * inner.size * cols.size, context)
+        terms = _layers(a, b, (a0, a1, b0, b1))
     if terms is None:
         if (rows.size, inner.size, cols.size) == (*a.shape[:2], b.shape[1]):
             return _product(a, b, False, False, context)
@@ -617,36 +597,20 @@ def _limb_product(a: np.ndarray, b: np.ndarray, left: bool, right: bool,
 
 def _convolve_float(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Degree convolution of two coefficient arrays in float64, unreduced:
-    one GEMM per non-zero degree of the operand with fewer of them, against
-    the other's degrees up to its highest non-zero one."""
-    nz_a = np.flatnonzero(a.any(axis=(0, 1)))
-    nz_b = np.flatnonzero(b.any(axis=(0, 1)))
-    if nz_a.size < nz_b.size:
-        # (a b)^T = b^T a^T, with the loop on its right operand
-        return _convolve_right(b.transpose(1, 0, 2), a.transpose(1, 0, 2),
-                               nz_b, nz_a).transpose(1, 0, 2)
-    return _convolve_right(a, b, nz_a, nz_b)
-
-
-def _convolve_right(a: np.ndarray, b: np.ndarray, nz_a: np.ndarray,
-                    nz_b: np.ndarray) -> np.ndarray:
-    """out[..., x + y] += a[..., x] @ b[..., y]: one GEMM per non-zero degree
-    y of b, against the degrees x of a up to nz_a's last, stacked along the
-    rows of degree-major copies so that every operand is a view."""
+    one GEMM per non-zero degree x of a, out[..., x:] += a[x] @ b[..., :D-x]."""
     r, k, d = a.shape
     c = b.shape[1]
-    out = np.zeros((d, r, c))
-    if nz_a.size:
-        top = nz_a[-1] + 1
-        af = np.empty((top, r, k))
-        af[...] = a[:, :, :top].transpose(2, 0, 1)
-        bf = np.empty((d, k, c))
-        bf[...] = b.transpose(2, 0, 1)
-        for y in nz_b:
-            n = min(d - y, top)
-            out[y:y + n] += np.dot(af[:n].reshape(n * r, k), bf[y]
-                                   ).reshape(n, r, c)
-    return out.transpose(1, 2, 0)
+    # degree-major a and degree-middle b make every operand a plain view
+    af = np.empty((d, r, k))
+    af[...] = a.transpose(2, 0, 1)
+    bf = np.empty((k, d, c))
+    bf[...] = b.transpose(0, 2, 1)
+    out = np.zeros((r, d, c))
+    for x in np.flatnonzero(af.any(axis=(1, 2))):
+        n = d - x
+        out[:, x:, :] += np.dot(af[x], bf[:, :n, :].reshape(k, n * c)
+                                ).reshape(r, n, c)
+    return out.transpose(0, 2, 1)
 
 
 def _convolve_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -593,7 +593,7 @@ def test_masked_products_match_reference(n, fill, shape, seed):
     assert out == naive_matmul(a, b)
 
 
-# -- layered products and the degree convolution -------------------------------
+# -- layered products ----------------------------------------------------------
 
 # (p, N) of every storage regime: float64 (3^8), limbs (3^24, 5^26), the
 # int64 edge (3^39) and Python integers (3^40, 5^27)
@@ -611,12 +611,11 @@ def layer(m, t_ideal):
 
 
 def runs_by_definition(a, b):
-    """The (rows, inner, cols) of each product a @ b runs with LAYERED_MIN
-    = 0, by the rule of the module docstring: a constant operand untrimmed;
-    a product whose trimmed operand is constant, or whose t-ideal term is
-    non-empty (on int64 storage) or above a quarter of the support, whole
-    on its support; otherwise A0 B, A1 B0 and A1 B1 on their own supports,
-    without the empty ones."""
+    """The (rows, inner, cols) of each product a @ b runs, by the rule of
+    the module docstring: a constant operand untrimmed; a product whose
+    trimmed operand is constant, or whose t-ideal term is non-empty, whole
+    on its support; otherwise A0 B and A1 B0 on their own supports, without
+    the empty ones."""
     if a.is_constant() or b.is_constant():
         return [(a.rows, a.cols, b.cols)]
     rows, inner, cols = support(a, b)
@@ -626,11 +625,9 @@ def runs_by_definition(a, b):
     if trimmed_a.is_constant() or trimmed_b.is_constant():
         return whole
     a0, a1, b0, b1 = layer(a, False), layer(a, True), layer(b, False), layer(b, True)
-    t_volume = np.prod([len(idx) for idx in support(a1, b1)])
-    if t_volume and (storage_dtype(a.context) is not object
-                     or 4 * t_volume > np.prod(whole[0])):
+    if support(a1, b1)[1]:
         return whole
-    terms = [support(x, y) for x, y in ((a0, b), (a1, b0), (a1, b1))]
+    terms = [support(x, y) for x, y in ((a0, b), (a1, b0))]
     return [(len(r), len(i), len(c)) for r, i, c in terms if i]
 
 
@@ -672,8 +669,6 @@ CONSTANTS = [("dense", "dense"), ("pair", "pair"), ("zero", "dense"),
 @pytest.mark.parametrize("p, n", REGIMES)
 def test_layered_products_match_reference(monkeypatch, p, n, m, constants,
                                           frame):
-    # LAYERED_MIN = 0 lets the rule alone pick the layered form at every M
-    monkeypatch.setattr(series_matrix, "LAYERED_MIN", 0)
     ctx = PrecisionContext(p, n, m)
     rng = random.Random(f"{p} {n} {m} {constants} {frame}")
     (a_block, b_block) = FRAMES[frame]
@@ -688,15 +683,15 @@ def test_layered_products_match_reference(monkeypatch, p, n, m, constants,
 def test_layered_terms_of_the_frames(monkeypatch):
     # the terms by hand at h=3, M=32 (support 6 x 6 x 6 with dense
     # constants): apart, A0 B on everything and A1 B0 from A1's 3 x 3
-    # block; meeting on one index or fully, the whole product on int64
-    # storage, and on Python integers also the A1 B1 term (9 and 27 of 216)
+    # block; meeting on one index or fully, the whole product, on int64
+    # storage and on Python integers alike
     expected = {
         (8, "apart"): [(6, 6, 6), (3, 3, 6)],
         (8, "partly"): [(6, 6, 6)],
         (8, "fully"): [(6, 6, 6)],
         (40, "apart"): [(6, 6, 6), (3, 3, 6)],
-        (40, "partly"): [(6, 6, 6), (3, 4, 6), (3, 1, 3)],
-        (40, "fully"): [(6, 6, 6), (3, 3, 6), (3, 3, 3)],
+        (40, "partly"): [(6, 6, 6)],
+        (40, "fully"): [(6, 6, 6)],
     }
     for (n, frame), terms in expected.items():
         ctx = PrecisionContext(3, n, 32)
@@ -709,26 +704,9 @@ def test_layered_terms_of_the_frames(monkeypatch):
         assert out == naive_matmul(a, b)
 
 
-@pytest.mark.parametrize("n", [8, 40])
-def test_layered_form_starts_at_layered_min(monkeypatch, n):
-    # the apart frame at h=3 runs on 6 x 6 x 6 = 216 of rows x inner x
-    # cols: layered from M + 1 = 4096 / 216 rounded up (M = 18), whole below
-    ctx_min = 4096 // 216 + 1
-    assert series_matrix.LAYERED_MIN == 4096
-    for m, layered in ((ctx_min - 2, False), (ctx_min - 1, True)):
-        ctx = PrecisionContext(3, n, m)
-        rng = random.Random(m)
-        a = frame_operand(ctx, H, rng, "dense", *FRAMES["apart"][0])
-        b = frame_operand(ctx, H, rng, "dense", *FRAMES["apart"][1])
-        out, shapes, _ = product_shapes(monkeypatch, a, b)
-        assert len(shapes) == (2 if layered else 1), m
-        assert out == naive_matmul(a, b)
-
-
 def test_one_by_one_and_dense_products_stay_whole(monkeypatch):
     # a series product (as in series_inverse) and dense operands: the
     # t-ideal term is the whole support
-    monkeypatch.setattr(series_matrix, "LAYERED_MIN", 0)
     for n in (8, 40):
         ctx = KERNEL_CONTEXTS[n]
         rng = random.Random(n)
@@ -742,52 +720,6 @@ def test_one_by_one_and_dense_products_stay_whole(monkeypatch):
         x = SeriesMatrix.from_series_rows(ctx, [[TruncatedSeries(ctx, [2, 1])]])
         assert (series_matrix.series_inverse(x) @ x).arr.tolist() == \
             SeriesMatrix.identity(ctx, 1).arr.tolist()
-
-
-def degrees_only(m, degrees):
-    """m with every coefficient outside the given degrees zero."""
-    arr = np.zeros_like(m.arr)
-    arr[:, :, list(degrees)] = m.arr[:, :, list(degrees)]
-    return SeriesMatrix(m.context, arr)
-
-
-@settings(max_examples=120, deadline=None)
-@given(regime=st.sampled_from(REGIMES), m=st.sampled_from([0, 1, 2, 32]),
-       shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
-       seed=st.integers(0, 2**32))
-def test_degree_span_convolution_matches_reference(regime, m, shape, seed):
-    # general products of operands with few non-zero degrees, so that the
-    # loop runs over either operand and stops at the other's highest degree
-    ctx = PrecisionContext(*regime, m)
-    rng = random.Random(seed)
-    r, k, c = shape
-
-    def sparse(rows, cols):
-        degrees = rng.sample(range(m + 1), rng.randint(1, m + 1))
-        return degrees_only(filled(ctx, rows, cols, "random", False, rng),
-                            degrees)
-
-    a, b = sparse(r, k), sparse(k, c)
-    out = a @ b
-    assert out.arr.dtype == storage_dtype(ctx)
-    assert out == naive_matmul(a, b)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_convolve_float_matches_reference(seed):
-    # unreduced float64 convolution of small integers: exact in any order
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(1, 12))
-    r, k, c = (int(x) for x in rng.integers(1, 5, 3))
-    a = rng.integers(-50, 50, (r, k, d)) * (rng.random(d) < rng.random())
-    b = rng.integers(-50, 50, (k, c, d)) * (rng.random(d) < rng.random())
-    expected = np.zeros((r, c, d), dtype=np.int64)
-    for x in range(d):
-        for y in range(d - x):
-            expected[:, :, x + y] += a[:, :, x] @ b[:, :, y]
-    out = series_matrix._convolve_float(a, b)
-    assert out.shape == (r, c, d)
-    assert np.array_equal(out.astype(np.int64), expected)
 
 
 @pytest.mark.parametrize("n", [39, 40, "huge"])
