@@ -10,9 +10,11 @@ its blocks, ``_readout`` reads them back), and ``from_alpha`` states the
 witness equations.  The three Baer-sum routes (componentwise, pullback then
 pushout, pushout then pullback) must agree entrywise; the diagram routes
 materialize the intermediate rank-3h module with explicit section choices
-and serve as the oracle for the componentwise rule.  A pullback step reads
-the induced maps off a sub-span (``crystal.induced_maps``), a pushout step off
-a quotient (``_pushout``); the constant maps are +-identity blocks.
+and serve as the oracle for the componentwise rule.  Their rank-4h ambient
+holds both extensions' frame blocks, one array per matrix (``_assembled``).
+A pullback step reads the induced maps off a sub-span, checking closure
+off its pivot rows (``crystal.induced_maps``), a pushout step off a
+quotient (``_pushout``); the constant maps are +-identity blocks.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .series_matrix import SeriesMatrix, zeros_array
 
 @lru_cache(maxsize=None)
 def _standard(ctx: PrecisionContext, h: int, kind: str) -> FCrystalPresentation:
+    if kind == "ambient":  # of the Baer diagrams: the pair, twice
+        return direct_sum(*[_standard(ctx, h, "pair")] * 2)
     return make_standard_crystal(ctx, h, kind)
 
 
@@ -263,16 +267,23 @@ def _scale_diagonal(arr: np.ndarray, k: int, ctx: PrecisionContext
 def assemble_crystal(e: ExtensionData) -> FCrystalPresentation:
     """Rank-2h presentation of the total space: the standard pair with the
     data blocks of the frame set."""
-    ctx, pair = e.context, e.ectx.pair
-    data = {"frobenius": e.v.transpose().arr,
-            "connection": e.xi.transpose().arr,
-            "pairing": _scale_diagonal(e.m.arr, 2, ctx)}
-    mats = {}
-    for name, block in _frame(e.h).items():
-        arr = getattr(pair, name).arr.copy()
-        arr[block] = data[name]
-        mats[name] = SeriesMatrix(ctx, arr)
-    return replace(pair, **mats)
+    return replace(e.ectx.pair, **_assembled(e.ectx.pair, e))
+
+
+def _assembled(base: FCrystalPresentation, *es) -> dict:
+    """The matrices of base, the standard pair or a direct sum of copies,
+    with the data blocks of the frame of the k-th extension set in its k-th
+    rank-2h diagonal block, by name in the frame's order."""
+    h = es[0].h
+    mats = {name: getattr(base, name).arr.copy() for name in _frame(h)}
+    for k, e in enumerate(es):
+        at = slice(2 * h * k, 2 * h * (k + 1))
+        for (name, block), data in zip(_frame(h).items(), (
+                e.v.transpose().arr, e.xi.transpose().arr,
+                _scale_diagonal(e.m.arr, 2, e.context))):
+            mats[name][at, at][block] = data
+    return {name: SeriesMatrix(base.context, arr)
+            for name, arr in mats.items()}
 
 
 # -- Baer sum, three ways ------------------------------------------------------
@@ -287,15 +298,17 @@ def _readout(ectx: ExtensionContext, f_fin: SeriesMatrix, a_fin: SeriesMatrix,
     for (name, block), mat, what in zip(_frame(ectx.h).items(),
                                         (f_fin, a_fin, g_fin),
                                         ("output", "connection", "pairing")):
-        data[name] = mat.arr[block]
-        arr = mat.arr.copy()
-        arr[block] = 0
-        if SeriesMatrix(ctx, arr) != getattr(ectx.pair, name):
+        data[name] = SeriesMatrix(ctx, mat.arr[block])
+        std = getattr(ectx.pair, name).arr
+        if mat.arr.shape == std.shape:
+            differs = mat.arr != std
+            differs[block] = False
+        if mat.arr.shape != std.shape or differs.any():
             raise NotStable(
                 f"Baer-sum {what} does not reduce to the standard frame")
-    m_arr = _scale_diagonal(data["pairing"], pow(2, -1, ctx.modulus), ctx)
-    return ExtensionData(ectx, SeriesMatrix(ctx, data["connection"]).transpose(),
-                         SeriesMatrix(ctx, data["frobenius"]).transpose(),
+    m_arr = _scale_diagonal(data["pairing"].arr, pow(2, -1, ctx.modulus), ctx)
+    return ExtensionData(ectx, data["connection"].transpose(),
+                         data["frobenius"].transpose(),
                          SeriesMatrix(ctx, m_arr), geometric_flag=flag)
 
 
@@ -328,16 +341,18 @@ def _pushout(f: SeriesMatrix, a: SeriesMatrix, kernel: SeriesMatrix,
 
 def _baer_diagram(e1: ExtensionData, e2: ExtensionData, pullback_first: bool
                   ) -> ExtensionData:
-    ectx = e1.ectx
-    ctx = ectx.ctx
-    h = ectx.h
-    amb = direct_sum(assemble_crystal(e1), assemble_crystal(e2))
+    ectx, ctx, h = e1.ectx, e1.context, e1.h
+    f, a, g = _assembled(_standard(ctx, h, "ambient"), e1, e2).values()
+    # the pairing descends only through the normalized representatives in
+    # the ambient direct sum; read first, it frees the ambient pairing
+    g = _blocks(ctx, h, ("+000", "0+0+")) @ g \
+        @ _blocks(ctx, h, ("+0", "0+", "00", "0+"))
     # ambient coordinates, one h-block each: (a1, c1, a2, c2); both routes
     # push out along the sum, the quotient by span{a1_i - a2_i}, and pull
     # back along the diagonal, the span of c1_i + c2_i over the a-part
     if pullback_first:
         # basis (a1, a2, d_i = c1_i + c2_i), then the quotient (abar, d)
-        f, a = induced_maps(amb.frobenius, amb.connection,
+        f, a = induced_maps(f, a,
                             _blocks(ctx, h, ("+00", "00+", "0+0", "00+")),
                             [*range(h), *range(2 * h, 3 * h), *range(h, 2 * h)])
         f, a = _pushout(f, a, _blocks(ctx, h, ("+", "-", "0")),
@@ -346,17 +361,12 @@ def _baer_diagram(e1: ExtensionData, e2: ExtensionData, pullback_first: bool
     else:
         # quotient basis (abar, c1, c2) with the zero-second-component
         # section, then the diagonal basis (abar, e_i = c1_i + c2_i)
-        f, a = _pushout(amb.frobenius, amb.connection,
+        f, a = _pushout(f, a,
                         _blocks(ctx, h, ("+", "0", "-", "0")),
                         _blocks(ctx, h, ("+0+0", "0+00", "000+")),
                         _blocks(ctx, h, ("+00", "0+0", "000", "00+")))
         f, a = induced_maps(f, a, _blocks(ctx, h, ("+0", "0+", "0+")),
                             range(2 * h))
-
-    # the pairing descends only through the normalized representatives in
-    # the ambient direct sum; both routes share the same lifts
-    lift = _blocks(ctx, h, ("+0", "0+", "00", "0+"))
-    g = lift.transpose() @ amb.pairing @ lift
     return _readout(ectx, f, a, g, e1.geometric_flag and e2.geometric_flag)
 
 

@@ -185,21 +185,6 @@ class SeriesMatrix:
                     arr[i, j, 0] = int(s) % context.modulus
         return cls(context, arr)
 
-    @classmethod
-    def block(cls, context, grid):
-        """Assemble from a 2-D grid of SeriesMatrix blocks."""
-        rows = sum(g[0].rows for g in grid)
-        cols = sum(b.cols for b in grid[0])
-        arr = zeros_array(context, rows, cols)
-        i0 = 0
-        for grow in grid:
-            j0 = 0
-            for blk in grow:
-                arr[i0:i0 + blk.rows, j0:j0 + blk.cols, :] = blk.arr
-                j0 += blk.cols
-            i0 += grow[0].rows
-        return cls(context, arr)
-
     # -- accessors ---------------------------------------------------------
 
     def _unstacked(self, what: str) -> None:

@@ -1,7 +1,9 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from crystal_lab import (FCrystalPresentation, check_horizontality, check_pairing_compat, direct_sum,
@@ -9,10 +11,14 @@ from crystal_lab import (FCrystalPresentation, check_horizontality, check_pairin
                          orthogonal_complement)
 from crystal_lab import crystal
 from crystal_lab.crystal import (charpoly_int, _charpoly_berkowitz,
-                                 _charpoly_generalized_permutation)
+                                 _charpoly_generalized_permutation,
+                                 induced_maps)
 from crystal_lab.errors import (NonInvertible, NotConstant, NotPerfect,
-                                PrecisionInsufficient, UnsupportedHeight)
-from crystal_lab.series_matrix import SeriesMatrix
+                                NotStable, PrecisionInsufficient,
+                                UnsupportedHeight)
+from crystal_lab.padic_series import PrecisionContext
+from crystal_lab.series_matrix import SeriesMatrix, zeros_array
+from test_series_matrix import random_matrix
 
 
 def constant_crystal(ctx, rows, weight=2):
@@ -308,3 +314,103 @@ class TestOrthogonalComplement:
         vec[0] = 1  # isotropic direction in the antidiagonal pairing block
         with pytest.raises(NotPerfect):
             orthogonal_complement(c, [vec])
+
+
+def full_check_induced_maps(frobenius, connection, basis, pivot_rows):
+    """The former induced_maps, which checks both closure equations on
+    every row: the reference for the pivot-row rule."""
+    ctx = basis.context
+    pivot_rows = list(pivot_rows)
+    rhs_f = frobenius @ basis.phi_pullback()
+    f = rhs_f.select_rows(pivot_rows)
+    if basis @ f != rhs_f:
+        raise NotStable("span is not Frobenius-stable")
+    rhs_a = connection @ basis
+    if not basis.is_constant():
+        rhs_a = basis.derivative_bodies() + rhs_a
+    a = rhs_a.select_rows(pivot_rows)
+    if not (basis @ a - rhs_a).is_zero_through(ctx.M - 1):
+        raise NotStable("span is not connection-stable")
+    return f, (a.truncate_degree(ctx.M - 1) if ctx.M >= 1 else a)
+
+
+def outcome(read_off, *args):
+    try:
+        return read_off(*args)
+    except NotStable as err:
+        return str(err)
+
+
+def random_span(rng, ctx, n, k, lead, others, broken):
+    """(frobenius, connection, basis, pivot_rows, (f, a)) for a rank-k span
+    in rank n.  The basis is lead on its pivot rows (in a random order):
+    "identity", "swap" (two columns exchanged) or "tail" (the identity plus
+    t at one off-diagonal entry); others ("random", "constant" or "zero")
+    fills its other rows.  The maps are T X T^-1 for T = (basis | unit
+    columns of the other rows), with X block upper triangular, so the span
+    is stable, and (f, a) are X's top-left blocks, unless broken names the
+    equation ("frobenius" or "connection") whose X gets one entry below
+    the blocks."""
+    pivots = rng.sample(range(n), k)
+    rest = [r for r in range(n) if r not in pivots]
+    p_arr = SeriesMatrix.identity(ctx, k).arr.copy()
+    p_inv = p_arr.copy()
+    if lead == "swap":
+        p_arr, p_inv = p_arr[[1, 0, *range(2, k)]], p_inv[:, [1, 0, *range(2, k)]]
+    elif lead == "tail":
+        p_arr[0, 1, 1], p_inv[0, 1, 1] = 1, ctx.modulus - 1
+    lead_m, lead_inv = SeriesMatrix(ctx, p_arr), SeriesMatrix(ctx, p_inv)
+    low = (SeriesMatrix.zeros(ctx, n - k, k) if others == "zero" else
+           random_matrix(rng, ctx, n - k, k, constant=others == "constant"))
+    t = zeros_array(ctx, n, n)
+    t_inv = zeros_array(ctx, n, n)
+    t[np.ix_(pivots, range(k))] = lead_m.arr
+    t[np.ix_(rest, range(k))] = low.arr
+    t[rest, range(k, n), 0] = 1
+    t_inv[np.ix_(range(k), pivots)] = lead_inv.arr
+    t_inv[np.ix_(range(k, n), pivots)] = (-(low @ lead_inv)).arr
+    t_inv[range(k, n), rest, 0] = 1
+    t, t_inv = SeriesMatrix(ctx, t), SeriesMatrix(ctx, t_inv)
+    x = {}
+    for name in ("frobenius", "connection"):
+        arr = random_matrix(rng, ctx, n, n).arr.copy()
+        arr[k:, :k] = 0
+        if broken == name:
+            arr[rng.randrange(k, n), rng.randrange(k), rng.randrange(ctx.M)] = 1
+        x[name] = SeriesMatrix(ctx, arr)
+    frobenius = t @ x["frobenius"] @ t_inv.phi_pullback()
+    connection = (t @ x["connection"] - t.derivative_bodies()) @ t_inv
+    basis = SeriesMatrix(ctx, t.arr[:, :k].copy())
+    return frobenius, connection, basis, pivots, \
+        tuple(m.arr[:k, :k] for m in x.values())
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("n_digits", [8, 40])
+def test_pivot_row_rule_matches_the_full_check(p, n_digits):
+    # the closure checks skip the pivot rows where the basis is the
+    # identity; over stable and unstable spans, with bases that are and
+    # are not the identity there, the full check on every row gives the
+    # same (f, a) or the same NotStable message
+    ctx = PrecisionContext(p, n_digits, 4)
+    rng = random.Random(p * n_digits)
+    seen = Counter()
+    for lead, others, broken in itertools.product(
+            ("identity", "swap", "tail"), ("random", "constant", "zero"),
+            (None, "frobenius", "connection")):
+        for n, k in ((4, 2), (6, 3)):
+            args = random_span(rng, ctx, n, k, lead, others, broken)
+            expected = outcome(full_check_induced_maps, *args[:4])
+            assert outcome(induced_maps, *args[:4]) == expected
+            seen[expected if isinstance(expected, str) else "stable"] += 1
+            if lead == "identity":
+                # the construction: stable exactly when nothing is broken
+                assert isinstance(expected, str) == (broken is not None)
+                if broken is None:
+                    f, a = expected
+                    top = args[4][1].copy()
+                    top[..., ctx.M] = 0
+                    assert np.array_equal(f.arr, args[4][0])
+                    assert np.array_equal(a.arr, top)
+    assert seen.keys() == {"stable", "span is not Frobenius-stable",
+                           "span is not connection-stable"}

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from crystal_lab.sampling import (add_noise, random_extension,
                                   witness_support)
 from crystal_lab.series_matrix import SeriesMatrix
 
-from test_series_matrix import naive_matmul
+from test_series_matrix import block_matrix, naive_matmul
 
 
 @pytest.fixture
@@ -48,11 +49,11 @@ def conjugation_oracle(w: TrivializationWitness):
     z = SeriesMatrix.zeros(ctx, h, h)
     ident = SeriesMatrix.identity(ctx, h)
     at = w.alpha.transpose()
-    t = SeriesMatrix.block(ctx, [[ident, at], [z, ident]])
-    t_inv = SeriesMatrix.block(ctx, [[ident, -at], [z, ident]])
-    f0 = SeriesMatrix.block(ctx, [[ectx.sub1.frobenius, z],
-                                  [z, ectx.super1.frobenius]])
-    g0 = SeriesMatrix.block(ctx, [[z, ident], [ident, z]])
+    t = block_matrix(ctx, [[ident, at], [z, ident]])
+    t_inv = block_matrix(ctx, [[ident, -at], [z, ident]])
+    f0 = block_matrix(ctx, [[ectx.sub1.frobenius, z],
+                            [z, ectx.super1.frobenius]])
+    g0 = block_matrix(ctx, [[z, ident], [ident, z]])
     f = t_inv @ f0 @ t.phi_pullback()
     a = t_inv @ t.derivative_bodies()
     g = t.transpose() @ g0 @ t
@@ -277,6 +278,34 @@ def test_baer_routes_agree_on_any_accepted_data(seed, p, n_digits, h):
     assert baer_sum(e1, e2, "pushout_pullback") == fast
 
 
+# tracemalloc peak, in bytes, of one diagram-mode Baer sum at p=3, h=10,
+# N=8, M=32 (numpy 2.4).  The diagrams that held the rank-4h ambient
+# pairing to the end, built direct_sum from block copies and checked both
+# closure equations on all 40 rows of the pullback peaked at 3,329,440
+# (pullback_pushout) and 2,748,952 (pushout_pullback) on this pair; the
+# bound is 80% of that.  No clock is involved.
+DIAGRAM_PEAK_BOUND = {"pullback_pushout": 0.8 * 3_329_440,
+                      "pushout_pullback": 0.8 * 2_748_952}
+
+
+@pytest.mark.parametrize("mode", sorted(DIAGRAM_PEAK_BOUND))
+def test_baer_diagram_working_set(mode):
+    ectx = ExtensionContext(PrecisionContext(3, 8, 32), 10)
+    rng = random.Random(0)
+    e1, e2 = (random_extension(rng, ectx, nontrivial=True) for _ in range(2))
+    expected = baer_sum(e1, e2, "fast")
+    # the first sum fills the block-map and gather-plan memos
+    assert baer_sum(e1, e2, mode) == expected
+    tracemalloc.start()
+    try:
+        result = baer_sum(e1, e2, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == expected
+    assert peak <= DIAGRAM_PEAK_BOUND[mode], peak
+
+
 class TestClosureChecks:
     """Each stability check of the diagram read-offs fires on input that
     breaks it."""
@@ -324,7 +353,7 @@ class TestClosureChecks:
         m = _blocks(ctx3, 2, ("+0", "0-"))
         assert _blocks(ctx3, 2, ("+0", "0-")) is m
         zero = SeriesMatrix.zeros(ctx3, 2, 2)
-        assert m == SeriesMatrix.block(ctx3, [
+        assert m == block_matrix(ctx3, [
             [SeriesMatrix.identity(ctx3, 2), zero],
             [zero, SeriesMatrix.identity(ctx3, 2, scale=-1)]])
         m @ SeriesMatrix.identity(ctx3, 4)
@@ -333,7 +362,8 @@ class TestClosureChecks:
     @pytest.mark.parametrize("which, entry, match", [
         ("frobenius", (3, 0), "output"),      # lower-left block
         ("connection", (0, 0), "connection"),  # upper-left block
-        ("pairing", (0, 0), "pairing")])      # upper-left block
+        ("pairing", (0, 0), "pairing"),       # upper-left block
+        ("pairing", (3, 0), "pairing")])      # lower-left block
     def test_presentation_off_the_frame(self, ectx3, which, entry, match):
         rng = random.Random(5)
         e = random_extension(rng, ectx3, nontrivial=True)
@@ -344,6 +374,20 @@ class TestClosureChecks:
         arr = mats[which].arr.copy()
         arr[entry + (1,)] = 1
         mats[which] = SeriesMatrix(ectx3.ctx, arr)
+        with pytest.raises(NotStable, match=match):
+            _readout(ectx3, *mats.values(), False)
+
+    @pytest.mark.parametrize("which, match", [("frobenius", "output"),
+                                              ("connection", "connection"),
+                                              ("pairing", "pairing")])
+    def test_presentation_of_another_shape(self, ectx3, which, match):
+        # a matrix with a row too many is not in the frame, even where its
+        # first rows are
+        c = assemble_crystal(ExtensionData.zero(ectx3))
+        mats = {"frobenius": c.frobenius, "connection": c.connection,
+                "pairing": c.pairing}
+        arr = mats[which].arr
+        mats[which] = SeriesMatrix(ectx3.ctx, np.concatenate([arr, arr[:1]]))
         with pytest.raises(NotStable, match=match):
             _readout(ectx3, *mats.values(), False)
 

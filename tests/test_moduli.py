@@ -90,7 +90,7 @@ class TestGroupLaw:
         h = s.h
         ctx = s.ectx.ctx
         last = column(ctx, *[0] * (h - 1), 1)
-        vec = SeriesMatrix.block(ctx, [[s.hodge], [last]])
+        vec = SeriesMatrix(ctx, np.concatenate([s.hodge.arr, last.arr]))
         pairing_value = (vec.transpose() @ assemble_crystal(s.extension).pairing
                          @ vec)
         assert pairing_value.is_zero()

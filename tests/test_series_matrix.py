@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystal_lab import PrecisionContext, TruncatedSeries, make_standard_crystal
+from crystal_lab import (PrecisionContext, TruncatedSeries, direct_sum,
+                         make_standard_crystal)
 from crystal_lab import series_matrix
+from crystal_lab.crystal import STANDARD_WEIGHT, FCrystalPresentation
 from crystal_lab.errors import ContextMismatch
 from crystal_lab.series_matrix import SeriesMatrix, det_mod_p, storage_dtype
 
@@ -97,13 +99,33 @@ def test_calculus_matches_scalar_ops(small_ctx):
             assert fp.entry(i, j) == oneform_pullback(OneForm(a.entry(i, j))).body
 
 
-def test_block_assembly(small_ctx):
-    ident = SeriesMatrix.identity(small_ctx, 2)
-    z = SeriesMatrix.zeros(small_ctx, 2, 2)
-    big = SeriesMatrix.block(small_ctx, [[ident, z], [z, ident.scale_int(5)]])
-    assert big.entry(0, 0) == TruncatedSeries.one(small_ctx)
-    assert big.entry(2, 2) == TruncatedSeries.constant(small_ctx, 5)
-    assert big.rows == big.cols == 4
+def block_matrix(ctx, grid):
+    """The matrix of a 2-D grid of SeriesMatrix blocks."""
+    return SeriesMatrix(ctx, np.concatenate(
+        [np.concatenate([b.arr for b in row], axis=1) for row in grid]))
+
+
+def test_direct_sum_layout():
+    # both summands sit in place and the off-diagonal blocks are zero in
+    # every degree, on int64 and on Python-integer storage
+    for n in (8, 40):
+        ctx = PrecisionContext(3, n, 4)
+        rng = random.Random(n)
+        c1, c2 = (FCrystalPresentation(
+            ctx, rank, *(random_matrix(rng, ctx, rank, rank) for _ in range(3)),
+            STANDARD_WEIGHT) for rank in (2, 3))
+        total = direct_sum(c1, c2)
+        assert total.rank == 5 and total.weight == STANDARD_WEIGHT
+        for name in ("frobenius", "connection", "pairing"):
+            arr = getattr(total, name).arr
+            assert arr.shape == (5, 5, ctx.M + 1)
+            assert arr.dtype == storage_dtype(ctx)
+            assert np.array_equal(arr[:2, :2], getattr(c1, name).arr)
+            assert np.array_equal(arr[2:, 2:], getattr(c2, name).arr)
+            assert not arr[:2, 2:].any() and not arr[2:, :2].any()
+            assert getattr(total, name) == block_matrix(ctx, [
+                [getattr(c1, name), SeriesMatrix.zeros(ctx, 2, 3)],
+                [SeriesMatrix.zeros(ctx, 3, 2), getattr(c2, name)]])
 
 
 def test_context_mismatch(small_ctx, ctx3):
@@ -735,13 +757,20 @@ def test_constructor_enforces_storage_dtype(n):
 
 
 def unit_work(monkeypatch, name):
-    """The kernels one seed-0 unit of the workload chose, and the summed
-    (rows, inner, cols) its products of two non-constant operands ran on."""
+    """The kernels one seed-0 unit of the workload chose, the summed
+    (rows, inner, cols) its products of two non-constant operands ran on,
+    and the summed rows x columns of its signed gathers' outputs."""
     from test_perfbench_golden import load
     workload = load("workloads").WORKLOADS[name]
     pair = workload.setup(0)[0]
-    general, shapes = [], []
+    general, shapes, cells = [], [], []
     matmul, product = SeriesMatrix.__matmul__, series_matrix._product
+    gather = series_matrix._signed_gather
+
+    def spy_gather(src, signs, axis, mod):
+        out = gather(src, signs, axis, mod)
+        cells.append(out.shape[0] * out.shape[1])
+        return out
 
     def spy_matmul(a, b):
         general.append(not (a.is_constant() or b.is_constant()))
@@ -754,9 +783,11 @@ def unit_work(monkeypatch, name):
 
     monkeypatch.setattr(SeriesMatrix, "__matmul__", spy_matmul)
     monkeypatch.setattr(series_matrix, "_product", spy_product)
+    monkeypatch.setattr(series_matrix, "_signed_gather", spy_gather)
     # chosen_kernels undoes every patch once the unit has run
     _, seen = chosen_kernels(monkeypatch, lambda: workload.unit(pair))
-    return Counter(seen), len(shapes), [sum(dims) for dims in zip(*shapes)]
+    return (Counter(seen), len(shapes), [sum(dims) for dims in zip(*shapes)],
+            sum(cells))
 
 
 def test_oracle_unit_routes_its_block_maps_to_gathers(monkeypatch):
@@ -768,17 +799,25 @@ def test_oracle_unit_routes_its_block_maps_to_gathers(monkeypatch):
     # (F^T G) F, are layered: their t-ideal parts meet nowhere, so each runs
     # as A0 B on 20x20 by 20x20 (float64) plus A1 B0 on 10x10 by 10x10 (a
     # gather for F^T G, float64 for (F^T G) F), with no general term
-    kernels, general, trimmed = unit_work(monkeypatch, "baer_oracle")
+    kernels, general, trimmed, cells = unit_work(monkeypatch, "baer_oracle")
     assert kernels == {series_matrix.GATHER: 31, np.float64: 5}
     # rows, inner indices and columns: 120 each without the trim
     assert (general, trimmed) == (8, [100, 100, 100])
+    # the kernels do not move with the pivot-row rule of induced_maps, but
+    # the gathers shrink: each closure check of a pullback runs on the rows
+    # off the pivots, 10 of 40 (a 10x30 output where 40x30 was) in the
+    # pullback-first route and 10 of 30 (10x20 for 30x20) in the other, so
+    # the unit's gathers write 15,900 rows x columns where they wrote 18,500
+    assert cells == 15_900
 
 
 def test_wide_precision_unit_routes(monkeypatch):
     # the same unit at h=5, N=24: the constant layers of the two layered
     # products have one degree pair and small lifts, so they stay on
     # float64 where the whole products took int64 limbs
-    kernels, general, trimmed = unit_work(monkeypatch, "wide_precision")
+    kernels, general, trimmed, cells = unit_work(monkeypatch, "wide_precision")
     assert kernels == {series_matrix.GATHER: 31, np.float64: 5}
     # rows, inner indices and columns: 60 each without the trim
     assert (general, trimmed) == (8, [50, 50, 50])
+    # the pivot-row rule as at h=10: 3,975 rows x columns where 4,625 were
+    assert cells == 3_975
