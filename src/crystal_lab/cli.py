@@ -27,7 +27,7 @@ _MODE_ALIASES = {"fast": "fast", "pp": "pullback_pushout", "pop": "pushout_pullb
                  "pushout_pullback": "pushout_pullback"}
 
 
-def _emit(doc, out=None):
+def _emit(doc, out):
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if out:
         try:
@@ -118,29 +118,19 @@ def _cmd_slopes(args):
     return 0
 
 
-def _samples(args) -> int:
+def _sampling_verb(args) -> int:
+    # looked up per call, so the cached parser sees a rebound attribute
+    verb = {"grouplaw": group_law_check,
+            "probe": multiply_by_p_injectivity_probe}[args.verb]
     if args.samples < 0:
         raise ValueError(f"--samples must be non-negative, got {args.samples}")
-    return args.samples
-
-
-def _sampling_verb(args, verb) -> int:
-    samples = _samples(args)
     ctx = PrecisionContext(args.p, args.N, args.M)
-    report = verb(ExtensionContext(ctx, args.h), args.n, samples,
+    report = verb(ExtensionContext(ctx, args.h), args.n, args.samples,
                   seed=args.seed)
     doc = {**serialize.header(ctx), "h": args.h, "n": args.n}
     doc.update(report.to_json())
     _emit(doc, args.out)
     return 0 if report.passed else 1
-
-
-def _cmd_grouplaw(args):
-    return _sampling_verb(args, group_law_check)
-
-
-def _cmd_probe(args):
-    return _sampling_verb(args, multiply_by_p_injectivity_probe)
 
 
 @functools.cache
@@ -198,9 +188,9 @@ def build_parser():
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_slopes)
 
-    for verb, func, text in (
-            ("grouplaw", _cmd_grouplaw, "seeded group-axiom and tangent checks"),
-            ("probe", _cmd_probe, "seeded multiplication-by-p injectivity probe")):
+    for verb, text in (
+            ("grouplaw", "seeded group-axiom and tangent checks"),
+            ("probe", "seeded multiplication-by-p injectivity probe")):
         sp = sub.add_parser(verb, help=text)
         common_precisions(sp)
         sp.add_argument("--h", type=int, required=True)
@@ -208,7 +198,7 @@ def build_parser():
         sp.add_argument("--samples", type=int, required=True,
                         help="non-negative sample count")
         sp.add_argument("--seed", type=int, required=True)
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=_sampling_verb)
 
     return parser
 

@@ -373,39 +373,26 @@ def hom_crystal(c1: FCrystalPresentation, c2: FCrystalPresentation,
     if not (c1.is_constant() and c2.is_constant()):
         raise NotConstant("hom_crystal requires constant presentations")
     ctx = c1.context
-    p = ctx.p
-    f1 = c1.frobenius.constant_layer()
-    f2 = c2.frobenius.constant_layer()
-    inv1 = _fraction_inverse(f1)
+    p, mod = ctx.p, ctx.modulus
     r1, r2 = c1.rank, c2.rank
     n = r1 * r2
     tw = Fraction(p) ** twist if twist >= 0 else Fraction(1, p ** (-twist))
-
-    entries = {}
-    min_v = 0
-    for i in range(r1):
-        for k in range(r1):
-            base = inv1[k][i] * tw  # (F1^-T)[i][k] = F1^-1[k][i]
-            if base == 0:
-                continue
-            for j in range(r2):
-                for l in range(r2):
-                    x = base * f2[j][l]
-                    if x == 0:
-                        continue
-                    entries[(i * r2 + j, k * r2 + l)] = x
-                    v = p_valuation(x.numerator, p) - p_valuation(x.denominator, p)
-                    min_v = min(min_v, v)
-    shift = min_v  # <= 0
+    # zeros stay int 0, so only the non-zero entries of F1^-1 take Fractions
+    inv1 = [[x * tw if x else 0 for x in row]
+            for row in _fraction_inverse(c1.frobenius.constant_layer())]
+    kron = np.kron(np.array(inv1, dtype=object).reshape(r1, r1).T,
+                   np.array(c2.frobenius.constant_layer(), dtype=object
+                            ).reshape(r2, r2)).reshape(n, n)
+    entries = [(i, j, x) for (i, j), x in np.ndenumerate(kron) if x]
+    shift = min([0] + [p_valuation(x.numerator, p) -
+                       p_valuation(x.denominator, p) for _, _, x in entries])
     scale = p ** (-shift)
-    mod = ctx.modulus
-    rows = [[0] * n for _ in range(n)]
-    for (i, j), x in entries.items():
+    arr = zeros_array(ctx, n, n)
+    for i, j, x in entries:
         y = x * scale  # p-integral by the choice of shift
-        rows[i][j] = (y.numerator % mod) * pow(y.denominator, -1, mod) % mod
-    f = SeriesMatrix.from_series_rows(ctx, rows)
-    return FCrystalPresentation(ctx, n, f, SeriesMatrix.zeros(ctx, n, n),
-                                SeriesMatrix.zeros(ctx, n, n), 0, shift)
+        arr[i, j, 0] = (y.numerator % mod) * pow(y.denominator, -1, mod) % mod
+    z = SeriesMatrix.zeros(ctx, n, n)
+    return FCrystalPresentation(ctx, n, SeriesMatrix(ctx, arr), z, z, 0, shift)
 
 
 # -- orthogonal complements ---------------------------------------------------
@@ -485,7 +472,7 @@ def annihilator_basis(b: SeriesMatrix):
         units[pivot_rows, :] = False
         units[:, pivot_cols] = False
         pi, pj = (int(x) for x in np.argwhere(units)[0])
-        pivot_row = b.select_rows([pi])
+        pivot_row = SeriesMatrix(ctx, b.arr[pi:pi + 1])
         row = series_inverse(SeriesMatrix(ctx, pivot_row.arr[:, pj:pj + 1])) \
             @ pivot_row
         # b[pi] - (b[pi][pj] - 1) row = row, and b[i] - b[i][pj] row clears

@@ -299,8 +299,10 @@ def _build_points(ectx: ExtensionContext, n: int, draws: tuple,
     column whose last coordinate isotropy sets."""
     ctx, h = ectx.ctx, ectx.h
     alpha, hodge, noise = draws
-    e = from_alpha(TrivializationWitness(ectx, SeriesMatrix(ctx, alpha))
-                   ).mark_geometric()
+    e = from_alpha(TrivializationWitness(ectx, SeriesMatrix(ctx, alpha)))
+    # columns 2..h of v are p phi*(alpha) - p alpha or p phi*(alpha) -
+    # p^2 alpha (_v_from_alpha), so they vanish mod p: the image is geometric
+    e = _derived(ExtensionData, ectx, e.xi, e.v, e.m, True)
     arrs = [e.xi.arr, e.v.arr, e.m.arr]
     if noise:
         arrs[1:] = [a.copy() for a in arrs[1:]]

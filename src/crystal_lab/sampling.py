@@ -190,12 +190,11 @@ def perturb_xi_antisym(e: ExtensionData, i0: int, j0: int,
 
 
 def random_extension(rng: random.Random, ectx: ExtensionContext,
-                     nontrivial: bool = False, max_degree: int | None = None
-                     ) -> ExtensionData:
+                     nontrivial: bool = False) -> ExtensionData:
     """A random extension class: a witness image, optionally made
     nontrivial by an antisymmetric xi-perturbation (h >= 3 keeps the ghost
     off the wrap column) or by v-noise."""
-    e = from_alpha(random_witness(rng, ectx, witness_support(ectx, max_degree)))
+    e = from_alpha(random_witness(rng, ectx, witness_support(ectx)))
     if not nontrivial:
         return e
     h = ectx.h

@@ -7,8 +7,8 @@ The constructor rejects any other dtype.  A matrix holds at most
 MAX_COEFFICIENTS coefficients; ``zeros_array`` checks this before it
 allocates.  A stack of samples of one shape and context is an
 (S, rows, cols, M+1) array: the elementwise operations, the calculus,
-``transpose`` and the reductions act per sample; ``@``, ``entry`` and
-``select_rows`` raise ValueError on it, and the constructors take none.
+``transpose`` and the reductions act per sample; ``@`` and ``entry``
+raise ValueError on it, and the constructors take none.
 
 The product here is the one product kernel: series products and inverses
 run as 1x1 matrix products.  It raises ValueError, before any arithmetic,
@@ -124,7 +124,7 @@ def zeros_array(context: PrecisionContext, rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols, context.M + 1), dtype=storage_dtype(context))
 
 
-def product_dtype(bound: int, storage, signs: bool = False):
+def product_dtype(bound: int, storage, signs: bool):
     """The arithmetic of a product whose partial sums stay below `bound`:
     GATHER when a constant operand has signs only (balanced lift in
     {0, +-1}), else float64 directly, int64 for recombined float64 limb
@@ -195,10 +195,6 @@ class SeriesMatrix:
         self._unstacked("entry")
         a = np.array(self.arr[i, j], copy=True)
         return TruncatedSeries._from_array(self.context, a)
-
-    def select_rows(self, indices) -> "SeriesMatrix":
-        self._unstacked("select_rows")
-        return SeriesMatrix(self.context, np.array(self.arr[list(indices)], copy=True))
 
     def is_zero(self) -> bool:
         return not self.arr.any()

@@ -617,3 +617,25 @@ def test_importing_the_cli_builds_no_parser():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert done.stdout == "0\n"
+
+
+@pytest.mark.parametrize("verb, attr", [
+    ("probe", "multiply_by_p_injectivity_probe"),
+    ("grouplaw", "group_law_check")])
+def test_the_built_parser_reaches_a_rebound_verb(capsys, monkeypatch, verb,
+                                                 attr):
+    # the parser is cached, and an outside-in tracer rebinds the module
+    # attribute after it is built: the verb is looked up at each run
+    cli.build_parser()
+    calls = []
+    real = getattr(cli, attr)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, attr, wrapped)
+    assert run([verb, "--h", "2", "--n", "4", "--samples", "1",
+                "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert calls == [(4, 1)]

@@ -16,7 +16,7 @@ from crystal_lab.crystal import (charpoly_int, _charpoly_berkowitz,
 from crystal_lab.errors import (NonInvertible, NotConstant, NotPerfect,
                                 NotStable, PrecisionInsufficient,
                                 UnsupportedHeight)
-from crystal_lab.padic_series import PrecisionContext
+from crystal_lab.padic_series import PrecisionContext, p_valuation
 from crystal_lab.series_matrix import SeriesMatrix, zeros_array
 from test_series_matrix import random_matrix
 
@@ -225,6 +225,89 @@ class TestHomCrystal:
             hom_crystal(c, ok, 2)
 
 
+def loop_hom_crystal(c1, c2, twist):
+    """The former hom_crystal, a four-deep loop over the entries of F1^-T
+    and F2: the reference for the np.kron form."""
+    ctx = c1.context
+    p = ctx.p
+    f2 = c2.frobenius.constant_layer()
+    inv1 = crystal._fraction_inverse(c1.frobenius.constant_layer())
+    r1, r2 = c1.rank, c2.rank
+    n = r1 * r2
+    tw = Fraction(p) ** twist if twist >= 0 else Fraction(1, p ** (-twist))
+    entries = {}
+    min_v = 0
+    for i in range(r1):
+        for k in range(r1):
+            base = inv1[k][i] * tw  # (F1^-T)[i][k] = F1^-1[k][i]
+            if base == 0:
+                continue
+            for j in range(r2):
+                for l in range(r2):
+                    x = base * f2[j][l]
+                    if x == 0:
+                        continue
+                    entries[(i * r2 + j, k * r2 + l)] = x
+                    v = p_valuation(x.numerator, p) - p_valuation(x.denominator, p)
+                    min_v = min(min_v, v)
+    scale = p ** (-min_v)
+    mod = ctx.modulus
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), x in entries.items():
+        y = x * scale
+        rows[i][j] = (y.numerator % mod) * pow(y.denominator, -1, mod) % mod
+    z = SeriesMatrix.zeros(ctx, n, n)
+    return FCrystalPresentation(ctx, n, SeriesMatrix.from_series_rows(ctx, rows),
+                                z, z, 0, min_v)
+
+
+def random_constant_rows(rng, p, rank, singular):
+    """Rows of p^k * u (k in 0..2, u a unit below p^3) or 0; singular
+    repeats row 0 as row 1, or zeroes it at rank 1."""
+    units = [u for u in range(1, p ** 3) if u % p]
+    rows = [[rng.choice([0, 1, p, p * p]) * rng.choice(units)
+             for _ in range(rank)] for _ in range(rank)]
+    if singular and rank:
+        rows[min(1, rank - 1)] = list(rows[0]) if rank > 1 else [0]
+    return rows
+
+
+def hom_outcome(hom, c1, c2, twist):
+    try:
+        c = hom(c1, c2, twist)
+    except NonInvertible as err:
+        return str(err)
+    return c.rank, c.frobenius.arr, c.frobenius_shift
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n_digits", [8, 40])
+def test_kron_hom_matches_the_loop(p, n_digits):
+    # random constant pairs of ranks 0-4 by 0-3, some with a singular F1,
+    # at twists -3, 0 and 2: the same Frobenius residues and shift, or the
+    # same NonInvertible message
+    ctx = PrecisionContext(p, n_digits, 4)
+    rng = random.Random(p * n_digits)
+    seen = Counter()
+    for r1, r2, twist in itertools.product(range(5), range(4), (-3, 0, 2)):
+        for singular in (False, False, True):
+            c1 = constant_crystal(ctx, random_constant_rows(rng, p, r1, singular))
+            c2 = constant_crystal(ctx, random_constant_rows(rng, p, r2, False))
+            got = hom_outcome(hom_crystal, c1, c2, twist)
+            want = hom_outcome(loop_hom_crystal, c1, c2, twist)
+            if isinstance(want, str):
+                assert got == want
+                seen["singular"] += 1
+                continue
+            assert got[0] == want[0] and got[2] == want[2]
+            assert np.array_equal(got[1], want[1])
+            assert got[1].dtype == want[1].dtype
+            seen["shifted" if want[2] else "integral"] += 1
+            seen["rank 0"] += want[0] == 0
+    assert min(seen[k] for k in ("singular", "shifted", "integral",
+                                 "rank 0")) > 0
+
+
 class TestOrthogonalComplement:
     def build(self, ctx, h=2, rho=3):
         pair = make_standard_crystal(ctx, h, "pair")
@@ -269,7 +352,7 @@ class TestOrthogonalComplement:
         for vec in vecs:
             target = SeriesMatrix.from_series_rows(
                 c.context, [[x] for x in vec])
-            coords = target.select_rows(list(res2.free_rows))
+            coords = SeriesMatrix(c.context, target.arr[list(res2.free_rows)])
             assert res2.basis @ coords == target
 
     def test_conjugated_block(self, ctx3):
@@ -322,13 +405,13 @@ def full_check_induced_maps(frobenius, connection, basis, pivot_rows):
     ctx = basis.context
     pivot_rows = list(pivot_rows)
     rhs_f = frobenius @ basis.phi_pullback()
-    f = rhs_f.select_rows(pivot_rows)
+    f = SeriesMatrix(ctx, rhs_f.arr[pivot_rows])
     if basis @ f != rhs_f:
         raise NotStable("span is not Frobenius-stable")
     rhs_a = connection @ basis
     if not basis.is_constant():
         rhs_a = basis.derivative_bodies() + rhs_a
-    a = rhs_a.select_rows(pivot_rows)
+    a = SeriesMatrix(ctx, rhs_a.arr[pivot_rows])
     if not (basis @ a - rhs_a).is_zero_through(ctx.M - 1):
         raise NotStable("span is not connection-stable")
     return f, (a.truncate_degree(ctx.M - 1) if ctx.M >= 1 else a)

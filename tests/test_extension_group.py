@@ -778,10 +778,7 @@ class TestSampleAxis:
         stack = SeriesMatrix(ctx, np.stack([a.arr, a.arr]))
         with pytest.raises(ValueError, match="entry .*sample axis"):
             stack.entry(1, 2)
-        with pytest.raises(ValueError, match="select_rows .*sample axis"):
-            stack.select_rows([0])
         assert a.entry(1, 2) == TruncatedSeries._from_array(ctx, a.arr[1, 2])
-        assert a.select_rows([1]) == SeriesMatrix(ctx, a.arr[1:])
 
     def test_one_integration_per_loss(self, monkeypatch):
         ectx = ExtensionContext(PrecisionContext(3, 8, 32), 3)

@@ -24,8 +24,8 @@ from crystal_lab.extension_group import _derived as unchecked
 from crystal_lab.moduli import (ProbeReport, ProbeSampleIssue, _build_points,
                                 _check_base_degree, _draw_points,
                                 _point_context, _point_differs)
-from crystal_lab.sampling import (add_noise, random_extension,
-                                  random_series_matrix)
+from crystal_lab.sampling import (add_noise, random_series_matrix,
+                                  random_witness, witness_support)
 from crystal_lab.series_matrix import SeriesMatrix, zeros_array
 
 
@@ -588,7 +588,8 @@ def per_point_random_geometric_point(rng, ectx, n, nontrivial=False):
     functions: the reference of the block steps."""
     _check_base_degree(ectx, n)
     ctx, h = ectx.ctx, ectx.h
-    e = random_extension(rng, ectx, max_degree=n - 1).mark_geometric()
+    e = from_alpha(random_witness(rng, ectx, witness_support(ectx, n - 1))
+                   ).mark_geometric()
     if nontrivial:
         top = min(n - 1, ctx.M // ctx.p)
         noise_degrees = [d for d in range(ctx.p, top + 1, ctx.p)
