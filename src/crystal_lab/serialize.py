@@ -86,7 +86,9 @@ def _decimals(modulus: int) -> np.ndarray:
 def matrix_to_json(m: SeriesMatrix) -> list:
     if m.context.modulus <= DECIMAL_TABLE_MAX:
         return _decimals(m.context.modulus)[m.arr].tolist()
-    return [[[str(c) for c in cell] for cell in row] for row in m.arr.tolist()]
+    # only the non-zero residues are formatted: the zeros share "0"
+    return [[[str(c) if c else "0" for c in cell] for cell in row]
+            for row in m.arr.tolist()]
 
 
 def matrix_from_json(ctx: PrecisionContext, obj, rows, cols) -> SeriesMatrix:

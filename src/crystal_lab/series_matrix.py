@@ -16,7 +16,10 @@ unless the inner dimensions agree.  A product with a constant operand is
 not trimmed: a gather touches only what its plan selects, and the two
 support scans would cost more than the block maps of the Baer diagrams
 could save.  The balanced lift of a constant matrix (below) is memoised on
-it, as the block maps are shared by every product of a diagram.
+it, as the block maps are shared by every product of a diagram.  A right
+operand known to be constant takes its route without a scan of the left
+one: every route is exact, so only the route of a constant left operand
+can change, and not its result.
 
 A product of two non-constant operands runs on its support: the inner
 indices where a column of the left operand and the matching row of the
@@ -30,10 +33,15 @@ parts, the product runs in layers,
 when its t-ideal term A1 B1 is empty: no column of A1 meets a row of B1.
 Each of the two terms runs on its own support through the constant routes
 below, with one degree pair and the top of its constant layer's lift as
-its bound; an empty term is skipped.  Otherwise the product runs whole.
-Results are added into zeros, with one reduction per term after the
-first.  The frame of ``extension_group._frame`` makes F^T G and (F^T G) F
-of the pairing check layered: their t-ideal parts meet nowhere.
+its bound; neither is empty, or a trimmed operand would be constant.
+Otherwise the product runs whole.  Results are added into zeros, with one
+reduction per term after the first.  The frame of
+``extension_group._frame`` makes F^T G and (F^T G) F of the pairing check
+layered: their t-ideal parts meet nowhere.  This plan depends only on the
+shapes and the non-zero patterns of the four layers, and is memoised by
+them (``_general_plan``): at most 64 plans, each only when its key and
+index arrays take at most PLAN_MEMO_BYTES = 16 KiB, about 1 MiB in all;
+a larger product is planned afresh.
 
 The rule is measured, at p=3, M=32 on 2 vCPUs, on rank-n products whose
 constant layers are dense and whose t-ideal parts sit on blocks of columns
@@ -112,6 +120,8 @@ _FLOAT64_EXACT = 2**53
 GATHER = "gather"
 # size cap of one matrix: 2^22 coefficients, 32 MiB as int64
 MAX_COEFFICIENTS = 2**22
+# the most bytes of key and index arrays a memoised ``_general_plan`` holds
+PLAN_MEMO_BYTES = 2**14
 
 
 def zeros_array(context: PrecisionContext, rows: int, cols: int) -> np.ndarray:
@@ -236,7 +246,9 @@ class SeriesMatrix:
                              f"{other.rows}x{other.cols} matrix")
         ctx = self.context
         a, b = self.arr, other.arr
-        if self.is_constant():
+        # a right operand known to be constant takes its route without a
+        # scan of the left one: every route is exact
+        if (self._const is not None or not other._const) and self.is_constant():
             out = _product(a[:, :, :1], b, True, False, ctx, self._balanced())
         elif other.is_constant():
             out = _product(a, b[:, :, :1], False, True, ctx, other._balanced())
@@ -372,10 +384,12 @@ def _support(nz_a: np.ndarray, nz_b: np.ndarray) -> tuple:
     """(rows, inner, cols) of a product by the non-zero patterns of its
     operands: the inner indices where a column of the left operand and the
     matching row of the right one are both non-zero, then the rows and
-    columns non-zero on those."""
+    columns non-zero on those.  The index arrays are read-only."""
     inner = np.flatnonzero(nz_a.any(axis=0) & nz_b.any(axis=1))
     rows = np.flatnonzero(nz_a[:, inner].any(axis=1))
     cols = np.flatnonzero(nz_b[inner].any(axis=0))
+    for idx in (rows, inner, cols):
+        idx.setflags(write=False)
     return rows, inner, cols
 
 
@@ -402,53 +416,57 @@ def _t_part(arr: np.ndarray, at: tuple) -> np.ndarray:
     return part
 
 
-def _layers(a: np.ndarray, b: np.ndarray, masks: tuple):
-    """The terms A0 B and A1 B0 of a layered product, each on its own
-    support and without the empty ones, or None when the t-ideal term
-    A1 B1 is not empty and the product runs whole.  masks holds the
-    non-zero patterns of the four layers."""
-    a0, a1, b0, b1 = masks
-    if (a1.any(axis=0) & b1.any(axis=1)).any():
-        return None
-    terms = []
-    r0, i0, c0 = _support(a0, b0 | b1)
-    if i0.size:
-        terms.append((r0, c0, a[:, :, :1][_block(r0, i0)], b[_block(i0, c0)],
-                      True, False))
-    r1, i1, c1 = _support(a1, b0)
-    if i1.size:
-        terms.append((r1, c1, _t_part(a, _block(r1, i1)),
-                      b[:, :, :1][_block(i1, c1)], False, True))
-    return terms
-
-
 def _general_product(a: np.ndarray, b: np.ndarray,
                      context: PrecisionContext) -> np.ndarray:
-    """a @ b mod p^N for two non-constant operands: on its support, where a
-    trimmed operand that is constant takes a constant route, and in layers
-    when the rule of the module docstring allows.  The terms are added
-    into zeros, with one reduction per term after the first."""
-    a0, a1 = a[:, :, 0] != 0, a[:, :, 1:].any(axis=2)
-    b0, b1 = b[:, :, 0] != 0, b[:, :, 1:].any(axis=2)
-    rows, inner, cols = _support(a0 | a1, b0 | b1)
-    at_a, at_b = _block(rows, inner), _block(inner, cols)
-    left = not a1[at_a].any()
-    right = not left and not b1[at_b].any()
-    terms = None
-    if not (left or right):
-        terms = _layers(a, b, (a0, a1, b0, b1))
-    if terms is None:
-        if (rows.size, inner.size, cols.size) == (*a.shape[:2], b.shape[1]):
-            return _product(a, b, False, False, context)
-        terms = [(rows, cols, a[:, :, :1][at_a] if left else a[at_a],
-                  b[:, :, :1][at_b] if right else b[at_b], left, right)]
-    out = zeros_array(context, a.shape[0], b.shape[1])
-    for n, (t_rows, t_cols, x, y, left, right) in enumerate(terms):
-        at = _block(t_rows, t_cols)
+    """a @ b mod p^N for two non-constant operands, by the plan of its
+    pattern (``_general_plan``), memoised when its key and index arrays
+    take at most PLAN_MEMO_BYTES."""
+    r, k, c = a.shape[0], a.shape[1], b.shape[1]
+    key = ((r, k, c), (a[:, :, 0] != 0).tobytes(),
+           a[:, :, 1:].any(axis=2).tobytes(), (b[:, :, 0] != 0).tobytes(),
+           b[:, :, 1:].any(axis=2).tobytes())
+    memo = 2 * (r * k + k * c) + 16 * (r + k + c) <= PLAN_MEMO_BYTES
+    plan = (_general_plan if memo else _general_plan.__wrapped__)(*key)
+    if plan is None:
+        return _product(a, b, False, False, context)
+    out = zeros_array(context, r, c)
+    for n, (at, at_a, at_b, left, right, t_ideal) in enumerate(plan):
+        x = (a[:, :, :1][at_a] if left
+             else _t_part(a, at_a) if t_ideal else a[at_a])
+        y = b[:, :, :1][at_b] if right else b[at_b]
         term = _product(x, y, left, right, context)
         out[at] = term if n == 0 else reduce_mod(out[at] + term,
                                                  context.modulus)
     return out
+
+
+@lru_cache(maxsize=64)
+def _general_plan(shape: tuple, a0: bytes, a1: bytes, b0: bytes,
+                  b1: bytes):
+    """The plan of a product of (rows, inner, cols) `shape` by the bool
+    masks, as bytes, of its degree-0 layers a0, b0 and t-ideal parts a1, b1:
+    None to run it whole, or terms (at, at_a, at_b, left, right, t_ideal),
+    each the product of the blocks at_a of a and at_b of b (the degree-0
+    layer of a constant operand, or the t-ideal part of a) into the block
+    at.  It holds 2 (r k + k c) bytes of key and at most 16 (r + k + c) of
+    read-only indices: one term on the support, or two in layers."""
+    r, k, c = shape
+    a0, a1 = (np.frombuffer(m, dtype=bool).reshape(r, k) for m in (a0, a1))
+    b0, b1 = (np.frombuffer(m, dtype=bool).reshape(k, c) for m in (b0, b1))
+    rows, inner, cols = _support(a0 | a1, b0 | b1)
+    at_a, at_b = _block(rows, inner), _block(inner, cols)
+    left = not a1[at_a].any()
+    right = not left and not b1[at_b].any()
+    if not (left or right or (a1.any(axis=0) & b1.any(axis=1)).any()):
+        r0, i0, c0 = _support(a0, b0 | b1)
+        r1, i1, c1 = _support(a1, b0)
+        return ((_block(r0, c0), _block(r0, i0), _block(i0, c0),
+                 True, False, False),
+                (_block(r1, c1), _block(r1, i1), _block(i1, c1),
+                 False, True, True))
+    if (rows.size, inner.size, cols.size) == shape:
+        return None
+    return ((_block(rows, cols), at_a, at_b, left, right, False),)
 
 
 @lru_cache(maxsize=64)

@@ -821,3 +821,185 @@ def test_wide_precision_unit_routes(monkeypatch):
     assert (general, trimmed) == (8, [50, 50, 50])
     # the pivot-row rule as at h=10: 3,975 rows x columns where 4,625 were
     assert cells == 3_975
+
+
+# -- product plans -------------------------------------------------------------
+
+def plan_key(a, b):
+    """The key _general_product memoises the plan of a @ b by: the shapes
+    and the bool masks of the four layers, as bytes."""
+    x, y = a.arr, b.arr
+    return ((a.rows, a.cols, b.cols), (x[:, :, 0] != 0).tobytes(),
+            x[:, :, 1:].any(axis=2).tobytes(), (y[:, :, 0] != 0).tobytes(),
+            y[:, :, 1:].any(axis=2).tobytes())
+
+
+def plan_kind(a, b):
+    """The kind of plan a @ b runs by, built without the memo."""
+    plan = series_matrix._general_plan.__wrapped__(*plan_key(a, b))
+    if plan is None:
+        return "whole"
+    if len(plan) == 2:
+        return "layered"
+    (_, _, _, left, right, t_ideal), = plan
+    assert not t_ideal
+    if not support(a, b)[1]:
+        return "empty"
+    return "left" if left else "right" if right else "trimmed"
+
+
+def pattern_operand(ctx, rows, cols, rng, fill):
+    """A random non-constant operand: each entry is zero, constant, in the
+    t-ideal only or both, by random row and column blocks; fill draws the
+    non-zero coefficients as in `filled`."""
+    mod = ctx.modulus
+    draw = {"random": lambda: rng.randrange(1, mod),
+            "top": lambda: mod - 1}[fill]
+    arr = np.zeros((rows, cols, ctx.M + 1), dtype=storage_dtype(ctx))
+    for degrees in (range(1), range(1, ctx.M + 1)):
+        on_rows = [i for i in range(rows) if rng.random() < 0.6]
+        on_cols = [j for j in range(cols) if rng.random() < 0.6]
+        for i in on_rows:
+            for j in on_cols:
+                for n in degrees:
+                    arr[i, j, n] = draw()
+    arr[rng.randrange(rows), rng.randrange(cols), ctx.M] = draw()
+    return SeriesMatrix(ctx, arr)
+
+
+PLAN_KINDS = {"whole", "left", "right", "trimmed", "layered", "empty"}
+
+
+@pytest.mark.parametrize("n", [8, 24, 40])
+def test_planned_products_match_the_whole_route(n):
+    # float64 (N=8), limbs (N=24) and Python integers (N=40): every plan
+    # kind gives exactly the array of the whole product, and a layered
+    # plan always has both terms (were one empty, a trimmed operand would
+    # be constant and the plan would have one term)
+    ctx = PrecisionContext(3, n, 3)
+    rng = random.Random(f"plans {n}")
+    seen = Counter()
+    for _ in range(400):
+        r, k, c = (rng.randint(1, 5) for _ in range(3))
+        fill = rng.choice(["random", "top"])
+        a = pattern_operand(ctx, r, k, rng, fill)
+        b = pattern_operand(ctx, k, c, rng, fill)
+        seen[plan_kind(a, b)] += 1
+        out = series_matrix._general_product(a.arr, b.arr, ctx)
+        whole = series_matrix._product(a.arr, b.arr, False, False, ctx)
+        assert out.dtype == whole.dtype == storage_dtype(ctx)
+        assert np.array_equal(out, whole)
+    assert set(seen) == PLAN_KINDS, seen
+
+
+def test_a_memoised_plan_serves_new_values():
+    # the same pattern with new values is a memo hit and still exact
+    for n in (8, 24, 40):
+        ctx = PrecisionContext(3, n, 3)
+        rng = random.Random(f"memo {n}")
+        a = pattern_operand(ctx, 4, 4, rng, "random")
+        b = pattern_operand(ctx, 4, 4, rng, "random")
+        for fill in ("random", "top"):
+            x, y = a.arr.copy(), b.arr.copy()
+            for arr in (x, y):
+                arr[arr != 0] = [rng.randrange(1, ctx.modulus) if fill ==
+                                 "random" else ctx.modulus - 1
+                                 for _ in range(np.count_nonzero(arr))]
+            series_matrix._general_product(a.arr, b.arr, ctx)
+            hits = series_matrix._general_plan.cache_info().hits
+            out = series_matrix._general_product(x, y, ctx)
+            assert series_matrix._general_plan.cache_info().hits == hits + 1
+            assert np.array_equal(
+                out, series_matrix._product(x, y, False, False, ctx))
+
+
+def test_plans_are_read_only():
+    ctx = PrecisionContext(3, 8, 3)
+    rng = random.Random("read-only")
+    for _ in range(100):
+        a = pattern_operand(ctx, 5, 5, rng, "random")
+        b = pattern_operand(ctx, 5, 5, rng, "random")
+        plan = series_matrix._general_plan(*plan_key(a, b)) or ()
+        for term in plan:
+            for at in term[:3]:
+                for idx in at:
+                    assert isinstance(idx, slice) or not idx.flags.writeable
+
+
+def layered_pair(ctx, n, rng):
+    """n x n operands whose product is layered on index arrays: a random
+    0/1 degree-0 layer, the t-ideal part of a on odd columns and of b on
+    even rows."""
+    a = np.zeros((n, n, ctx.M + 1), dtype=np.int64)
+    b = np.zeros_like(a)
+    a[:, :, 0] = rng.integers(0, 2, (n, n))
+    b[:, :, 0] = rng.integers(0, 2, (n, n))
+    a[:, 1::2, 1] = rng.integers(1, 3, (n, n // 2))
+    b[0::2, :, 1] = rng.integers(1, 3, (n - n // 2, n))
+    return SeriesMatrix(ctx, a), SeriesMatrix(ctx, b)
+
+
+def test_plan_memo_memory_is_bounded():
+    # 64 plans at the largest memoised size (58 x 58 by 58 x 58: 16,240
+    # bytes of key and indices) hold under 1.25 MiB; a product just above
+    # that size is planned afresh, and the memo holds nothing of it
+    import gc
+    import tracemalloc
+    ctx = PrecisionContext(3, 8, 1)
+    rng = np.random.default_rng(0)
+    assert 2 * 2 * 58**2 + 16 * 3 * 58 <= series_matrix.PLAN_MEMO_BYTES
+    assert 2 * 2 * 59**2 + 16 * 3 * 59 > series_matrix.PLAN_MEMO_BYTES
+    plan = series_matrix._general_plan
+    pairs = [layered_pair(ctx, 58, rng) for _ in range(64)]
+    assert plan_kind(*pairs[0]) == "layered"
+    plan.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    outs = [a @ b for a, b in pairs]
+    full = tracemalloc.get_traced_memory()[0]
+    assert plan.cache_info().currsize == 64
+    plan.cache_clear()
+    gc.collect()
+    held = full - tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert 0 < held < 1.25 * 2**20
+    assert outs[0] == naive_matmul(*pairs[0])
+    a, b = layered_pair(ctx, 59, rng)
+    assert a @ b == naive_matmul(a, b)
+    assert plan.cache_info()[:] == (0, 0, 64, 0)
+
+
+def test_a_known_constant_right_operand_skips_the_left_scan():
+    # X @ B with B a memoised block map leaves X's constancy unknown; a
+    # constant C whose flag is still unknown gives the same C @ B as one
+    # whose flag is known (the route of the left constant)
+    from crystal_lab.extension_group import _blocks
+    for n in (8, 24, 40):
+        ctx = PrecisionContext(3, n, 4)
+        rng = random.Random(n)
+        block = _blocks(ctx, 2, (("+", "-"), ("0", "+")))
+        assert block.is_constant()
+        for constant in (False, True):
+            x = filled(ctx, 3, 4, "random", constant, rng)
+            known = SeriesMatrix(ctx, x.arr)
+            assert known.is_constant() is constant
+            out = x @ block
+            assert x._const is None
+            assert out.arr.dtype == storage_dtype(ctx)
+            assert np.array_equal(out.arr, (known @ block).arr)
+            assert out == naive_matmul(x, block)
+
+
+@pytest.mark.parametrize("name", ["baer_oracle", "wide_precision"])
+def test_oracle_units_plan_once(name):
+    # one seed-0 unit makes 6 distinct general-product plans, and a second
+    # unit of the same pool plans nothing new
+    from test_perfbench_golden import load
+    workload = load("workloads").WORKLOADS[name]
+    pool = workload.setup(0)
+    plan = series_matrix._general_plan
+    plan.cache_clear()
+    workload.unit(pool[0])
+    assert plan.cache_info().misses == plan.cache_info().currsize == 6
+    workload.unit(pool[1])
+    assert plan.cache_info().misses == 6
