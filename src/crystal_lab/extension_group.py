@@ -228,7 +228,8 @@ def _v_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
 def _m_from_alpha(alpha: SeriesMatrix) -> SeriesMatrix:
     """Half-pairing of the changed basis: m[i][j] = alpha[i][j] + alpha[j][i]
     off the diagonal, m[i][i] = alpha[i][i]."""
-    arr = reduce_mod(alpha.arr + alpha.transpose().arr, alpha.context.modulus)
+    arr = reduce_mod(alpha.arr + alpha.transpose().arr, alpha.context.modulus,
+                     (0, 2))
     diag = np.arange(alpha.rows)
     arr[..., diag, diag, :] = alpha.arr[..., diag, diag, :]
     return SeriesMatrix(alpha.context, arr)

@@ -9,10 +9,10 @@ monomial substitution.
 Coefficient arrays are numpy int64 when p^N < 2^62 and object arrays of
 Python integers otherwise (``storage_dtype``).  On int64 storage a sum or
 difference of two residues stays below 2^63, so add, sub and neg never
-overflow, and ``reduce_mod`` brings every array back to residues.  A
-multiply by integers compares a bound on its result with a constant of the
-PrecisionContext before it uses int64, and forms the product in Python
-integers when int64 could overflow (``mul_mod``).
+overflow, and ``reduce_mod`` folds them back to residues without a
+division.  A multiply by integers compares a bound on its result with a
+constant of the PrecisionContext before it uses int64, and forms the
+product in Python integers when int64 could overflow (``mul_mod``).
 
 TruncatedSeries is a read-only view of one (M+1,) coefficient array.  Its
 additive operations are single array operations; its products and inverse
@@ -144,19 +144,36 @@ def storage_dtype(context: PrecisionContext):
     return np.int64 if context.int64_safe else object
 
 
-def reduce_mod(arr: np.ndarray, mod: int) -> np.ndarray:
+def reduce_mod(arr: np.ndarray, mod: int, bands: tuple | None = None
+               ) -> np.ndarray:
     """arr mod `mod` as canonical residues in [0, mod), in arr's dtype.
 
-    On int64 this is arr - (arr // mod) * mod: numpy divides an int64 array
-    by a scalar with a multiply and shift (Granlund and Montgomery,
-    "Division by invariant integers using multiplication", PLDI 1994), while
-    its remainder divides element by element and is slower.  It is
-    exact and stays inside int64 for every entry arr >= -2^63 + mod, since
-    then arr - mod < (arr // mod) * mod <= arr.  Object arrays use %, and
-    keep Python integers.
+    bands = (low, high), low in {-1, 0} and high in {1, 2}, states that
+    every entry lies in [low mod, high mod): (0, 2) for a sum of two
+    residues, (-1, 1) for a difference or negation.  On int64 such an arr
+    must be the caller's fresh array: it is folded in place on its uint64
+    view u, by min(u, u + mod) when low = -1 (a negative x is u = x + 2^64,
+    and u + mod wraps to x + mod, while a non-negative u only grows), then
+    min(u, u - mod) when high = 2 (u < mod wraps above u).  For mod < 2^62
+    every true value lies in (-2^62, 3 2^62), so no step relies on signed
+    overflow and the folds are exact (lazy reduction, as in Harvey, "Faster
+    arithmetic for number-theoretic transforms", J. Symb. Comput. 2014).
+
+    Otherwise, on int64 it is arr - (arr // mod) * mod: numpy divides by a
+    scalar with a multiply and shift (Granlund and Montgomery, PLDI 1994),
+    but takes a remainder element by element.  It is exact inside int64 for
+    every entry arr >= -2^63 + mod, as then arr - mod < (arr // mod) * mod
+    <= arr.  Object arrays use %, and keep Python integers.
     """
     if arr.dtype != np.int64:
         return arr % mod
+    if bands is not None:
+        u = arr.view(np.uint64)
+        if bands[0] < 0:
+            np.minimum(u, u + mod, out=u)
+        if bands[1] > 1:
+            np.minimum(u, u - mod, out=u)
+        return arr
     q = arr // mod
     q *= mod
     # into q: a second fresh array of a large result can cost more in page
@@ -258,17 +275,17 @@ class TruncatedSeries:
         _check_same_context(self, other)
         ctx = self.context
         return TruncatedSeries._from_array(
-            ctx, reduce_mod(self._arr + other._arr, ctx.modulus))
+            ctx, reduce_mod(self._arr + other._arr, ctx.modulus, (0, 2)))
 
     def __sub__(self, other):
         _check_same_context(self, other)
         ctx = self.context
         return TruncatedSeries._from_array(
-            ctx, reduce_mod(self._arr - other._arr, ctx.modulus))
+            ctx, reduce_mod(self._arr - other._arr, ctx.modulus, (-1, 1)))
 
     def __neg__(self):
         return TruncatedSeries._from_array(
-            self.context, reduce_mod(-self._arr, self.context.modulus))
+            self.context, reduce_mod(-self._arr, self.context.modulus, (-1, 1)))
 
     def __mul__(self, other):
         ctx = self.context

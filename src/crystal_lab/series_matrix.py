@@ -62,15 +62,16 @@ p^N - 1 becomes -1).
 * a constant operand whose lift lies in {0, +-1} (a map that selects, adds
   or negates rows or columns, like every block map of the Baer diagrams):
   signed gathers in the storage dtype (``_signed_gather``).  A plan, read
-  off the degree-0 layer and memoised by its bytes, gives each output row
-  (left constant) or column (right constant) its source slices and signs.
-  In round k every output takes its k-th source: one ``np.take`` along the
-  inner axis per sign, added to the outputs that take it with +1 and
-  subtracted from those that take it with -1.  The terms are summed and
-  reduced once.  With plan width w (the most non-zeros of any output),
-  every partial sum lies in (-w (p^N - 1), w (p^N - 1)); on int64 it is
-  reduced after each term when w (p^N - 1) >= 2^63 - p^N, and a pure
-  selection (w = 1, no -1) needs no reduction at all.
+  off the degree-0 layer and memoised by its bytes within PLAN_MEMO_BYTES,
+  gives each output row (left constant) or column (right constant) its
+  source slices and signs.  In round k every output takes its k-th
+  source: one ``np.take`` along the inner axis per sign, added to the
+  outputs that take it with +1 and subtracted from those that take it
+  with -1.  With at most P +1 and Q -1 sources per output, the sum needs
+  nothing for P <= 1, Q = 0 (a selection), one fold per band for P <= 2,
+  Q <= 1 (every block map of the Baer diagrams), and a division
+  otherwise; on int64 a plan of width w is divided after each term when
+  w (p^N - 1) >= 2^63 - p^N.
 
 Every other product bounds every partial sum it forms by
 
@@ -91,12 +92,12 @@ c = p^N - 1.
 * otherwise (object storage): Python integers, one product per pair of
   non-zero degrees.
 
-Every array is reduced mod p^N by ``padic_series.reduce_mod``: on int64 a
-floor division by the scalar p^N, which numpy does by multiply and shift,
-exact for every entry at least -2^63 + p^N.  Each operand here is in that
-range: a sum or difference of residues, a signed gather within the bound
-above, a float64 product of magnitude below 2^53, or the limb accumulator
-below 2^63.  Multiplies by integers go through ``padic_series.mul_mod``,
+Every array is reduced mod p^N by ``padic_series.reduce_mod``.  A sum or
+difference of residues, and a gather of P <= 2, Q <= 1, lies within two
+bands of p^N and is folded by unsigned minima; any other array (a float64
+product below 2^53, the limb accumulator below 2^63) is divided by the
+scalar p^N, which numpy does by multiply and shift, exact for every entry
+at least -2^63 + p^N.  Multiplies by integers go through ``mul_mod``,
 which proves its own int64 bound; the calculus methods share the array
 functions of ``padic_series`` with the series.  Matrices of one-form bodies
 reuse the same class; the degree-(M) body coefficient of differentiated
@@ -222,16 +223,16 @@ class SeriesMatrix:
     def __add__(self, other):
         _check_same_context(self, other)
         ctx = self.context
-        return SeriesMatrix(ctx, reduce_mod(self.arr + other.arr, ctx.modulus))
+        return SeriesMatrix(ctx, reduce_mod(self.arr + other.arr, ctx.modulus, (0, 2)))
 
     def __sub__(self, other):
         _check_same_context(self, other)
         ctx = self.context
-        return SeriesMatrix(ctx, reduce_mod(self.arr - other.arr, ctx.modulus))
+        return SeriesMatrix(ctx, reduce_mod(self.arr - other.arr, ctx.modulus, (-1, 1)))
 
     def __neg__(self):
         ctx = self.context
-        return SeriesMatrix(ctx, reduce_mod(-self.arr, ctx.modulus))
+        return SeriesMatrix(ctx, reduce_mod(-self.arr, ctx.modulus, (-1, 1)))
 
     def scale_int(self, k: int) -> "SeriesMatrix":
         return SeriesMatrix(self.context, mul_mod(
@@ -247,14 +248,23 @@ class SeriesMatrix:
         ctx = self.context
         a, b = self.arr, other.arr
         # a right operand known to be constant takes its route without a
-        # scan of the left one: every route is exact
-        if (self._const is not None or not other._const) and self.is_constant():
+        # scan of the left one (every route is exact); a scan's t-ideal
+        # mask serves the plan key of a general product
+        a1 = None if self._const is not None or other._const else self._t_mask()
+        b1 = None if other._const is not None or self._const else other._t_mask()
+        if self._const:
             out = _product(a[:, :, :1], b, True, False, ctx, self._balanced())
-        elif other.is_constant():
+        elif other._const:
             out = _product(a, b[:, :, :1], False, True, ctx, other._balanced())
         else:
-            out = _general_product(a, b, ctx)
+            out = _general_product(a, b, ctx, a1, b1)
         return SeriesMatrix(ctx, out)
+
+    def _t_mask(self) -> np.ndarray:
+        """Which entries have a t-ideal part; it settles ``is_constant``."""
+        mask = self.arr[:, :, 1:].any(axis=2)
+        self._const = not mask.any()
+        return mask
 
     def _balanced(self) -> tuple:
         """(lift, top) of a constant matrix (``_balanced``), memoised: the
@@ -416,15 +426,16 @@ def _t_part(arr: np.ndarray, at: tuple) -> np.ndarray:
     return part
 
 
-def _general_product(a: np.ndarray, b: np.ndarray,
-                     context: PrecisionContext) -> np.ndarray:
+def _general_product(a: np.ndarray, b: np.ndarray, context: PrecisionContext,
+                     a1=None, b1=None) -> np.ndarray:
     """a @ b mod p^N for two non-constant operands, by the plan of its
     pattern (``_general_plan``), memoised when its key and index arrays
-    take at most PLAN_MEMO_BYTES."""
+    take at most PLAN_MEMO_BYTES; a1, b1 may carry their t-ideal masks."""
     r, k, c = a.shape[0], a.shape[1], b.shape[1]
-    key = ((r, k, c), (a[:, :, 0] != 0).tobytes(),
-           a[:, :, 1:].any(axis=2).tobytes(), (b[:, :, 0] != 0).tobytes(),
-           b[:, :, 1:].any(axis=2).tobytes())
+    a1 = a[:, :, 1:].any(axis=2) if a1 is None else a1
+    b1 = b[:, :, 1:].any(axis=2) if b1 is None else b1
+    key = ((r, k, c), (a[:, :, 0] != 0).tobytes(), a1.tobytes(),
+           (b[:, :, 0] != 0).tobytes(), b1.tobytes())
     memo = 2 * (r * k + k * c) + 16 * (r + k + c) <= PLAN_MEMO_BYTES
     plan = (_general_plan if memo else _general_plan.__wrapped__)(*key)
     if plan is None:
@@ -436,7 +447,7 @@ def _general_product(a: np.ndarray, b: np.ndarray,
         y = b[:, :, :1][at_b] if right else b[at_b]
         term = _product(x, y, left, right, context)
         out[at] = term if n == 0 else reduce_mod(out[at] + term,
-                                                 context.modulus)
+                                                 context.modulus, (0, 2))
     return out
 
 
@@ -471,27 +482,31 @@ def _general_plan(shape: tuple, a0: bytes, a1: bytes, b0: bytes,
 
 @lru_cache(maxsize=64)
 def _gather_plan(shape: tuple, signs: bytes) -> tuple:
-    """(terms, width, select) of a signed gather by the (outputs, inner)
-    0/+-1 matrix whose int8 bytes are `signs`.
+    """(terms, width, plus, minus) of a signed gather by the (outputs,
+    inner) 0/+-1 matrix whose int8 bytes are `signs`.
 
     Output o takes its k-th source, +1 entries first, in the k-th round;
-    width counts the rounds.  A term (outs, take, op) gathers the inner
+    width counts the rounds, and plus and minus are the most +1 and -1
+    sources of any output.  A term (outs, take, op) gathers the inner
     indices `take` for the outputs `outs` (None for every output, in
     order) of one round that share one sign, and op adds (+1) or
-    subtracts (-1) them.  select is True for a pure selection: one term,
-    of every output, added."""
+    subtracts (-1) them.  With the key, a plan holds at most outputs x
+    inner + 16 x non-zeros bytes, pinning no argsort; ``_signed_gather``
+    memoises it only within PLAN_MEMO_BYTES."""
     s = np.frombuffer(signs, dtype=np.int8).reshape(shape)
     # a stable sort by (+1, -1, 0) lists each output's sources in order
     order = np.argsort(np.where(s == 0, 2, s < 0), axis=1, kind="stable")
     outputs = np.arange(shape[0])
-    width = int(np.count_nonzero(s, axis=1).max())
+    plus, minus, width = (int(np.count_nonzero(m, axis=1).max())
+                          for m in (s > 0, s < 0, s != 0))
     terms = []
     for k in range(width):
         sign = s[outputs, order[:, k]]
         for value, op in ((1, np.add), (-1, np.subtract)):
             outs = np.flatnonzero(sign == value)
             if outs.size == shape[0]:
-                terms.append((None, order[:, k], op))
+                # a copy, so that the plan does not pin the whole argsort
+                terms.append((None, order[:, k].copy(), op))
             elif outs.size:
                 terms.append((outs, order[outs, k], op))
     # every caller shares the cached plan
@@ -499,8 +514,7 @@ def _gather_plan(shape: tuple, signs: bytes) -> tuple:
         take.setflags(write=False)
         if outs is not None:
             outs.setflags(write=False)
-    select = len(terms) == 1 and terms[0][0] is None and terms[0][2] is np.add
-    return tuple(terms), width, select
+    return tuple(terms), width, plus, minus
 
 
 def _signed_gather(src: np.ndarray, signs: np.ndarray, axis: int, mod: int
@@ -510,11 +524,16 @@ def _signed_gather(src: np.ndarray, signs: np.ndarray, axis: int, mod: int
     (axis 0, a left constant) or columns (axis 1, a right constant), mod
     p^N.
 
-    Partial sums lie in (-w (mod - 1), w (mod - 1)) for the plan width w,
-    and reduce_mod takes every entry >= -2^63 + mod.  A wider plan on int64
-    is reduced after each term, so that no sum leaves (-2 mod, 2 mod)."""
-    terms, width, select = _gather_plan(signs.shape,
-                                        signs.astype(np.int8).tobytes())
+    With plus and minus the most +1 and -1 sources of any output, every
+    sum lies in [-minus (mod - 1), plus (mod - 1)]: a residue for plus <= 1
+    and minus = 0, folded (``reduce_mod`` with bands) for plus <= 2 and
+    minus <= 1, and divided otherwise, which takes every entry >= -2^63 +
+    mod.  On int64 a plan of width w with w (mod - 1) >= 2^63 - mod is
+    divided after each term, so that no partial sum leaves (-2 mod, 2 mod)."""
+    key = signs.astype(np.int8).tobytes()
+    memo = len(key) + 16 * np.count_nonzero(signs) <= PLAN_MEMO_BYTES
+    terms, width, plus, minus = (_gather_plan if memo else
+                                 _gather_plan.__wrapped__)(signs.shape, key)
     each = src.dtype == np.int64 and width * (mod - 1) >= 2**63 - mod
     lead = (slice(None),) * axis
     outs, take, op = terms[0]
@@ -534,7 +553,10 @@ def _signed_gather(src: np.ndarray, signs: np.ndarray, axis: int, mod: int
             out[at] = op(out[at], part)
         if each:
             out = reduce_mod(out, mod)
-    return out if select else reduce_mod(out, mod)
+    if each or (plus <= 1 and minus == 0):
+        return out
+    return reduce_mod(out, mod, (-minus, max(plus, 1))
+                      if plus <= 2 and minus <= 1 else None)
 
 
 def _float_product(a: np.ndarray, b: np.ndarray, left: bool, right: bool

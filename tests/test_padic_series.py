@@ -60,6 +60,65 @@ def test_reduce_mod_keeps_python_integers_on_object():
     assert {type(x) for x in got} == {int}
 
 
+BANDS = [(-1, 1), (-1, 2), (0, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("n", [8, 24, 39])
+@pytest.mark.parametrize("bands", BANDS)
+def test_reduce_mod_folds_a_known_range_exactly(n, bands):
+    # every entry of [low p^N, high p^N): its ends, the band edges 0,
+    # m - 1, m, 2m - 2 and -(m - 1) inside it, and random values; 3^39 is
+    # just below 2^62, so a sum of two residues there nears 2^63
+    mod = 3**n
+    lo, hi = bands[0] * mod, bands[1] * mod - 1
+    edges = (lo, hi, 0, 1, -1, mod - 1, mod, 2 * mod - 2, -(mod - 1))
+    rng = random.Random(f"{n} {bands}")
+    values = [v for v in edges if lo <= v <= hi]
+    values += [rng.randint(lo, hi) for _ in range(2000)]
+    arr = np.array(values, dtype=np.int64)
+    got = reduce_mod(arr, mod, bands)
+    # the fresh array is folded in place
+    assert got is arr and got.dtype == np.int64
+    assert got.tolist() == [v % mod for v in values]
+
+
+@pytest.mark.parametrize("bands", BANDS)
+def test_reduce_mod_with_bands_keeps_python_integers_on_object(bands):
+    # object storage (N=40) takes % whatever the range, as without one
+    mod = 3**40
+    rng = random.Random(40)
+    values = [-(mod - 1), -1, 0, mod - 1, mod, 2 * mod - 2]
+    values += [rng.randint(-(mod - 1), 2 * mod - 2) for _ in range(200)]
+    arr = np.array(values, dtype=object)
+    got = reduce_mod(arr, mod, bands)
+    assert got.dtype == object
+    assert got.tolist() == [v % mod for v in values]
+    assert {type(x) for x in got} == {int}
+    assert arr.tolist() == values
+
+
+@pytest.mark.parametrize("n", [8, 39, 40])
+def test_folding_operations_never_write_their_operands(n):
+    # add, sub and neg fold a fresh array: the operands, read-only and
+    # here filled with p^N - 1 and random residues, stay as they were
+    ctx = PrecisionContext(3, n, 4)
+    rng = random.Random(n)
+    top = TruncatedSeries(ctx, [ctx.modulus - 1] * (ctx.M + 1))
+    other = random_series(rng, ctx)
+    before = (top.coeffs(), other.coeffs())
+    for got, want in ((top + other, lambda x, y: x + y),
+                      (top - other, lambda x, y: x - y),
+                      (other - top, lambda x, y: y - x),
+                      (-top, lambda x, y: -x), (top + top, lambda x, y: 2 * x)):
+        assert got.coeffs() == tuple(want(x, y) % ctx.modulus
+                                     for x, y in zip(*before))
+    a, b = top._matrix(), other._matrix()
+    for got in (a + b, a - b, -a):
+        assert got.arr.dtype == a.arr.dtype
+    assert (top.coeffs(), other.coeffs()) == before
+    assert not a.arr.flags.writeable and not b.arr.flags.writeable
+
+
 class TestPrecisionContext:
     def test_rejects_even_prime(self):
         with pytest.raises(ValueError):

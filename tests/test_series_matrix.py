@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -355,6 +356,94 @@ def test_signed_gather_at_the_int64_edge(monkeypatch, side):
         assert kernel is series_matrix.GATHER
         assert out.arr.dtype == np.int64
         assert out == naive_matmul(a, b)
+
+
+def sign_rows(rng, plus, minus, outputs=4, inner=6):
+    """An outputs x inner 0/+-1 matrix whose first output has `plus` +1 and
+    `minus` -1 entries, the others at most as many, and the last none."""
+    rows = []
+    for o in range(outputs):
+        p, q = (plus, minus) if o == 0 else (rng.randint(0, plus),
+                                             rng.randint(0, minus))
+        if o == outputs - 1:
+            p = q = 0
+        row = [1] * p + [-1] * q + [0] * (inner - p - q)
+        rng.shuffle(row)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n", [8, 39, 40])
+@pytest.mark.parametrize("fill", ["random", "top"])
+def test_signed_gathers_of_every_sign_count(n, fill):
+    # a gather plan records plus and minus, the most +1 and -1 sources of
+    # any output: plus <= 1 with minus = 0 needs no reduction, plus <= 2
+    # with minus <= 1 folds, any other plan divides.  At 3^39 every plan of
+    # width 2 or more reduces after each term instead (the `each` path);
+    # N=40 is object storage
+    ctx = PrecisionContext(3, n, 2)
+    mod = ctx.modulus
+    if n == 39:
+        assert 2 * (mod - 1) >= 2**63 - mod
+    rng = random.Random(f"{n} {fill}")
+    for plus, minus in itertools.product(range(4), range(3)):
+        if plus == minus == 0:
+            continue
+        rows = sign_rows(rng, plus, minus)
+        signs = np.array(rows, dtype=np.int8)
+        plan = series_matrix._gather_plan(signs.shape, signs.tobytes())
+        assert plan[2:] == (plus, minus)
+        const = SeriesMatrix.from_series_rows(
+            ctx, [[x % mod for x in row] for row in rows])
+        other = filled(ctx, 6, 3, fill, False, rng)
+        for a, b in ((const, other), (other.transpose(), const.transpose())):
+            src = (b if a is const else a).arr.copy()
+            out = a @ b
+            assert out.arr.dtype == storage_dtype(ctx)
+            assert out == naive_matmul(a, b)
+            assert np.array_equal((b if a is const else a).arr, src)
+
+
+def test_gather_plans_own_their_indices_and_stay_bounded():
+    # a plan's index arrays pin no more than themselves (no view of the
+    # argsort); a plan
+    # whose key and indices exceed PLAN_MEMO_BYTES is built afresh and not
+    # kept (a rank-1024 permutation once left 9.0 MiB in the memo), while
+    # the 30 x 40 block map of the Baer diagrams is kept and hit
+    import gc
+    import tracemalloc
+    from crystal_lab.extension_group import _blocks
+    plan = series_matrix._gather_plan
+    ctx = PrecisionContext(3, 8, 0)
+    rng = np.random.default_rng(0)
+    sigma = rng.permutation(1024)
+    perm = np.zeros((1024, 1024, 1), dtype=np.int64)
+    perm[np.arange(1024), sigma, 0] = 1
+    b = SeriesMatrix(ctx, rng.integers(0, ctx.modulus, (1024, 4, 1)))
+    plan.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    out = SeriesMatrix(ctx, perm.copy()) @ b
+    assert np.array_equal(out.arr, b.arr[sigma])
+    del out
+    gc.collect()
+    held = tracemalloc.get_traced_memory()[0] - base
+    tracemalloc.stop()
+    assert plan.cache_info().currsize == 0
+    assert held < 2**16
+    block = _blocks(PrecisionContext(3, 8, 32), 10, ("+0+0", "0+00", "000+"))
+    x = SeriesMatrix.zeros(block.context, 40, 3)
+    for _ in range(2):
+        assert (block @ x).is_zero()
+    assert plan.cache_info()[:] == (1, 1, 64, 1)
+    lift = block._balanced()[0][:, :, 0]
+    terms = plan(lift.shape, lift.astype(np.int8).tobytes())[0]
+    for outs, take, _ in terms:
+        for idx in (take, outs if outs is not None else take):
+            assert idx.base is None or idx.base.nbytes == idx.nbytes
+    assert lift.size + 16 * np.count_nonzero(lift) <= \
+        series_matrix.PLAN_MEMO_BYTES < 1024**2
 
 
 def test_no_int64_overflow_on_wide_inner_dimension():
@@ -1003,3 +1092,47 @@ def test_oracle_units_plan_once(name):
     assert plan.cache_info().misses == plan.cache_info().currsize == 6
     workload.unit(pool[1])
     assert plan.cache_info().misses == 6
+
+
+def test_a_second_oracle_unit_plans_no_gather():
+    # the block maps and the pivot-row blocks of their closure checks are
+    # the same in every unit, so their gather plans are all memo hits
+    from test_perfbench_golden import load
+    workload = load("workloads").WORKLOADS["baer_oracle"]
+    pool = workload.setup(0)
+    plan = series_matrix._gather_plan
+    plan.cache_clear()
+    workload.unit(pool[0])
+    misses = plan.cache_info().misses
+    assert misses == plan.cache_info().currsize > 0
+    workload.unit(pool[1])
+    assert plan.cache_info().misses == misses
+
+
+def test_every_block_map_of_the_diagrams_folds():
+    # each _blocks map of both Baer diagrams at h=10, as a left or right
+    # constant, has at most two +1 and one -1 source per output, so its
+    # gather folds its sums instead of dividing them (``_signed_gather``);
+    # the patterns are read off the source of _baer_diagram, and both
+    # diagrams build exactly these maps
+    import ast
+    import inspect
+    from crystal_lab import extension_group as eg
+    from crystal_lab.sampling import random_extension
+    tree = ast.parse(inspect.getsource(eg._baer_diagram))
+    patterns = {ast.literal_eval(node.args[2]) for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "_blocks"}
+    ectx = eg.ExtensionContext(PrecisionContext(3, 8, 32), 10)
+    rng = random.Random(0)
+    e1, e2 = (random_extension(rng, ectx, nontrivial=True) for _ in range(2))
+    eg._blocks.cache_clear()
+    for mode in ("pullback_pushout", "pushout_pullback"):
+        eg.baer_sum(e1, e2, mode)
+    assert eg._blocks.cache_info().currsize == len(patterns) == 10
+    for pattern in patterns:
+        lift = eg._blocks(ectx.ctx, 10, pattern)._balanced()[0][:, :, 0]
+        for signs in (lift, lift.T):
+            _, _, plus, minus = series_matrix._gather_plan(
+                signs.shape, signs.astype(np.int8).tobytes())
+            assert plus <= 2 and minus <= 1, pattern
