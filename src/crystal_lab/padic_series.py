@@ -14,12 +14,14 @@ division.  A multiply by integers compares a bound on its result with a
 constant of the PrecisionContext before it uses int64, and forms the
 product in Python integers when int64 could overflow (``mul_mod``).
 
-TruncatedSeries is a read-only view of one (M+1,) coefficient array.  Its
-additive operations are single array operations; its products and inverse
-run as 1x1 products of ``series_matrix.SeriesMatrix``, the one product
-kernel.  The calculus (derivative, Frobenius and one-form pullbacks,
-integration) is written once, on the last axis of a (..., M+1) array, for
-series and matrices alike.
+TruncatedSeries is a read-only view of one (M+1,) coefficient array, and
+OneForm wraps one as a body.  Each of their operations, and the derivative
+and the Frobenius and one-form pullbacks, is one call on the 1x1
+``series_matrix.SeriesMatrix`` over the same array, the one ring core,
+whose result ``_of`` wraps back as a series; this module states no band,
+precision, truncation or calculus rule of its own.  Only ``integrate`` is
+written here, on the last axis of a (..., M+1) array, for series and
+matrices alike.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContextMismatch, NonIntegrable, PrecisionInsufficient
+from .errors import NonIntegrable, PrecisionInsufficient
 
 _INT64_MAX = 2**63 - 1
 # int64 storage keeps 2(p^N - 1) < 2^63
@@ -203,11 +205,6 @@ def residues(arr: np.ndarray, context: PrecisionContext) -> np.ndarray:
                                                    copy=False)
 
 
-def _check_same_context(a, b):
-    if a.context != b.context:
-        raise ContextMismatch(f"{a.context} vs {b.context}")
-
-
 class TruncatedSeries:
     """Element of W[[t]]/(p^N, t^(M+1)) with canonical integer coefficients:
     a read-only view of one (M+1,) coefficient array."""
@@ -248,8 +245,7 @@ class TruncatedSeries:
 
     def _matrix(self):
         """This series as a 1x1 SeriesMatrix over the same array."""
-        from .series_matrix import SeriesMatrix
-        return SeriesMatrix(self.context, self._arr[None, None])
+        return series_matrix.SeriesMatrix(self.context, self._arr[None, None])
 
     def coeffs(self) -> tuple:
         return tuple(self._arr.tolist())
@@ -258,67 +254,51 @@ class TruncatedSeries:
         return not self._arr.any()
 
     def reduce_precision(self, new_n: int) -> "TruncatedSeries":
-        ctx = self.context.reduce_precision(new_n)
-        if ctx is self.context:
-            return self
-        return TruncatedSeries._from_array(ctx, residues(self._arr, ctx))
+        return _of(self._matrix().reduce_precision(new_n))
 
     def truncate_degree(self, d: int) -> "TruncatedSeries":
         """Reduce mod t^(d+1) inside the same ring (zero out degrees > d)."""
-        if d >= self.context.M:
-            return self
-        arr = self._arr.copy()
-        arr[d + 1:] = 0
-        return TruncatedSeries._from_array(self.context, arr)
+        return _of(self._matrix().truncate_degree(d))
 
     def __add__(self, other):
-        _check_same_context(self, other)
-        ctx = self.context
-        return TruncatedSeries._from_array(
-            ctx, reduce_mod(self._arr + other._arr, ctx.modulus, (0, 2)))
+        return _of(self._matrix() + other._matrix())
 
     def __sub__(self, other):
-        _check_same_context(self, other)
-        ctx = self.context
-        return TruncatedSeries._from_array(
-            ctx, reduce_mod(self._arr - other._arr, ctx.modulus, (-1, 1)))
+        return _of(self._matrix() - other._matrix())
 
     def __neg__(self):
-        return TruncatedSeries._from_array(
-            self.context, reduce_mod(-self._arr, self.context.modulus, (-1, 1)))
+        return _of(-self._matrix())
 
     def __mul__(self, other):
-        ctx = self.context
         if isinstance(other, int):
-            return TruncatedSeries._from_array(
-                ctx, mul_mod(self._arr, other % ctx.modulus, ctx))
-        _check_same_context(self, other)
-        product = self._matrix() @ other._matrix()
-        return TruncatedSeries._from_array(ctx, product.arr[0, 0])
+            return _of(self._matrix().scale_int(other))
+        return _of(self._matrix() @ other._matrix())
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.context == other.context and bool(
-            np.array_equal(self._arr, other._arr))
+        return self._matrix() == other._matrix()
 
     def __hash__(self):
-        return hash((self.context, self.coeffs()))
+        return hash(self._matrix())
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; raises ZeroDivisionError unless the
         constant term is a unit."""
-        from .series_matrix import series_inverse
-        return TruncatedSeries._from_array(
-            self.context, series_inverse(self._matrix()).arr[0, 0])
+        return _of(series_matrix.series_inverse(self._matrix()))
 
     def __str__(self):
         terms = [f"{int(c)}*t^{n}" for n, c in enumerate(self._arr) if c]
         return " + ".join(terms) if terms else "0"
 
     __repr__ = __str__
+
+
+def _of(matrix) -> TruncatedSeries:
+    """The series of a 1x1 SeriesMatrix, over the same array."""
+    return TruncatedSeries._from_array(matrix.context, matrix.arr[0, 0])
 
 
 @dataclass(frozen=True)
@@ -343,7 +323,7 @@ class OneForm:
         return self.body.is_zero()
 
     def is_zero_through(self, degree: int) -> bool:
-        return not self.body._arr[:degree + 1].any()
+        return self.body._matrix().is_zero_through(degree)
 
     def __sub__(self, other):
         return OneForm(self.body - other.body)
@@ -352,42 +332,12 @@ class OneForm:
         return f"({self.body}) dt"
 
 
-# -- the calculus, once, on the last axis of a (..., M+1) coefficient array --
-
-
-def derivative_coeffs(arr: np.ndarray, context: PrecisionContext) -> np.ndarray:
-    """d/dt along the last axis, as one-form bodies; the body coefficient at
-    degree M is unknowable and set to 0."""
-    m = context.M
-    out = np.zeros_like(arr)
-    if m >= 1:
-        idx = np.arange(1, m + 1, dtype=arr.dtype)
-        out[..., :m] = mul_mod(arr[..., 1:], idx, context, m)
-    return out
-
-
-def frobenius_coeffs(arr: np.ndarray, context: PrecisionContext) -> np.ndarray:
-    """The substitution t |-> t^p along the last axis."""
-    out = np.zeros_like(arr)
-    out[..., ::context.p] = arr[..., :context.M // context.p + 1]
-    return out
-
-
-def oneform_pullback_coeffs(arr: np.ndarray, context: PrecisionContext
-                            ) -> np.ndarray:
-    """Pullback of one-form bodies along the last axis:
-    g |-> g(t^p) * p * t^(p-1)."""
-    p = context.p
-    out = np.zeros_like(arr)
-    # degree n goes to p n + p - 1, which is at most M for n < (M+1)/p
-    out[..., p - 1::p] = mul_mod(arr[..., :(context.M + 1) // p], p, context)
-    return out
+# -- the calculus: one call on the 1x1 SeriesMatrix, except integrate --
 
 
 def derivative(a: TruncatedSeries) -> OneForm:
     """Formal derivative; the body coefficient at degree M is unknowable and set to 0."""
-    return OneForm(TruncatedSeries._from_array(
-        a.context, derivative_coeffs(a._arr, a.context)))
+    return OneForm(_of(a._matrix().derivative_bodies()))
 
 
 def integrate(form):
@@ -467,11 +417,13 @@ def _integration_tables(context: PrecisionContext) -> tuple:
 
 def frobenius_pullback(a: TruncatedSeries) -> TruncatedSeries:
     """Substitution t |-> t^p, a ring endomorphism of the quotient."""
-    return TruncatedSeries._from_array(a.context,
-                                       frobenius_coeffs(a._arr, a.context))
+    return _of(a._matrix().phi_pullback())
 
 
 def oneform_pullback(form: OneForm) -> OneForm:
     """Pullback of g(t) dt along t |-> t^p, namely g(t^p) * p * t^(p-1) dt."""
-    return OneForm(TruncatedSeries._from_array(
-        form.context, oneform_pullback_coeffs(form.body._arr, form.context)))
+    return OneForm(_of(form.body._matrix().oneform_pullback_bodies()))
+
+
+# the ring core builds on the names above, so it is imported last
+from . import series_matrix  # noqa: E402

@@ -10,12 +10,12 @@ allocates.  A stack of samples of one shape and context is an
 ``transpose`` and the reductions act per sample; ``@`` and ``entry``
 raise ValueError on it, and the constructors take none.
 
-The product here is the one product kernel: series products and inverses
-run as 1x1 matrix products.  It raises ValueError, before any arithmetic,
-unless the inner dimensions agree.  A product with a constant operand is
-not trimmed: a gather touches only what its plan selects, and the two
-support scans would cost more than the block maps of the Baer diagrams
-could save.  The balanced lift of a constant matrix (below) is memoised on
+Every series operation but ``integrate`` runs on the 1x1 matrix of its
+series, and the product here is the one product kernel.  It raises
+ValueError, before any arithmetic, unless the inner dimensions agree.  A
+product with a constant operand is not trimmed: a gather touches only what
+its plan selects, and the two support scans would cost more than the block
+maps of the Baer diagrams could save.  The balanced lift of a constant matrix (below) is memoised on
 it, as the block maps are shared by every product of a diagram.  A right
 operand known to be constant takes its route without a scan of the left
 one: every route is exact, so only the route of a constant left operand
@@ -98,10 +98,11 @@ bands of p^N and is folded by unsigned minima; any other array (a float64
 product below 2^53, the limb accumulator below 2^63) is divided by the
 scalar p^N, which numpy does by multiply and shift, exact for every entry
 at least -2^63 + p^N.  Multiplies by integers go through ``mul_mod``,
-which proves its own int64 bound; the calculus methods share the array
-functions of ``padic_series`` with the series.  Matrices of one-form bodies
-reuse the same class; the degree-(M) body coefficient of differentiated
-data is untrusted and the checkers compare through degree M-1 explicitly.
+which proves its own int64 bound.  The calculus (derivative, Frobenius and
+one-form pullbacks) is written here once, on the last axis, for matrices
+and series alike.  Matrices of one-form bodies reuse the same class; the
+degree-(M) body coefficient of differentiated data is untrusted and the
+checkers compare through degree M-1 explicitly.
 """
 
 from __future__ import annotations
@@ -111,9 +112,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContextMismatch
-from .padic_series import (PrecisionContext, TruncatedSeries,
-                           _check_same_context, derivative_coeffs,
-                           frobenius_coeffs, mul_mod, oneform_pullback_coeffs,
+from .padic_series import (PrecisionContext, TruncatedSeries, mul_mod,
                            reduce_mod, residues, storage_dtype)
 
 _FLOAT64_EXACT = 2**53
@@ -133,6 +132,11 @@ def zeros_array(context: PrecisionContext, rows: int, cols: int) -> np.ndarray:
         raise ValueError(f"a {rows}x{cols} matrix at M={context.M} exceeds "
                          f"{MAX_COEFFICIENTS} coefficients")
     return np.zeros((rows, cols, context.M + 1), dtype=storage_dtype(context))
+
+
+def _check_same_context(a, b):
+    if a.context != b.context:
+        raise ContextMismatch(f"{a.context} vs {b.context}")
 
 
 def product_dtype(bound: int, storage, signs: bool):
@@ -293,9 +297,14 @@ class SeriesMatrix:
     # -- calculus and Frobenius ---------------------------------------------
 
     def derivative_bodies(self) -> "SeriesMatrix":
-        """Entrywise derivative, returned as a matrix of one-form bodies."""
-        return SeriesMatrix(self.context,
-                            derivative_coeffs(self.arr, self.context))
+        """Entrywise derivative, returned as a matrix of one-form bodies; the
+        body coefficient at degree M is unknowable and set to 0."""
+        m = self.context.M
+        out = np.zeros_like(self.arr)
+        if m >= 1:
+            idx = np.arange(1, m + 1, dtype=self.arr.dtype)
+            out[..., :m] = mul_mod(self.arr[..., 1:], idx, self.context, m)
+        return SeriesMatrix(self.context, out)
 
     def phi_pullback(self) -> "SeriesMatrix":
         """Entrywise substitution t |-> t^p.  It fixes constants, so a
@@ -303,12 +312,19 @@ class SeriesMatrix:
         after its first product) is returned as it is, without a scan."""
         if self._const:
             return self
-        return SeriesMatrix(self.context, frobenius_coeffs(self.arr, self.context))
+        p = self.context.p
+        out = np.zeros_like(self.arr)
+        out[..., ::p] = self.arr[..., :self.context.M // p + 1]
+        return SeriesMatrix(self.context, out)
 
     def oneform_pullback_bodies(self) -> "SeriesMatrix":
         """Entrywise pullback of one-form bodies: g |-> g(t^p) * p * t^(p-1)."""
-        return SeriesMatrix(self.context,
-                            oneform_pullback_coeffs(self.arr, self.context))
+        p = self.context.p
+        out = np.zeros_like(self.arr)
+        # degree n goes to p n + p - 1, which is at most M for n < (M+1)/p
+        out[..., p - 1::p] = mul_mod(self.arr[..., :(self.context.M + 1) // p],
+                                     p, self.context)
+        return SeriesMatrix(self.context, out)
 
     def truncate_degree(self, d: int) -> "SeriesMatrix":
         if d >= self.context.M:
@@ -327,7 +343,7 @@ class SeriesMatrix:
 
     def constant_layer(self) -> list:
         """The degree-0 coefficients as a list of rows of Python ints."""
-        return [[int(x) for x in row] for row in self.arr[:, :, 0]]
+        return self.arr[:, :, 0].tolist()
 
 
 def series_inverse(a: SeriesMatrix) -> SeriesMatrix:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crystal_lab import (ExtensionContext, ExtensionData, FCrystalPresentation,
-                         PrecisionContext, from_alpha, int_scale,
+                         PrecisionContext, Refuted, from_alpha, int_scale,
                          make_standard_crystal, trivialize)
 from crystal_lab import cli, moduli, serialize
 from crystal_lab.cli import run
@@ -146,6 +146,29 @@ class TestExtensionVerbs:
         doc = json.loads(text)
         assert doc["certified"] and doc["precision"] == 7
         assert all(step["ok"] for step in doc["trace"])
+
+    def test_ptorsion_refuted_report(self, capsys, monkeypatch, tmp_path,
+                                     ectx2):
+        # no recorded input is refuted, so the check is replaced
+        rng = random.Random(3)
+        e = from_alpha(random_witness(rng, ectx2, witness_support(ectx2)))
+        e = e.mark_geometric()
+        fe = make_extension_file(tmp_path, ectx2, "e.json", e)
+        w = trivialize(int_scale(e, 3))
+        fw = write_json(tmp_path / "w.json", serialize.witness_to_json(w))
+        checked = []
+
+        def refuted(*args):
+            checked.append(args)
+            return Refuted("congruence", "p*beta differs from alpha")
+
+        monkeypatch.setattr(cli, "p_torsion_check", refuted)
+        code, text, err = run_cli(capsys, "ptorsion", fe, fw)
+        assert (code, err) == (1, "")
+        assert checked == [(e, w)]
+        assert json.loads(text) == {
+            **serialize.header(ectx2.ctx), "certified": False,
+            "step": "congruence", "detail": "p*beta differs from alpha"}
 
     def test_ptorsion_missing_hypothesis_is_usage_error(self, capsys, tmp_path, ectx2):
         rng = random.Random(4)

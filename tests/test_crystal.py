@@ -1,24 +1,27 @@
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from crystal_lab import (FCrystalPresentation, check_horizontality, check_pairing_compat, direct_sum,
-                         hom_crystal, make_standard_crystal, newton_slopes,
+from crystal_lab import (FCrystalPresentation, TruncatedSeries, check_horizontality,
+                         check_pairing_compat, direct_sum, hom_crystal,
+                         make_standard_crystal, newton_slopes,
                          orthogonal_complement)
 from crystal_lab import crystal
-from crystal_lab.crystal import (charpoly_int, _charpoly_berkowitz,
+from crystal_lab.crystal import (SlopeMultiset, charpoly_int,
+                                 _charpoly_berkowitz,
                                  _charpoly_generalized_permutation,
                                  induced_maps)
-from crystal_lab.errors import (NonInvertible, NotConstant, NotPerfect,
-                                NotStable, PrecisionInsufficient,
+from crystal_lab.errors import (ContextMismatch, NonInvertible, NotConstant,
+                                NotPerfect, NotStable, PrecisionInsufficient,
                                 UnsupportedHeight)
 from crystal_lab.padic_series import PrecisionContext, p_valuation
 from crystal_lab.series_matrix import SeriesMatrix, zeros_array
-from test_series_matrix import random_matrix
+from test_series_matrix import naive_matmul, random_matrix
 
 
 def constant_crystal(ctx, rows, weight=2):
@@ -100,6 +103,72 @@ class TestStandardCrystals:
         assert rep.passed and not rep.perfect
 
 
+@pytest.mark.parametrize("n_digits", [8, 40], ids=["int64", "object"])
+@pytest.mark.parametrize("weight, shift", [(0, 1), (1, 1), (2, 2), (3, 5)])
+def test_pairing_compat_below_weight_zero(n_digits, weight, shift):
+    # at w = weight - 2 shift < 0 the check scales F^T G F by p^-w rather
+    # than phi*(G) by p^w; the reference computes the residual directly
+    ctx = PrecisionContext(3, n_digits, 7)
+    rng = random.Random(f"{n_digits} {weight} {shift}")
+    f, a, b = (random_matrix(rng, ctx, 2, 2) for _ in range(3))
+    verdicts = []
+    for g in (b + b.transpose(), SeriesMatrix.zeros(ctx, 2, 2)):
+        rep = check_pairing_compat(
+            FCrystalPresentation(ctx, 2, f, a, g, weight, shift))
+        lhs = naive_matmul(naive_matmul(f.transpose(), g), f).arr
+        phi = np.zeros_like(g.arr)
+        phi[..., ::3] = g.arr[..., :ctx.M // 3 + 1]  # t |-> t^3
+        want = (lhs * 3**(2 * shift - weight) - phi) % ctx.modulus
+        assert np.array_equal(rep.residuals["frobenius"].arr, want)
+        assert rep.frobenius_compatible == (not want.any())
+        verdicts.append(rep.frobenius_compatible)
+    assert verdicts == [False, True]
+
+
+class TestInputErrors:
+    def test_presentation_shapes_and_contexts(self, ctx3, ctx5):
+        z = SeriesMatrix.zeros(ctx3, 2, 2)
+        for name in ("frobenius", "connection", "pairing"):
+            for bad, message in ((SeriesMatrix.zeros(ctx3, 2, 3), "be 2x2"),
+                                 (SeriesMatrix.zeros(ctx3, 3, 2), "be 2x2"),
+                                 (SeriesMatrix.zeros(ctx5, 2, 2),
+                                  "context differs")):
+                mats = {"frobenius": z, "connection": z, "pairing": z,
+                        name: bad}
+                with pytest.raises(ValueError, match=f"{name} .*{message}"):
+                    FCrystalPresentation(ctx3, 2, weight=2, **mats)
+
+    def test_unknown_kind(self, ctx3):
+        with pytest.raises(ValueError, match="unknown kind 'slope2'"):
+            make_standard_crystal(ctx3, 2, "slope2")
+
+    def test_direct_sum_needs_matching_data(self, ctx3, ctx5):
+        c = make_standard_crystal(ctx3, 2, "sub1")
+        for other in (make_standard_crystal(ctx5, 2, "sub1"),
+                      replace(c, weight=3), replace(c, frobenius_shift=1)):
+            with pytest.raises(ValueError, match="matching context"):
+                direct_sum(c, other)
+
+    def test_hom_needs_one_context_and_constants(self, ctx3, ctx5):
+        c = make_standard_crystal(ctx3, 2, "sub1")
+        with pytest.raises(ContextMismatch, match="shared context"):
+            hom_crystal(c, make_standard_crystal(ctx5, 2, "sub1"), 0)
+        t = SeriesMatrix.from_series_rows(
+            ctx3, [[TruncatedSeries.monomial(ctx3, 1), 0], [0, 1]])
+        for moving in (replace(c, frobenius=c.frobenius + t),
+                       replace(c, connection=t)):
+            with pytest.raises(NotConstant):
+                hom_crystal(c, moving, 0)
+            with pytest.raises(NotConstant):
+                hom_crystal(moving, c, 0)
+
+
+def test_slope_multiset_str():
+    assert str(SlopeMultiset.from_pairs([(1, 3), (Fraction(1, 2), 2)])) == \
+        "{1/2 x2, 1 x3}"
+    assert str(SlopeMultiset(())) == "{}"
+
+
 class TestCharpoly:
     def test_cycle_fast_path_matches_berkowitz(self, ctx3):
         rng = random.Random(21)
@@ -164,7 +233,6 @@ class TestNewtonSlopes:
         assert s.entries == ((Fraction(1), 5),)
 
     def test_requires_constant(self, ctx3):
-        from crystal_lab import TruncatedSeries
         f = SeriesMatrix.from_series_rows(
             ctx3, [[TruncatedSeries(ctx3, (0, 1))]])
         z = SeriesMatrix.zeros(ctx3, 1, 1)
@@ -390,6 +458,21 @@ class TestOrthogonalComplement:
         assert check_horizontality(res.presentation).passed
         rep = check_pairing_compat(res.presentation)
         assert rep.passed and rep.perfect
+
+    def test_empty_subspace_and_rank_zero(self, ctx3):
+        # nothing to annihilate: the crystal itself, on the identity basis
+        _, _, c = self.build(ctx3)
+        zero = make_standard_crystal(ctx3, 2, "slope1", rho=0)
+        for pres, vecs in ((c, []), (zero, []), (zero, [[]])):
+            res = orthogonal_complement(pres, vecs)
+            assert res.presentation is pres
+            assert res.basis == SeriesMatrix.identity(ctx3, pres.rank)
+            assert res.free_rows == tuple(range(pres.rank))
+
+    def test_subspace_vectors_have_the_rank(self, ctx3):
+        _, _, c = self.build(ctx3)
+        with pytest.raises(ValueError, match="wrong length"):
+            orthogonal_complement(c, [[1] * c.rank, [1] * (c.rank - 1)])
 
     def test_degenerate_subspace_rejected(self, ctx3):
         _, _, c = self.build(ctx3)

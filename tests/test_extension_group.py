@@ -169,6 +169,13 @@ class TestDataValidation:
         with pytest.raises(InvalidExtension, match="t-ideal"):
             ExtensionData(ectx2, z, SeriesMatrix(ctx, arr), z)
 
+    def test_witness_outside_t_ideal(self, ectx2):
+        ctx = ectx2.ctx
+        arr = SeriesMatrix.zeros(ctx, 2, 2).arr.copy()
+        arr[1, 0, 0] = 1
+        with pytest.raises(InvalidExtension, match="alpha entries"):
+            TrivializationWitness(ectx2, SeriesMatrix(ctx, arr))
+
     def test_asymmetric_m(self, ectx2):
         ctx = ectx2.ctx
         z = SeriesMatrix.zeros(ctx, 2, 2)
@@ -246,6 +253,11 @@ class TestBaerSum:
         e2 = ExtensionData.zero(ExtensionContext(ctx5, 2))
         with pytest.raises(ContextMismatch):
             baer_sum(e1, e2)
+
+    def test_unknown_mode(self, ectx2):
+        zero = ExtensionData.zero(ectx2)
+        with pytest.raises(ValueError, match="unknown mode 'pp'"):
+            baer_sum(zero, zero, "pp")
 
     def test_geometric_flag_conjunction(self, ectx2):
         rng = random.Random(53)

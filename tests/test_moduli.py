@@ -95,6 +95,13 @@ class TestGroupLaw:
                          @ vec)
         assert pairing_value.is_zero()
 
+    def test_points_over_different_bases_do_not_add(self, ectx2, ctx5):
+        y = identity_point(ectx2, 4)
+        for z in (identity_point(ectx2, 3),
+                  identity_point(ExtensionContext(ctx5, 2), 4)):
+            with pytest.raises(ContextMismatch, match="different bases"):
+                add_points(y, z)
+
     def test_scaling_matches_iterated_addition(self, ectx2):
         rng = random.Random(13)
         y = random_geometric_point(rng, ectx2, 6, nontrivial=True)
@@ -190,6 +197,15 @@ class TestPointValidation:
         with pytest.raises(InvalidExtension, match="vanish at t=0"):
             DeformationPoint(ectx2, 4, ExtensionData.zero(ectx2),
                              column(ctx, unit, 0))
+
+    def test_pairing_data_outside_t_ideal(self, ectx2):
+        ctx = ectx2.ctx
+        z = SeriesMatrix.zeros(ctx, 2, 2)
+        arr = z.arr.copy()
+        arr[0, 0, 0] = 1  # off the isotropy corner (1, 1)
+        e = ExtensionData(ectx2, z, z, SeriesMatrix(ctx, arr))
+        with pytest.raises(InvalidExtension, match="pairing data must vanish"):
+            DeformationPoint(ectx2, 4, e, column(ctx, 0, 0))
 
     def test_support_bound_enforced(self, ectx2):
         ctx = ectx2.ctx
@@ -365,6 +381,13 @@ class TestSlopeReport:
         assert len(rep.detail.entries) == 1
         assert rep.detail.entries[0][0] == Fraction(2 - Fraction(2, 3))
         assert rep.hom_common_slope == 2 - Fraction(2, 3)
+
+    def test_report_json(self, ctx3):
+        rep = slope_report(ExtensionContext(ctx3, 3))
+        assert rep.to_json() == {
+            "h": 3, "slope": "2/3", "slope_sub": "2/3", "slope_super": "4/3",
+            "hom_twist2_common_slope": "4/3", "hom_twist2_slopes": [["4/3", 9]]}
+        assert str(rep.detail) == "{4/3 x9}"
 
 
 # -- the stacked probe against the probe one sample at a time ------------------

@@ -175,6 +175,18 @@ class TestPrecisionContext:
     def test_modulus(self, ctx3):
         assert ctx3.modulus == 3**8
 
+    def test_precision_is_never_raised(self, ctx3):
+        assert ctx3.reduce_precision(8) is ctx3
+        assert ctx3.reduce_precision(5) == PrecisionContext(3, 5, 32)
+        with pytest.raises(PrecisionInsufficient, match="from 8 to 9"):
+            ctx3.reduce_precision(9)
+
+
+def test_valuation_of_zero_is_refused():
+    assert [p_valuation(n, 3) for n in (1, -3, 18, 3**40)] == [0, 1, 2, 40]
+    with pytest.raises(ValueError, match="unbounded"):
+        p_valuation(0, 3)
+
 
 class TestSeriesArith:
     def test_difference_of_squares(self, ctx3):
@@ -220,6 +232,38 @@ class TestSeriesArith:
     def test_t_ideal_predicate(self, ctx3):
         assert TruncatedSeries.monomial(ctx3, 1).coeffs()[0] == 0
         assert TruncatedSeries.one(ctx3).coeffs()[0] != 0
+
+    @pytest.mark.parametrize("n_digits", [8, 40])
+    def test_truncate_degree(self, n_digits):
+        ctx = PrecisionContext(3, n_digits, 6)
+        a = random_series(random.Random(n_digits), ctx)
+        for d in range(-1, ctx.M + 2):
+            got = a.truncate_degree(d)
+            assert got.context == ctx
+            assert got.coeffs() == tuple(
+                c if n <= d else 0 for n, c in enumerate(a.coeffs()))
+            assert {type(c) for c in got.coeffs()} == {int}
+
+    def test_equal_series_hash_equal(self, ctx3, ctx5):
+        rng = random.Random(13)
+        a, b = random_series(rng, ctx3), random_series(rng, ctx3)
+        # equal series built by different routes
+        pairs = [(a + b, b + a), (a * b - b, b * (a - TruncatedSeries.one(ctx3))),
+                 (TruncatedSeries.zero(ctx3), a - a),
+                 (TruncatedSeries.constant(ctx3, -1), -TruncatedSeries.one(ctx3))]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+        assert len({a, b, a + TruncatedSeries.zero(ctx3)}) == 2
+        # equal coefficients over different contexts are different series
+        assert TruncatedSeries.one(ctx3) != TruncatedSeries.one(ctx5)
+        assert TruncatedSeries.one(ctx3) != 1
+
+    def test_str(self, ctx3):
+        s = TruncatedSeries(ctx3, (2, 0, -1, 0, 5))
+        assert str(s) == repr(s) == "2*t^0 + 6560*t^2 + 5*t^4"
+        assert str(TruncatedSeries.zero(ctx3)) == "0"
+        assert str(OneForm(TruncatedSeries.monomial(ctx3, 3))) == "(1*t^3) dt"
+        assert str(OneForm.zero(ctx3)) == "(0) dt"
 
 
 class TestDerivative:

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from crystal_lab import ExtensionContext, ExtensionData, PrecisionContext
+from crystal_lab.errors import InvalidExtension
 from crystal_lab.sampling import (_BULK_MIN, _draw_residues, add_noise,
-                                  random_extension, random_series_matrix)
+                                  perturb_xi_antisym, random_extension,
+                                  random_series_matrix)
 from crystal_lab.series_matrix import SeriesMatrix, zeros_array
 
 
@@ -73,6 +75,26 @@ def test_noise_degree_needs_valuation_below_n(degree):
     zero = ExtensionData.zero(ExtensionContext(PrecisionContext(3, 2, 81), 3))
     with pytest.raises(ValueError, match="needs 1 <= v_p < N=2"):
         add_noise(random.Random(0), zero, "m", degree, entry=(0, 0))
+
+
+def test_noise_goes_on_v_or_m():
+    zero = ExtensionData.zero(ExtensionContext(PrecisionContext(3, 8, 32), 3))
+    with pytest.raises(ValueError, match="on v or m, not 'xi'"):
+        add_noise(random.Random(0), zero, "xi", 3)
+
+
+# at p=3: t^(p-1) needs M >= p, its pullback ghost t^(p^2) needs M >= 9,
+# and the ghost of either entry may not sit on the last column
+@pytest.mark.parametrize("M, i0, j0, error, message", [
+    (32, 1, 1, ValueError, "off-diagonal"),
+    (2, 0, 1, ValueError, "trusted range"),
+    (8, 0, 1, InvalidExtension, "outside the truncation"),
+    (32, 0, 2, InvalidExtension, "wrap column"),
+    (32, 2, 0, InvalidExtension, "wrap column")])
+def test_perturbation_refusals(M, i0, j0, error, message):
+    zero = ExtensionData.zero(ExtensionContext(PrecisionContext(3, 8, M), 3))
+    with pytest.raises(error, match=message):
+        perturb_xi_antisym(zero, i0, j0)
 
 
 @pytest.mark.parametrize("p, M", [(5, 4), (37, 32)])

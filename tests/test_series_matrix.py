@@ -177,6 +177,32 @@ def test_phi_pullback_keeps_constants(small_ctx):
     assert const.phi_pullback() is const
 
 
+@pytest.mark.parametrize("n_digits", [8, 40], ids=["int64", "object"])
+def test_constant_layer_is_python_ints(n_digits):
+    # the former list comprehension is the reference
+    ctx = PrecisionContext(3, n_digits, 4)
+    rng = random.Random(n_digits)
+    top = SeriesMatrix.identity(ctx, 2, ctx.modulus - 1)
+    for m in (random_matrix(rng, ctx, 3, 4), top, SeriesMatrix.zeros(ctx, 0, 2),
+              SeriesMatrix.zeros(ctx, 2, 0)):
+        got = m.constant_layer()
+        assert got == [[int(x) for x in row] for row in m.arr[:, :, 0]]
+        assert all(type(x) is int for row in got for x in row)
+
+
+def test_equality_and_truncation_edges(small_ctx):
+    rng = random.Random(9)
+    a = random_matrix(rng, small_ctx, 2, 3)
+    assert a.__eq__(a.arr) is NotImplemented
+    assert a != a.arr.tolist() and a != 0
+    # reduction mod t^(d+1) keeps a matrix as it is from d = M on
+    assert a.truncate_degree(small_ctx.M) is a
+    assert a.truncate_degree(small_ctx.M + 5) is a
+    low = a.truncate_degree(2)
+    assert np.array_equal(low.arr[..., :3], a.arr[..., :3])
+    assert not low.arr[..., 3:].any()
+
+
 def test_det_mod_p():
     assert det_mod_p([[1, 0], [0, 1]], 3) == 1
     assert det_mod_p([[0, 1], [1, 0]], 3) == 2  # -1 mod 3
