@@ -10,8 +10,8 @@ its blocks, ``_readout`` reads them back), and ``from_alpha`` states the
 witness equations.  The three Baer-sum routes (componentwise, pullback then
 pushout, pushout then pullback) must agree entrywise; the diagram routes
 materialize the intermediate rank-3h module with explicit section choices
-and serve as the oracle for the componentwise rule.  Their rank-4h ambient
-holds both extensions' frame blocks, one array per matrix (``_assembled``).
+and serve as the oracle for the componentwise rule.  Each diagram writes
+its own rank-4h ambient: two standard pairs, framed (``_assembled``).
 A pullback step reads the induced maps off a sub-span, checking closure
 off its pivot rows (``crystal.induced_maps``), a pushout step off a
 quotient (``_pushout``); the constant maps are +-identity blocks.
@@ -20,11 +20,11 @@ quotient (``_pushout``); the constant maps are +-identity blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .crystal import (FCrystalPresentation, direct_sum, induced_maps,
+from .crystal import (FCrystalPresentation, _check_height, induced_maps,
                       make_standard_crystal)
 from .errors import (ContextMismatch, HypothesisMissing, InvalidExtension,
                      NotStable, PrecisionInsufficient, WitnessInvalid)
@@ -34,34 +34,39 @@ from .padic_series import (PrecisionContext, _divisibility,
 from .series_matrix import SeriesMatrix, zeros_array
 
 
-@lru_cache(maxsize=None)
-def _standard(ctx: PrecisionContext, h: int, kind: str) -> FCrystalPresentation:
-    if kind == "ambient":  # of the Baer diagrams: the pair, twice
-        return direct_sum(*[_standard(ctx, h, "pair")] * 2)
-    return make_standard_crystal(ctx, h, kind)
-
-
 @dataclass(frozen=True)
 class ExtensionContext:
-    """Fixes the two ends of the extensions: the height and the precisions."""
+    """Fixes the two ends of the extensions: the height and the precisions.
+
+    It owns what these determine, each built on first use and freed with
+    it: the standard crystals sub1, super1 and pair, and the block maps of
+    the Baer diagrams.  Equality, hash and repr read (ctx, h) only."""
 
     ctx: PrecisionContext
     h: int
 
     def __post_init__(self):
-        _standard(self.ctx, self.h, "sub1")  # validates the height range
+        _check_height(self.h)
 
-    @property
+    @cached_property
     def sub1(self) -> FCrystalPresentation:
-        return _standard(self.ctx, self.h, "sub1")
+        return make_standard_crystal(self.ctx, self.h, "sub1")
 
-    @property
+    @cached_property
     def super1(self) -> FCrystalPresentation:
-        return _standard(self.ctx, self.h, "super1")
+        return make_standard_crystal(self.ctx, self.h, "super1")
 
-    @property
+    @cached_property
     def pair(self) -> FCrystalPresentation:
-        return _standard(self.ctx, self.h, "pair")
+        return make_standard_crystal(self.ctx, self.h, "pair")
+
+    def _block_map(self, pattern: tuple) -> SeriesMatrix:
+        """``_blocks`` of the pattern, built once: every caller shares the
+        read-only matrix and its constant flag."""
+        maps = self.__dict__.setdefault("_block_maps", {})
+        if pattern not in maps:
+            maps[pattern] = _blocks(self.ctx, self.h, pattern)
+        return maps[pattern]
 
 
 def _derived(cls, *values):
@@ -268,23 +273,24 @@ def _scale_diagonal(arr: np.ndarray, k: int, ctx: PrecisionContext
 def assemble_crystal(e: ExtensionData) -> FCrystalPresentation:
     """Rank-2h presentation of the total space: the standard pair with the
     data blocks of the frame set."""
-    return replace(e.ectx.pair, **_assembled(e.ectx.pair, e))
+    return replace(e.ectx.pair, **_assembled(e))
 
 
-def _assembled(base: FCrystalPresentation, *es) -> dict:
-    """The matrices of base, the standard pair or a direct sum of copies,
+def _assembled(*es) -> dict:
+    """The matrices of the direct sum of one standard pair per extension,
     with the data blocks of the frame of the k-th extension set in its k-th
     rank-2h diagonal block, by name in the frame's order."""
-    h = es[0].h
-    mats = {name: getattr(base, name).arr.copy() for name in _frame(h)}
+    ectx, n = es[0].ectx, 2 * es[0].h
+    mats = {name: zeros_array(ectx.ctx, n * len(es), n * len(es))
+            for name in _frame(ectx.h)}
     for k, e in enumerate(es):
-        at = slice(2 * h * k, 2 * h * (k + 1))
-        for (name, block), data in zip(_frame(h).items(), (
+        at = slice(n * k, n * (k + 1))
+        for (name, block), data in zip(_frame(ectx.h).items(), (
                 e.v.transpose().arr, e.xi.transpose().arr,
                 _scale_diagonal(e.m.arr, 2, e.context))):
+            mats[name][at, at] = getattr(ectx.pair, name).arr
             mats[name][at, at][block] = data
-    return {name: SeriesMatrix(base.context, arr)
-            for name, arr in mats.items()}
+    return {name: SeriesMatrix(ectx.ctx, arr) for name, arr in mats.items()}
 
 
 # -- Baer sum, three ways ------------------------------------------------------
@@ -313,11 +319,9 @@ def _readout(ectx: ExtensionContext, f_fin: SeriesMatrix, a_fin: SeriesMatrix,
                          SeriesMatrix(ctx, m_arr), geometric_flag=flag)
 
 
-@lru_cache(maxsize=64)
 def _blocks(ctx: PrecisionContext, h: int, pattern: tuple) -> SeriesMatrix:
     """The constant matrix of h x h blocks given row by row: '+' is the
-    identity block, '-' its negative and '0' the zero block.  Memoised:
-    every caller shares the read-only matrix and its constant flag."""
+    identity block, '-' its negative and '0' the zero block."""
     arr = zeros_array(ctx, h * len(pattern), h * len(pattern[0]))
     diag = np.arange(h)
     for r, row in enumerate(pattern):
@@ -342,32 +346,27 @@ def _pushout(f: SeriesMatrix, a: SeriesMatrix, kernel: SeriesMatrix,
 
 def _baer_diagram(e1: ExtensionData, e2: ExtensionData, pullback_first: bool
                   ) -> ExtensionData:
-    ectx, ctx, h = e1.ectx, e1.context, e1.h
-    f, a, g = _assembled(_standard(ctx, h, "ambient"), e1, e2).values()
+    ectx, h, blocks = e1.ectx, e1.h, e1.ectx._block_map
+    f, a, g = _assembled(e1, e2).values()
     # the pairing descends only through the normalized representatives in
     # the ambient direct sum; read first, it frees the ambient pairing
-    g = _blocks(ctx, h, ("+000", "0+0+")) @ g \
-        @ _blocks(ctx, h, ("+0", "0+", "00", "0+"))
+    g = blocks(("+000", "0+0+")) @ g @ blocks(("+0", "0+", "00", "0+"))
     # ambient coordinates, one h-block each: (a1, c1, a2, c2); both routes
     # push out along the sum, the quotient by span{a1_i - a2_i}, and pull
     # back along the diagonal, the span of c1_i + c2_i over the a-part
     if pullback_first:
         # basis (a1, a2, d_i = c1_i + c2_i), then the quotient (abar, d)
-        f, a = induced_maps(f, a,
-                            _blocks(ctx, h, ("+00", "00+", "0+0", "00+")),
+        f, a = induced_maps(f, a, blocks(("+00", "00+", "0+0", "00+")),
                             [*range(h), *range(2 * h, 3 * h), *range(h, 2 * h)])
-        f, a = _pushout(f, a, _blocks(ctx, h, ("+", "-", "0")),
-                        _blocks(ctx, h, ("++0", "00+")),
-                        _blocks(ctx, h, ("+0", "00", "0+")))
+        f, a = _pushout(f, a, blocks(("+", "-", "0")),
+                        blocks(("++0", "00+")), blocks(("+0", "00", "0+")))
     else:
         # quotient basis (abar, c1, c2) with the zero-second-component
         # section, then the diagonal basis (abar, e_i = c1_i + c2_i)
-        f, a = _pushout(f, a,
-                        _blocks(ctx, h, ("+", "0", "-", "0")),
-                        _blocks(ctx, h, ("+0+0", "0+00", "000+")),
-                        _blocks(ctx, h, ("+00", "0+0", "000", "00+")))
-        f, a = induced_maps(f, a, _blocks(ctx, h, ("+0", "0+", "0+")),
-                            range(2 * h))
+        f, a = _pushout(f, a, blocks(("+", "0", "-", "0")),
+                        blocks(("+0+0", "0+00", "000+")),
+                        blocks(("+00", "0+0", "000", "00+")))
+        f, a = induced_maps(f, a, blocks(("+0", "0+", "0+")), range(2 * h))
     return _readout(ectx, f, a, g, e1.geometric_flag and e2.geometric_flag)
 
 

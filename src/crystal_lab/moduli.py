@@ -579,15 +579,10 @@ class SlopeReport:
 
 def slope_report(ectx: ExtensionContext) -> SlopeReport:
     """The formal-group slope 2/h, exhibited as the slope difference of the
-    two ends and cross-checked on the twist-2 internal hom."""
-    h = ectx.h
-    sub_slopes = newton_slopes(ectx.sub1)
-    super_slopes = newton_slopes(ectx.super1)
-    (s_sub, _), = sub_slopes.entries
-    (s_super, _), = super_slopes.entries
+    two ends, beside the Newton slopes of the twist-2 internal hom, whose
+    one slope is 2 - 2/h."""
+    (s_sub, _), = newton_slopes(ectx.sub1).entries
+    (s_super, _), = newton_slopes(ectx.super1).entries
     detail = newton_slopes(hom_crystal(ectx.super1, ectx.sub1, twist=2))
-    slopes = {s for s, _ in detail.entries}
-    if slopes != {2 + s_sub - s_super}:
-        raise AssertionError("hom slopes disagree with the slope difference")
-    return SlopeReport(h, s_super - s_sub, s_sub, s_super,
+    return SlopeReport(ectx.h, s_super - s_sub, s_sub, s_super,
                        2 + s_sub - s_super, detail)

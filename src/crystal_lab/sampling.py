@@ -109,10 +109,16 @@ def add_noise(rng: random.Random, e: ExtensionData, field: str, degree: int,
     identity survives, v stays zero mod p, and the class becomes nontrivial
     at full precision while p times it is trivial.  That needs
     1 <= v_p(degree) < N: at v_p(degree) >= N the noise is a unit or zero.
+    A degree outside [1, M] or a given entry outside [0, h) raises
+    ValueError before any draw.
     """
     if field not in ("v", "m"):
         raise ValueError(f"noise goes on v or m, not {field!r}")
     ctx = e.context
+    if not 1 <= degree <= ctx.M:
+        raise ValueError(f"noise degree {degree} lies outside [1, M={ctx.M}]")
+    if entry is not None:
+        _check_indices(entry, e.h)
     vp = p_valuation(degree, ctx.p)
     if not 1 <= vp < ctx.N:
         raise ValueError(f"noise degree {degree} needs 1 <= v_p < N={ctx.N}")
@@ -122,6 +128,13 @@ def add_noise(rng: random.Random, e: ExtensionData, field: str, degree: int,
     noisy = SeriesMatrix(ctx, arr)
     v, m = (noisy, e.m) if field == "v" else (e.v, noisy)
     return ExtensionData(e.ectx, e.xi, v, m, e.geometric_flag)
+
+
+def _check_indices(entry: tuple, h: int) -> None:
+    """Refuse an entry (i, j) of an h x h matrix outside [0, h): a negative
+    index would wrap around."""
+    if not all(0 <= k < h for k in entry):
+        raise ValueError(f"entry {tuple(entry)} lies outside [0, {h})")
 
 
 def _noise_draws(rng: random.Random, h: int, p: int, entry=None) -> tuple:
@@ -154,10 +167,12 @@ def perturb_xi_antisym(e: ExtensionData, i0: int, j0: int,
     coefficient, so the result is never geometric; when p^2 exceeds M and
     the ghost would be silently truncated the construction refuses, since
     that regime fabricates torsion classes that only exist at truncation.
+    Indices outside [0, h) raise ValueError.
     """
     ctx = e.context
     h = e.h
     p = ctx.p
+    _check_indices((i0, j0), h)
     if i0 == j0:
         raise ValueError("perturbation must be off-diagonal (antisymmetric)")
     if p - 1 > ctx.M - 1:

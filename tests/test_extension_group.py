@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -18,9 +19,9 @@ from crystal_lab import extension_group
 from crystal_lab.crystal import induced_maps
 from crystal_lab.errors import (ContextMismatch, HypothesisMissing,
                                 InvalidExtension, NotStable,
-                                PrecisionInsufficient, WitnessInvalid)
-from crystal_lab.extension_group import (_blocks, _pushout, _readout,
-                                         _v_from_alpha)
+                                PrecisionInsufficient, UnsupportedHeight,
+                                WitnessInvalid)
+from crystal_lab.extension_group import _pushout, _readout, _v_from_alpha
 from crystal_lab.padic_series import mul_mod, reduce_mod
 from crystal_lab.sampling import (add_noise, random_extension,
                                   random_series_matrix, random_witness,
@@ -75,6 +76,21 @@ class TestRecords:
         assert e.geometric_flag and not plain.geometric_flag
         assert e == plain and hash(e) == hash(plain)
         assert len({e, plain}) == 1
+
+    def test_the_context_owns_its_crystals(self, ctx3):
+        # the standard crystals are built once per context, on first use;
+        # equality, hash and repr read (ctx, h) only, whatever is built
+        ectx, fresh = ExtensionContext(ctx3, 3), ExtensionContext(ctx3, 3)
+        assert ectx.pair is ectx.pair and ectx.sub1 is ectx.sub1
+        assert ectx.super1 is ectx.super1
+        assert ectx.pair == make_standard_crystal(ctx3, 3, "pair")
+        assert ectx == fresh and hash(ectx) == hash(fresh)
+        assert repr(ectx) == repr(fresh) == \
+            f"ExtensionContext(ctx={ctx3!r}, h=3)"
+        assert vars(fresh) == {"ctx": ctx3, "h": 3}
+        for h in (1, 11):
+            with pytest.raises(UnsupportedHeight):
+                ExtensionContext(ctx3, h)
 
 
 class TestFromAlpha:
@@ -318,6 +334,30 @@ def test_baer_diagram_working_set(mode):
     assert peak <= DIAGRAM_PEAK_BOUND[mode], peak
 
 
+def test_contexts_free_their_matrices():
+    # a context owns its standard crystals and block maps, so a sweep of
+    # one diagram sum in each of ten contexts at h=10, M=200 keeps almost
+    # nothing once the contexts are dropped (module-level memos of them
+    # kept 163 MiB here)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for n_digits in range(8, 18):
+            ectx = ExtensionContext(PrecisionContext(3, n_digits, 200), 10)
+            rng = random.Random(n_digits)
+            e1, e2 = (random_extension(rng, ectx, nontrivial=True)
+                      for _ in range(2))
+            assert baer_sum(e1, e2, "pullback_pushout") == \
+                baer_sum(e1, e2, "fast")
+        del ectx, e1, e2
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 4 * 2**20, kept
+
+
 class TestClosureChecks:
     """Each stability check of the diagram read-offs fires on input that
     breaks it."""
@@ -358,12 +398,11 @@ class TestClosureChecks:
         f_q, a_q = _pushout(zero, zero, kernel, proj, section)
         assert f_q.is_zero() and a_q.is_zero() and f_q.rows == 1
 
-    def test_block_maps_are_shared(self, ctx3):
-        # each block map is built once per (context, height, pattern), and
-        # once a product has found it constant it is its own Frobenius
-        # pullback
-        m = _blocks(ctx3, 2, ("+0", "0-"))
-        assert _blocks(ctx3, 2, ("+0", "0-")) is m
+    def test_block_maps_are_shared(self, ctx3, ectx2):
+        # each block map is built once per context and pattern, and once a
+        # product has found it constant it is its own Frobenius pullback
+        m = ectx2._block_map(("+0", "0-"))
+        assert ectx2._block_map(("+0", "0-")) is m
         zero = SeriesMatrix.zeros(ctx3, 2, 2)
         assert m == block_matrix(ctx3, [
             [SeriesMatrix.identity(ctx3, 2), zero],

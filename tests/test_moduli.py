@@ -370,10 +370,17 @@ class TestPointContext:
 
 
 class TestSlopeReport:
-    @pytest.mark.parametrize("h,expected", [(2, Fraction(1)), (10, Fraction(1, 5))])
+    @pytest.mark.parametrize("h,expected", [
+        (2, Fraction(1)), (10, Fraction(1, 5)), (4, Fraction(1, 2)),
+        (6, Fraction(1, 3)), (7, Fraction(2, 7)), (8, Fraction(1, 4)),
+        (9, Fraction(2, 9))])
     def test_slope_values(self, ctx3, h, expected):
+        # with criterion 02 (h in 2, 3, 5, 10), every height: the twist-2
+        # hom has the one slope 2 minus the slope difference of the ends
         rep = slope_report(ExtensionContext(ctx3, h))
         assert rep.slope == Fraction(2, h) == expected
+        assert {s for s, _ in rep.detail.entries} == \
+            {2 + rep.sub_slope - rep.super_slope}
 
     def test_detail_multiset(self, ctx5):
         rep = slope_report(ExtensionContext(ctx5, 3))

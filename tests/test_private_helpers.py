@@ -7,6 +7,11 @@ underscore) is API, so it must be referred to outside its own body in the
 package, its tests or its demos; the benchmark does not count.  A reference
 is a name or an attribute anywhere outside the function's own body.
 
+A ``functools.cache`` or ``lru_cache`` is one table for the life of the
+process, so one on a function with parameters must have a finite
+``maxsize``: data that belongs to one object lives on that object (as an
+``ExtensionContext`` owns its crystals and block maps) and goes with it.
+
 The rules match names, not objects, so they cannot tell apart two
 functions that share a name: a ``TruncatedSeries.truncate_degree`` that
 nothing called would pass, because ``SeriesMatrix.truncate_degree`` has
@@ -53,6 +58,32 @@ def unreferenced_functions(sources: dict, chosen, users=()) -> list:
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and chosen(node.name)
                   and everywhere[node.name] == references(node)[node.name])
+
+
+def is_unbounded_memo(decorator) -> bool:
+    """Whether the decorator is functools' cache, or an lru_cache whose
+    maxsize is None (a bare or empty ``lru_cache`` keeps 128 entries)."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    func = decorator.func if call else decorator
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    if name != "lru_cache" or call is None:
+        return name == "cache"
+    sizes = [*call.args[:1], *(k.value for k in call.keywords
+                               if k.arg == "maxsize")]
+    return any(isinstance(size, ast.Constant) and size.value is None
+               for size in sizes)
+
+
+def unbounded_memos(sources: dict) -> list:
+    """(file, name) of each function with parameters in the sources (a dict
+    of file name to text) under a memo decorator with no finite maxsize."""
+    return sorted((name, node.name) for name, text in sources.items()
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any((node.args.posonlyargs, node.args.args,
+                           node.args.vararg, node.args.kwonlyargs,
+                           node.args.kwarg))
+                  and any(map(is_unbounded_memo, node.decorator_list)))
 
 
 def test_every_private_function_has_a_caller_in_the_package():
@@ -102,3 +133,34 @@ def test_the_public_rule_is_reported():
     assert unreferenced_functions(sources, is_public) == [
         ("a.py", "method"), ("a.py", "orphan"), ("a.py", "recursive"),
         ("a.py", "tested"), ("a.py", "unused")]
+
+
+def test_every_memo_on_arguments_is_bounded():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unbounded_memos(sources) == []
+
+
+def test_the_memo_rule_is_reported():
+    # functools' cache and an lru_cache of maxsize None are reported on a
+    # function or method with parameters; a finite or default maxsize, and
+    # a memo of a function without parameters, pass
+    sources = {
+        "a.py": ("import functools\nfrom functools import cache, lru_cache\n"
+                 "@lru_cache(maxsize=None)\ndef _unbounded(x):\n    return x\n"
+                 "@functools.lru_cache(None)\ndef _positional(x):\n"
+                 "    return x\n"
+                 "@functools.cache\ndef _cached(*, x):\n    return x\n"
+                 "@cache\ndef _varargs(*args):\n    return args\n"
+                 "@functools.cache\ndef build():\n    return 1\n"
+                 "@lru_cache(maxsize=64)\ndef _bounded(x):\n    return x\n"
+                 "@lru_cache\ndef _default(x):\n    return x\n"
+                 "@functools.lru_cache()\ndef _empty(x):\n    return x\n"
+                 "@functools.lru_cache(4)\ndef _small(x):\n    return x\n"
+                 "class C:\n"
+                 "    @cache\n    def method(self):\n        pass\n"
+                 "    @functools.cached_property\n"
+                 "    def owned(self):\n        return 1\n"),
+    }
+    assert unbounded_memos(sources) == [
+        ("a.py", "_cached"), ("a.py", "_positional"), ("a.py", "_unbounded"),
+        ("a.py", "_varargs"), ("a.py", "method")]

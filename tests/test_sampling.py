@@ -97,6 +97,32 @@ def test_perturbation_refusals(M, i0, j0, error, message):
         perturb_xi_antisym(zero, i0, j0)
 
 
+# a negative index would wrap around: (0, -1) is the wrap column (0, 3)
+# and (1, -3) the diagonal entry (1, 1); both are refused as out of range,
+# and so is an index past h
+@pytest.mark.parametrize("i0, j0", [(0, -1), (1, -3), (5, 1), (1, 4)])
+def test_perturbation_indices_lie_in_range(i0, j0):
+    zero = ExtensionData.zero(ExtensionContext(PrecisionContext(3, 8, 12), 4))
+    match = rf"\({i0}, {j0}\) lies outside \[0, 4\)"
+    with pytest.raises(ValueError, match=match):
+        perturb_xi_antisym(zero, i0, j0)
+
+
+@pytest.mark.parametrize("degree, entry, match", [
+    (27, None, r"degree 27 lies outside \[1, M=12\]"),
+    (-3, (0, 1), r"degree -3 lies outside \[1, M=12\]"),
+    (3, (3, 0), r"entry \(3, 0\) lies outside \[0, 3\)"),
+    (3, (0, -1), r"entry \(0, -1\) lies outside \[0, 3\)")])
+def test_noise_input_is_checked_before_any_draw(degree, entry, match):
+    zero = ExtensionData.zero(ExtensionContext(PrecisionContext(3, 8, 12), 3))
+    rng = random.Random(0)
+    state = rng.getstate()
+    for field in ("v", "m"):
+        with pytest.raises(ValueError, match=match):
+            add_noise(rng, zero, field, degree, entry)
+    assert rng.getstate() == state
+
+
 @pytest.mark.parametrize("p, M", [(5, 4), (37, 32)])
 def test_nontrivial_extension_needs_a_noise_degree(p, M):
     ectx = ExtensionContext(PrecisionContext(p, 8, M), 3)

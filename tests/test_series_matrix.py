@@ -1085,7 +1085,7 @@ def test_plan_memo_memory_is_bounded():
 
 
 def test_a_known_constant_right_operand_skips_the_left_scan():
-    # X @ B with B a memoised block map leaves X's constancy unknown; a
+    # X @ B with B a block map of known constancy leaves X's unknown; a
     # constant C whose flag is still unknown gives the same C @ B as one
     # whose flag is known (the route of the left constant)
     from crystal_lab.extension_group import _blocks
@@ -1136,28 +1136,27 @@ def test_a_second_oracle_unit_plans_no_gather():
 
 
 def test_every_block_map_of_the_diagrams_folds():
-    # each _blocks map of both Baer diagrams at h=10, as a left or right
+    # each block map of both Baer diagrams at h=10, as a left or right
     # constant, has at most two +1 and one -1 source per output, so its
     # gather folds its sums instead of dividing them (``_signed_gather``);
     # the patterns are read off the source of _baer_diagram, and both
-    # diagrams build exactly these maps
+    # diagrams build exactly these maps on their context
     import ast
     import inspect
     from crystal_lab import extension_group as eg
     from crystal_lab.sampling import random_extension
     tree = ast.parse(inspect.getsource(eg._baer_diagram))
-    patterns = {ast.literal_eval(node.args[2]) for node in ast.walk(tree)
+    patterns = {ast.literal_eval(node.args[0]) for node in ast.walk(tree)
                 if isinstance(node, ast.Call)
-                and getattr(node.func, "id", None) == "_blocks"}
+                and getattr(node.func, "id", None) == "blocks"}
     ectx = eg.ExtensionContext(PrecisionContext(3, 8, 32), 10)
     rng = random.Random(0)
     e1, e2 = (random_extension(rng, ectx, nontrivial=True) for _ in range(2))
-    eg._blocks.cache_clear()
     for mode in ("pullback_pushout", "pushout_pullback"):
         eg.baer_sum(e1, e2, mode)
-    assert eg._blocks.cache_info().currsize == len(patterns) == 10
+    assert len(vars(ectx)["_block_maps"]) == len(patterns) == 10
     for pattern in patterns:
-        lift = eg._blocks(ectx.ctx, 10, pattern)._balanced()[0][:, :, 0]
+        lift = ectx._block_map(pattern)._balanced()[0][:, :, 0]
         for signs in (lift, lift.T):
             _, _, plus, minus = series_matrix._gather_plan(
                 signs.shape, signs.astype(np.int8).tobytes())
