@@ -241,6 +241,8 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, context, degree, c=1):
+        if degree < 0:
+            raise ValueError(f"a monomial of negative degree {degree}")
         return cls(context, [0] * degree + [c])  # empty beyond degree M
 
     def _matrix(self):

@@ -3,23 +3,29 @@
 Entries are stored as a single (rows, cols, M+1) array of canonical
 residues in the storage dtype of the context (``padic_series.storage_dtype``):
 numpy int64 when p^N < 2^62, Python integers in an object array otherwise.
-The constructor rejects any other dtype.  A matrix holds at most
-MAX_COEFFICIENTS coefficients; ``zeros_array`` checks this before it
-allocates.  A stack of samples of one shape and context is an
-(S, rows, cols, M+1) array: the elementwise operations, the calculus,
-``transpose`` and the reductions act per sample; ``@`` and ``entry``
-raise ValueError on it, and the constructors take none.
+The constructor rejects any other dtype or number of layers.  A matrix
+holds at most MAX_COEFFICIENTS coefficients; ``zeros_array`` and ``@``
+check this before they allocate.  A stack of samples of one shape and
+context is an (S, rows, cols, M+1) array: the elementwise operations, the
+calculus, ``transpose`` and the reductions act per sample; ``@`` and
+``entry`` raise ValueError on it, and the constructors take none.
 
 Every series operation but ``integrate`` runs on the 1x1 matrix of its
 series, and the product here is the one product kernel.  It raises
-ValueError, before any arithmetic, unless the inner dimensions agree.  A
-product with a constant operand is not trimmed: a gather touches only what
-its plan selects, and the two support scans would cost more than the block
-maps of the Baer diagrams could save.  The balanced lift of a constant matrix (below) is memoised on
-it, as the block maps are shared by every product of a diagram.  A right
-operand known to be constant takes its route without a scan of the left
-one: every route is exact, so only the route of a constant left operand
-can change, and not its result.
+ValueError, before any arithmetic, unless the inner dimensions agree.  The
+kernel (``_product``) reads constancy off the layer count: a constant
+operand comes as its degree-0 layer alone, and an operand of one layer,
+when the other has more (or the left one of two), is the constant.  At
+M=0 every matrix is constant, so ``@`` hands over its left operand's lift.
+A product of Da by Db layers has min(Da, Db) degree pairs and max(Da, Db)
+layers.  A product with a constant operand is not trimmed: a gather
+touches only what its plan selects, and the two support scans would cost
+more than the block maps of the Baer diagrams could save.  The balanced
+lift of a constant matrix (below) is memoised on it, as the block maps are
+shared by every product of a diagram.  A right operand known to be
+constant takes its route without a scan of the left one: every route is
+exact, so only the route of a constant left operand can change, and not
+its result.
 
 A product of two non-constant operands runs on its support: the inner
 indices where a column of the left operand and the matching row of the
@@ -31,17 +37,18 @@ parts, the product runs in layers,
     A B = A0 B + A1 B0 + A1 B1,
 
 when its t-ideal term A1 B1 is empty: no column of A1 meets a row of B1.
-Each of the two terms runs on its own support through the constant routes
-below, with one degree pair and the top of its constant layer's lift as
-its bound; neither is empty, or a trimmed operand would be constant.
-Otherwise the product runs whole.  Results are added into zeros, with one
-reduction per term after the first.  The frame of
+Each of the two terms runs on its own support through a constant route:
+A0 B on layer 0 of A, and A1 B0 on layers 1..M of A and layer 0 of B,
+written one degree up.  Neither is empty, or a trimmed operand would be
+constant.  Otherwise the product runs whole.  Results are added into
+zeros, with one reduction per term after the first.  The frame of
 ``extension_group._frame`` makes F^T G and (F^T G) F of the pairing check
-layered: their t-ideal parts meet nowhere.  This plan depends only on the
-shapes and the non-zero patterns of the four layers, and is memoised by
-them (``_general_plan``): at most 64 plans, each only when its key and
-index arrays take at most PLAN_MEMO_BYTES = 16 KiB, about 1 MiB in all;
-a larger product is planned afresh.
+layered: their t-ideal parts meet nowhere.  This plan, terms of index
+triples whose last index picks degree layers, depends only on the shapes
+and the non-zero patterns of the four layers, and is memoised by them
+(``_general_plan``): at most 64 plans, each only when its key and index
+arrays take at most PLAN_MEMO_BYTES = 16 KiB, about 1 MiB in all; a
+larger product is planned afresh.
 
 The rule is measured, at p=3, M=32 on 2 vCPUs, on rank-n products whose
 constant layers are dense and whose t-ideal parts sit on blocks of columns
@@ -124,13 +131,17 @@ MAX_COEFFICIENTS = 2**22
 PLAN_MEMO_BYTES = 2**14
 
 
+def _check_size(context: PrecisionContext, rows: int, cols: int) -> None:
+    if rows * cols * (context.M + 1) > MAX_COEFFICIENTS:
+        raise ValueError(f"a {rows}x{cols} matrix at M={context.M} exceeds "
+                         f"{MAX_COEFFICIENTS} coefficients")
+
+
 def zeros_array(context: PrecisionContext, rows: int, cols: int) -> np.ndarray:
     """A zero (rows, cols, M+1) coefficient array in the storage dtype.
 
     Raises ValueError, before allocating, beyond MAX_COEFFICIENTS."""
-    if rows * cols * (context.M + 1) > MAX_COEFFICIENTS:
-        raise ValueError(f"a {rows}x{cols} matrix at M={context.M} exceeds "
-                         f"{MAX_COEFFICIENTS} coefficients")
+    _check_size(context, rows, cols)
     return np.zeros((rows, cols, context.M + 1), dtype=storage_dtype(context))
 
 
@@ -160,11 +171,14 @@ class SeriesMatrix:
         if arr.dtype != storage_dtype(context):
             raise TypeError(f"coefficients must be stored as "
                             f"{np.dtype(storage_dtype(context))}, got {arr.dtype}")
+        if arr.ndim not in (3, 4) or arr.shape[-1] != context.M + 1:
+            raise ValueError(f"a coefficient array of shape {arr.shape} is not "
+                             f"(rows, cols, {context.M + 1}) or a stack of them")
         self.context = context
         self.rows, self.cols = arr.shape[-3:-1]
         arr.setflags(write=False)
         self.arr = arr
-        self._const = None
+        self._const = context.M == 0 or None  # at M=0 all are constant
         self._lift = None
 
     # -- construction -----------------------------------------------------
@@ -215,7 +229,7 @@ class SeriesMatrix:
         return not self.arr.any()
 
     def is_zero_through(self, degree: int) -> bool:
-        return not self.arr[..., :degree + 1].any()
+        return not self.arr[..., :max(degree + 1, 0)].any()
 
     def is_constant(self) -> bool:
         if self._const is None:
@@ -250,6 +264,7 @@ class SeriesMatrix:
             raise ValueError(f"cannot multiply a {self.rows}x{self.cols} by a "
                              f"{other.rows}x{other.cols} matrix")
         ctx = self.context
+        _check_size(ctx, self.rows, other.cols)
         a, b = self.arr, other.arr
         # a right operand known to be constant takes its route without a
         # scan of the left one (every route is exact); a scan's t-ideal
@@ -257,9 +272,9 @@ class SeriesMatrix:
         a1 = None if self._const is not None or other._const else self._t_mask()
         b1 = None if other._const is not None or self._const else other._t_mask()
         if self._const:
-            out = _product(a[:, :, :1], b, True, False, ctx, self._balanced())
+            out = _product(a[:, :, :1], b, ctx, self._balanced())
         elif other._const:
-            out = _product(a, b[:, :, :1], False, True, ctx, other._balanced())
+            out = _product(a, b[:, :, :1], ctx, other._balanced())
         else:
             out = _general_product(a, b, ctx, a1, b1)
         return SeriesMatrix(ctx, out)
@@ -330,7 +345,7 @@ class SeriesMatrix:
         if d >= self.context.M:
             return self
         arr = self.arr.copy()
-        arr[..., d + 1:] = 0
+        arr[..., max(d + 1, 0):] = 0
         return SeriesMatrix(self.context, arr)
 
     def reduce_precision(self, new_n: int) -> "SeriesMatrix":
@@ -364,23 +379,23 @@ def series_inverse(a: SeriesMatrix) -> SeriesMatrix:
     return x
 
 
-def _product(a: np.ndarray, b: np.ndarray, left: bool, right: bool,
-             context: PrecisionContext, lift: tuple | None = None
-             ) -> np.ndarray:
-    """a @ b mod p^N for residue arrays, in the arithmetic product_dtype
-    picks.  left or right marks a constant operand, given as its degree-0
-    layer, and lift may carry its ``_balanced`` lift."""
+def _product(a: np.ndarray, b: np.ndarray, context: PrecisionContext,
+             lift: tuple | None = None) -> np.ndarray:
+    """a @ b mod p^N, max(Da, Db) layers from arrays of Da and Db layers, in
+    the arithmetic product_dtype picks.  An operand of one layer, when the
+    other has more (or the left of two), is constant; lift may carry its
+    ``_balanced`` lift."""
     mod = context.modulus
-    r, k, c = a.shape[0], a.shape[1], b.shape[1]
+    (r, k, da), (c, db) = a.shape, b.shape[1:]
+    left, right = da == 1, db == 1 < da
+    const, top = None, mod - 1
     if left or right:
         const, top = lift or _balanced(a if left else b, mod)
-        pairs = 1
-    else:
-        top, pairs = mod - 1, context.M + 1
+    pairs = min(da, db)
     bound = k * pairs * (mod - 1) * top
     if bound == 0 or r * c == 0:
         # an empty result or inner dimension, or a zero constant operand
-        return zeros_array(context, r, c)
+        return np.zeros((r, c, max(da, db)), dtype=storage_dtype(context))
     dtype = product_dtype(bound, storage_dtype(context),
                           signs=(left or right) and top == 1)
     if dtype is GATHER:
@@ -392,10 +407,10 @@ def _product(a: np.ndarray, b: np.ndarray, left: bool, right: bool,
             a = const
         elif right:
             b = const
-        return reduce_mod(_float_product(a, b, left, right).astype(
-            np.int64, order="C"), mod)
+        return reduce_mod(_float_product(a, b).astype(np.int64, order="C"),
+                          mod)
     if dtype is np.int64:
-        return _limb_product(a, b, left, right, k * pairs, context)
+        return _limb_product(a, b, k * pairs, context)
     return reduce_mod(_convolve_pairs(a, b), mod)
 
 
@@ -435,13 +450,6 @@ def _block(rows: np.ndarray, cols: np.ndarray) -> tuple:
     return np.ix_(rows, cols)
 
 
-def _t_part(arr: np.ndarray, at: tuple) -> np.ndarray:
-    """A copy of the block of arr at `at` with its degree-0 layer zero."""
-    part = np.array(arr[at], copy=True)
-    part[:, :, 0] = 0
-    return part
-
-
 def _general_product(a: np.ndarray, b: np.ndarray, context: PrecisionContext,
                      a1=None, b1=None) -> np.ndarray:
     """a @ b mod p^N for two non-constant operands, by the plan of its
@@ -455,13 +463,10 @@ def _general_product(a: np.ndarray, b: np.ndarray, context: PrecisionContext,
     memo = 2 * (r * k + k * c) + 16 * (r + k + c) <= PLAN_MEMO_BYTES
     plan = (_general_plan if memo else _general_plan.__wrapped__)(*key)
     if plan is None:
-        return _product(a, b, False, False, context)
+        return _product(a, b, context)
     out = zeros_array(context, r, c)
-    for n, (at, at_a, at_b, left, right, t_ideal) in enumerate(plan):
-        x = (a[:, :, :1][at_a] if left
-             else _t_part(a, at_a) if t_ideal else a[at_a])
-        y = b[:, :, :1][at_b] if right else b[at_b]
-        term = _product(x, y, left, right, context)
+    for n, (at, at_a, at_b) in enumerate(plan):
+        term = _product(a[at_a], b[at_b], context)
         out[at] = term if n == 0 else reduce_mod(out[at] + term,
                                                  context.modulus, (0, 2))
     return out
@@ -472,11 +477,13 @@ def _general_plan(shape: tuple, a0: bytes, a1: bytes, b0: bytes,
                   b1: bytes):
     """The plan of a product of (rows, inner, cols) `shape` by the bool
     masks, as bytes, of its degree-0 layers a0, b0 and t-ideal parts a1, b1:
-    None to run it whole, or terms (at, at_a, at_b, left, right, t_ideal),
-    each the product of the blocks at_a of a and at_b of b (the degree-0
-    layer of a constant operand, or the t-ideal part of a) into the block
-    at.  It holds 2 (r k + k c) bytes of key and at most 16 (r + k + c) of
-    read-only indices: one term on the support, or two in layers."""
+    None to run it whole, or index triples (at, at_a, at_b), each the
+    product of the blocks at_a of a and at_b of b into the block at, whose
+    last index picks degree layers: all, 0 (a constant), or 1..M (the
+    t-ideal part of a, whose product goes one degree up).  It holds 2 (r k
+    + k c) bytes of key and at most 16 (r + k + c) of read-only indices:
+    one term on the support, or two in layers."""
+    every, zero, up = (slice(None),), (slice(0, 1),), (slice(1, None),)
     r, k, c = shape
     a0, a1 = (np.frombuffer(m, dtype=bool).reshape(r, k) for m in (a0, a1))
     b0, b1 = (np.frombuffer(m, dtype=bool).reshape(k, c) for m in (b0, b1))
@@ -487,13 +494,14 @@ def _general_plan(shape: tuple, a0: bytes, a1: bytes, b0: bytes,
     if not (left or right or (a1.any(axis=0) & b1.any(axis=1)).any()):
         r0, i0, c0 = _support(a0, b0 | b1)
         r1, i1, c1 = _support(a1, b0)
-        return ((_block(r0, c0), _block(r0, i0), _block(i0, c0),
-                 True, False, False),
-                (_block(r1, c1), _block(r1, i1), _block(i1, c1),
-                 False, True, True))
+        return ((_block(r0, c0) + every, _block(r0, i0) + zero,
+                 _block(i0, c0) + every),
+                (_block(r1, c1) + up, _block(r1, i1) + up,
+                 _block(i1, c1) + zero))
     if (rows.size, inner.size, cols.size) == shape:
         return None
-    return ((_block(rows, cols), at_a, at_b, left, right, False),)
+    return ((_block(rows, cols) + every, at_a + (zero if left else every),
+             at_b + (zero if right else every)),)
 
 
 @lru_cache(maxsize=64)
@@ -575,28 +583,35 @@ def _signed_gather(src: np.ndarray, signs: np.ndarray, axis: int, mod: int
                       if plus <= 2 and minus <= 1 else None)
 
 
-def _float_product(a: np.ndarray, b: np.ndarray, left: bool, right: bool
-                   ) -> np.ndarray:
+def _float_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Unreduced a @ b in float64, for integer arrays whose partial sums stay
-    below 2^53 in magnitude.  A constant operand (left or right) contributes
-    its degree-0 layer only."""
-    r, k = a.shape[:2]
-    c, d = b.shape[1], (b if left else a).shape[2]
-    if left:
-        # (r, k) x (k, c*D): one GEMM over every degree at once
-        bf = b.astype(np.float64).reshape(k, c * d)
-        return np.dot(a[:, :, 0].astype(np.float64), bf).reshape(r, c, d)
-    if right:
-        # (r*D, k) x (k, c), with the degree axis moved next to r
-        af = np.empty((r, d, k))
-        af[...] = a.transpose(0, 2, 1)
-        out = np.dot(af.reshape(r * d, k), b[:, :, 0].astype(np.float64))
-        return out.reshape(r, d, c).transpose(0, 2, 1)
-    return _convolve_float(a, b)
+    below 2^53 in magnitude.  With an operand of one layer, one GEMM over
+    every degree at once; otherwise one GEMM per non-zero degree x of a,
+    out[..., x:] += a[x] @ b[..., :D-x]."""
+    if b.shape[2] == 1 < a.shape[2]:
+        # (ab)^T = b^T a^T puts the one-layer operand on the left
+        return _float_product(b.transpose(1, 0, 2),
+                              a.transpose(1, 0, 2)).transpose(1, 0, 2)
+    (r, k, d), c = a.shape, b.shape[1]
+    if d == 1:
+        # (r, k) x (k, c*D)
+        bf = b.astype(np.float64, order="C").reshape(k, -1)
+        return np.dot(a[:, :, 0].astype(np.float64), bf).reshape(r, c, -1)
+    # degree-major a and degree-middle b make every operand a plain view
+    af = np.empty((d, r, k))
+    af[...] = a.transpose(2, 0, 1)
+    bf = np.empty((k, d, c))
+    bf[...] = b.transpose(0, 2, 1)
+    out = np.zeros((r, d, c))
+    for x in np.flatnonzero(af.any(axis=(1, 2))):
+        n = d - x
+        out[:, x:, :] += np.dot(af[x], bf[:, :n, :].reshape(k, n * c)
+                                ).reshape(r, n, c)
+    return out.transpose(0, 2, 1)
 
 
-def _limb_product(a: np.ndarray, b: np.ndarray, left: bool, right: bool,
-                  terms: int, context: PrecisionContext) -> np.ndarray:
+def _limb_product(a: np.ndarray, b: np.ndarray, terms: int,
+                  context: PrecisionContext) -> np.ndarray:
     """a @ b mod p^N for int64 residues, where each output sums `terms`
     products of two residues.
 
@@ -610,13 +625,13 @@ def _limb_product(a: np.ndarray, b: np.ndarray, left: bool, right: bool,
     time and reduced after each shift, so every intermediate stays below
     2^63."""
     mod = context.modulus
-    r, c, d = a.shape[0], b.shape[1], (b if left else a).shape[2]
+    r, c, d = a.shape[0], b.shape[1], max(a.shape[2], b.shape[2])
     s = (53 - terms.bit_length()) // 2
     count = -(-(mod - 1).bit_length() // s)
     mask = (1 << s) - 1
     al = np.concatenate([(a >> (s * i)) & mask for i in range(count)], axis=0)
     bl = np.concatenate([(b >> (s * i)) & mask for i in range(count)], axis=1)
-    prod = _float_product(al, bl, left, right).astype(np.int64, order="C")
+    prod = _float_product(al, bl).astype(np.int64, order="C")
     prod = prod.reshape(count, r, count, c, d)
     shift = 63 - (mod - 1).bit_length()
     acc = None
@@ -632,28 +647,10 @@ def _limb_product(a: np.ndarray, b: np.ndarray, left: bool, right: bool,
     return acc
 
 
-def _convolve_float(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Degree convolution of two coefficient arrays in float64, unreduced:
-    one GEMM per non-zero degree x of a, out[..., x:] += a[x] @ b[..., :D-x]."""
-    r, k, d = a.shape
-    c = b.shape[1]
-    # degree-major a and degree-middle b make every operand a plain view
-    af = np.empty((d, r, k))
-    af[...] = a.transpose(2, 0, 1)
-    bf = np.empty((k, d, c))
-    bf[...] = b.transpose(0, 2, 1)
-    out = np.zeros((r, d, c))
-    for x in np.flatnonzero(af.any(axis=(1, 2))):
-        n = d - x
-        out[:, x:, :] += np.dot(af[x], bf[:, :n, :].reshape(k, n * c)
-                                ).reshape(r, n, c)
-    return out.transpose(0, 2, 1)
-
-
 def _convolve_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Degree convolution of two object coefficient arrays, unreduced: one
-    product per pair of non-zero degrees whose sum stays in range.  A
-    constant operand may come as its degree-0 layer alone."""
+    product per pair of non-zero degrees whose sum stays in range.  Either
+    operand may come as one layer, a constant."""
     d = max(a.shape[2], b.shape[2])
     out = np.zeros((a.shape[0], b.shape[1], d), dtype=object)
     nz_b = np.flatnonzero(b.any(axis=(0, 1)))

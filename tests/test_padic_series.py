@@ -244,6 +244,19 @@ class TestSeriesArith:
                 c if n <= d else 0 for n, c in enumerate(a.coeffs()))
             assert {type(c) for c in got.coeffs()} == {int}
 
+    @pytest.mark.parametrize("d", [-1, -2, -5])
+    def test_negative_degrees(self, d):
+        # every d < 0 means what d = -1 does: truncate to zero, and nothing
+        # is left to be non-zero; a monomial has no negative degree
+        ctx = PrecisionContext(3, 8, 4)
+        s = TruncatedSeries(ctx, [1, 2, 3, 4, 5])
+        assert s.truncate_degree(d).is_zero()
+        assert s._matrix().truncate_degree(d).is_zero()
+        assert s._matrix().is_zero_through(d)
+        assert OneForm(s).is_zero_through(d)
+        with pytest.raises(ValueError, match="negative degree"):
+            TruncatedSeries.monomial(ctx, d)
+
     def test_equal_series_hash_equal(self, ctx3, ctx5):
         rng = random.Random(13)
         a, b = random_series(rng, ctx3), random_series(rng, ctx3)

@@ -60,6 +60,26 @@ def unreferenced_functions(sources: dict, chosen, users=()) -> list:
                   and everywhere[node.name] == references(node)[node.name])
 
 
+def unread_parameters(sources: dict) -> list:
+    """(file, function, parameter) of each parameter, but ``self`` and
+    ``cls``, of a function in the sources (a dict of file name to text)
+    whose body never reads it; a read in a nested function counts."""
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            read = {n.id for statement in node.body
+                    for n in ast.walk(statement)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [(name, node.name, p.arg) for p in params
+                      if p.arg not in read and p.arg not in ("self", "cls")]
+    return sorted(found)
+
+
 def is_unbounded_memo(decorator) -> bool:
     """Whether the decorator is functools' cache, or an lru_cache whose
     maxsize is None (a bare or empty ``lru_cache`` keeps 128 entries)."""
@@ -111,6 +131,34 @@ def test_the_rule_is_reported():
     }
     assert unreferenced_functions(sources, is_private) == [
         ("a.py", "_dead"), ("a.py", "_orphan"), ("a.py", "_recursive")]
+
+
+def test_every_parameter_is_read():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unread_parameters(sources) == []
+
+
+def test_the_parameter_rule_is_reported():
+    # a flag the body no longer reads is reported, whatever its kind; a
+    # read in a nested function or a default-free keyword counts, and self
+    # and cls are never reported
+    sources = {
+        "a.py": ("def _limb_product(a, b, left, terms):\n"
+                 "    return a @ b + terms\n"
+                 "def spread(x, *args, key=None, **options):\n"
+                 "    return x\n"
+                 "def closure(x, y):\n"
+                 "    def inner():\n        return y\n"
+                 "    return x, inner\n"
+                 "def overwritten(x):\n    x = 1\n    return x\n"
+                 "class C:\n"
+                 "    def method(self, z):\n        return 1\n"
+                 "    @classmethod\n    def make(cls):\n        return 2\n"),
+    }
+    assert unread_parameters(sources) == [
+        ("a.py", "_limb_product", "left"), ("a.py", "method", "z"),
+        ("a.py", "spread", "args"), ("a.py", "spread", "key"),
+        ("a.py", "spread", "options")]
 
 
 def test_the_public_rule_is_reported():

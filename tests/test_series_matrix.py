@@ -871,6 +871,106 @@ def test_constructor_enforces_storage_dtype(n):
     assert SeriesMatrix(ctx, arr.astype(storage_dtype(ctx))).is_zero()
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 7), (5,), (1, 2, 2, 3, 5)])
+def test_constructor_enforces_the_layer_count(shape):
+    # at M=4 only (rows, cols, 5) and (S, rows, cols, 5) are matrices; a
+    # (1, 1, 1) array was accepted and its constant then added at every
+    # degree of an identity
+    ctx = PrecisionContext(3, 8, 4)
+    with pytest.raises(ValueError, match="is not"):
+        SeriesMatrix(ctx, np.ones(shape, dtype=np.int64))
+    for ok in ((2, 3, 5), (4, 2, 3, 5)):
+        assert SeriesMatrix(ctx, np.zeros(ok, dtype=np.int64)).is_zero()
+
+
+@pytest.mark.parametrize("cols", [1024, 1025])
+def test_products_are_capped_before_they_allocate(cols):
+    # (2048 x 1) @ (1 x 1024) at M=1 makes exactly MAX_COEFFICIENTS; one
+    # column more is refused with the message of zeros_array, before the
+    # output is allocated
+    import tracemalloc
+    ctx = PrecisionContext(3, 8, 1)
+    a, b = SeriesMatrix.zeros(ctx, 2048, 1), SeriesMatrix.zeros(ctx, 1, cols)
+    assert 2048 * 1024 * 2 == series_matrix.MAX_COEFFICIENTS
+    if cols == 1024:
+        assert (a @ b).arr.shape == (2048, 1024, 2)
+        return
+    with pytest.raises(ValueError) as refused:
+        series_matrix.zeros_array(ctx, 2048, cols)
+    tracemalloc.start()
+    with pytest.raises(ValueError) as exc:
+        a @ b
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert str(exc.value) == str(refused.value)
+    assert peak < 2**16
+
+
+def layer_case(ctx, case, fill, rng):
+    """(x, y, reference) of a kernel product by the layer-count contract: a
+    one-layer constant on the left or the right, the M-layer t-ideal part
+    of a matrix times a one-layer constant, or two one-layer constants
+    (the left one is the constant).  fill draws the constant: "signs"
+    (lifts in {0, +-1}), "wide" (random, one lift of mod // 2) or "zero"."""
+    const = filled(ctx, 3, 3, "random" if fill == "wide" else "signs",
+                   True, rng)
+    arr = const.arr.copy()
+    if fill == "wide":
+        arr[0, 0, 0] = ctx.modulus // 2
+    elif fill == "zero":
+        arr[...] = 0
+    const = SeriesMatrix(ctx, arr)
+    other = filled(ctx, 3, 3, "random", False, rng)
+    if case == "left":
+        return const.arr[:, :, :1], other.arr, naive_matmul(const, other).arr
+    if case == "right":
+        return other.arr, const.arr[:, :, :1], naive_matmul(other, const).arr
+    if case == "t-ideal":
+        part = other.arr.copy()
+        part[:, :, 0] = 0
+        ref = naive_matmul(SeriesMatrix(ctx, part), const).arr[:, :, 1:]
+        return other.arr[:, :, 1:], const.arr[:, :, :1], ref
+    ref = naive_matmul(const, other.truncate_degree(0)).arr[:, :, :1]
+    return const.arr[:, :, :1], other.arr[:, :, :1], ref
+
+
+LAYER_KERNELS = {"signs": dict.fromkeys((8, 24, 39, 40), series_matrix.GATHER),
+                 "wide": {8: np.float64, 24: np.int64, 39: np.int64,
+                          40: object},
+                 "zero": dict.fromkeys((8, 24, 39, 40))}
+
+
+@pytest.mark.parametrize("case", ["left", "right", "t-ideal", "two-constants"])
+@pytest.mark.parametrize("fill", sorted(LAYER_KERNELS))
+@pytest.mark.parametrize("n", [8, 24, 39, 40])
+def test_the_kernel_reads_constancy_off_the_layer_count(monkeypatch, n, fill,
+                                                        case):
+    # gathers, float64 (N=8), limbs (N=24 and 39) and Python integers
+    # (N=40); a zero constant takes the zero-result shortcut
+    ctx = KERNEL_CONTEXTS[n]
+    x, y, ref = layer_case(ctx, case, fill, random.Random(f"{n} {fill} {case}"))
+    out, seen = chosen_kernels(
+        monkeypatch, lambda: series_matrix._product(x, y, ctx))
+    assert seen == ([LAYER_KERNELS[fill][n]] if LAYER_KERNELS[fill][n] else [])
+    assert out.shape == (3, 3, max(x.shape[2], y.shape[2]))
+    assert out.dtype == storage_dtype(ctx)
+    assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("n", [8, 24, 40])
+def test_at_m0_a_known_constant_right_operand_is_not_taken_for_the_left(n):
+    # at M=0 both operands have one layer, so the kernel takes the left one
+    # as the constant; a right operand already known to be constant must
+    # not hand its lift over in the left one's place
+    ctx = PrecisionContext(3, n, 0)
+    rng = random.Random(n)
+    a = filled(ctx, 3, 3, "random", True, rng)
+    b = filled(ctx, 3, 3, "signs", True, rng)
+    assert b.is_constant()
+    assert a @ b == naive_matmul(a, b)
+    assert b @ a == naive_matmul(b, a)
+
+
 def unit_work(monkeypatch, name):
     """The kernels one seed-0 unit of the workload chose, the summed
     (rows, inner, cols) its products of two non-constant operands ran on,
@@ -956,11 +1056,14 @@ def plan_kind(a, b):
         return "whole"
     if len(plan) == 2:
         return "layered"
-    (_, _, _, left, right, t_ideal), = plan
-    assert not t_ideal
+    (at, at_a, at_b), = plan
+    # a single term is never the t-ideal one: it writes every layer
+    assert at[-1] == slice(None) and at_a[-1] != slice(1, None)
     if not support(a, b)[1]:
         return "empty"
-    return "left" if left else "right" if right else "trimmed"
+    layer0 = slice(0, 1)
+    return ("left" if at_a[-1] == layer0 else "right" if at_b[-1] == layer0
+            else "trimmed")
 
 
 def pattern_operand(ctx, rows, cols, rng, fill):
@@ -1001,7 +1104,7 @@ def test_planned_products_match_the_whole_route(n):
         b = pattern_operand(ctx, k, c, rng, fill)
         seen[plan_kind(a, b)] += 1
         out = series_matrix._general_product(a.arr, b.arr, ctx)
-        whole = series_matrix._product(a.arr, b.arr, False, False, ctx)
+        whole = series_matrix._product(a.arr, b.arr, ctx)
         assert out.dtype == whole.dtype == storage_dtype(ctx)
         assert np.array_equal(out, whole)
     assert set(seen) == PLAN_KINDS, seen
@@ -1025,7 +1128,7 @@ def test_a_memoised_plan_serves_new_values():
             out = series_matrix._general_product(x, y, ctx)
             assert series_matrix._general_plan.cache_info().hits == hits + 1
             assert np.array_equal(
-                out, series_matrix._product(x, y, False, False, ctx))
+                out, series_matrix._product(x, y, ctx))
 
 
 def test_plans_are_read_only():
