@@ -307,10 +307,9 @@ def _readout(ectx: ExtensionContext, f_fin: SeriesMatrix, a_fin: SeriesMatrix,
                                         ("output", "connection", "pairing")):
         data[name] = SeriesMatrix(ctx, mat.arr[block])
         std = getattr(ectx.pair, name).arr
-        if mat.arr.shape == std.shape:
-            differs = mat.arr != std
-            differs[block] = False
-        if mat.arr.shape != std.shape or differs.any():
+        differs = mat.arr != std
+        differs[block] = False
+        if differs.any():
             raise NotStable(
                 f"Baer-sum {what} does not reduce to the standard frame")
     m_arr = _scale_diagonal(data["pairing"].arr, pow(2, -1, ctx.modulus), ctx)

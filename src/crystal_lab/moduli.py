@@ -21,17 +21,17 @@ comparisons of ``trivialize``, the torsion chain and
 data and commutes with truncation there, so every equality and every
 outcome is the same.
 
-Both verbs run their samples in blocks, as records with a leading sample
-axis.  A block is drawn first, with the calls of the per-sample loop in its
-order, which read only the generator; the group-law check reads all of a
-block's point residues in one ``_draw_residues`` call (``_draw_points``)
-and builds the block's points at once (``_build_points``).  Every later
-step acts on each sample alone, so the counts, counterexamples and failed
-checks are those of the loop.  So is any error.  Once ``_point_context``
-accepts n, drawing never raises.  Every xi is the derivative of a witness
-supported off multiples of p, so ``integrate`` loses no digit and
-trivialization never raises.  Each witness then holds at N for p*Y, so the
-torsion check raises only for N < 3, with one message for any sample.
+Both verbs run their samples in blocks, each one point stack with a leading
+sample axis.  A block is drawn first, with the calls of the per-sample loop
+in its order, which read only the generator; the group-law check builds its
+block at once (``_build_points``), the probe stacks points drawn one by one.
+Every later step, the group law (``add_points``, ``scale_point``) included,
+is the per-sample step on the stack, so the counts, counterexamples, failed
+checks and any error are those of the loop.  Once ``_point_context`` accepts
+n, drawing never raises.  Every xi is the derivative of a witness supported
+off multiples of p, so ``integrate`` loses no digit and trivialization never
+raises.  Each witness then holds at N for p*Y, so the torsion check raises
+only for N < 3, with one message for any sample.
 
 The filtration generator is normalized with unit coefficient on the last
 lifted basis vector, so the group law is literal addition of coordinates;
@@ -40,6 +40,7 @@ isotropy pins the last coordinate to minus the corner of m.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +57,7 @@ from .extension_group import (ExtensionContext, ExtensionData,
 from .padic_series import PrecisionContext, storage_dtype
 from .sampling import (_draw_residues, _noise_draws, _put_noise,
                        witness_support)
-from .series_matrix import SeriesMatrix
+from .series_matrix import SeriesMatrix, _run
 
 
 @dataclass(frozen=True)
@@ -216,9 +217,8 @@ def point_from_tangent(ectx: ExtensionContext, values) -> DeformationPoint:
     arr = np.zeros((*coords.shape[:-1], h, 1, ctx.M + 1),
                    dtype=storage_dtype(ctx))
     # canonical residues first: int64 storage cannot hold every integer
-    arr[..., :h - 1, 0, 1] = np.array(
-        [int(v) % ctx.modulus for v in coords.flat], dtype=object
-    ).reshape(coords.shape)
+    arr[..., :h - 1, 0, 1] = (np.frompyfunc(operator.index, 1, 1)(coords)
+                              % ctx.modulus)
     e = ExtensionData.zero(ectx)
     if coords.ndim == 2:
         z = SeriesMatrix(ctx, np.broadcast_to(e.xi.arr, (len(coords),
@@ -228,16 +228,17 @@ def point_from_tangent(ectx: ExtensionContext, values) -> DeformationPoint:
     return DeformationPoint(ectx, 2, e, SeriesMatrix(ctx, arr))
 
 
-def _samples_of(y: DeformationPoint, index: slice) -> DeformationPoint:
-    """The samples `index` of the stack y, as a stack."""
-    e, ctx = y.extension, y.ectx.ctx
-    mats = [SeriesMatrix(ctx, getattr(e, f).arr[index])
-            for f in ("xi", "v", "m")]
+def _samples_of(y: DeformationPoint, index) -> DeformationPoint:
+    """The samples `index` of the stack y: a slice, or a list of indices,
+    taken as a view when they are one run."""
+    e = y.extension
+    index = _run(np.array(index)) if isinstance(index, list) else index
+    xi, v, m, hodge = (SeriesMatrix(y.ectx.ctx, a.arr[index])
+                       for a in (e.xi, e.v, e.m, y.hodge))
     # samples of a checked stack meet its conditions
-    ext = _derived(ExtensionData, e.ectx, *mats, e.geometric_flag)
-    # samples of a checked stack meet its conditions
-    return _derived(DeformationPoint, y.ectx, y.base_degree, ext,
-                    SeriesMatrix(ctx, y.hodge.arr[index]))
+    ext = _derived(ExtensionData, y.ectx, xi, v, m, e.geometric_flag)
+    # so do the samples of its points
+    return _derived(DeformationPoint, y.ectx, y.base_degree, ext, hodge)
 
 
 def _point_differs(y: DeformationPoint, z: DeformationPoint) -> np.ndarray:
@@ -377,24 +378,29 @@ class ProbeReport:
 _BLOCK_COEFFICIENTS = 2**14
 
 
-def _stack(es: list) -> ExtensionData:
-    """One record with the sample axis from records of one context."""
+def _stack(ys: list) -> DeformationPoint:
+    """One point with the sample axis from points of one base."""
+    ectx, es = ys[0].ectx, [y.extension for y in ys]
     # a stack of checked records of one context keeps every condition
-    return _derived(ExtensionData, es[0].ectx, *(
-        SeriesMatrix(es[0].context, np.stack([getattr(e, f).arr for e in es]))
+    e = _derived(ExtensionData, ectx, *(
+        SeriesMatrix(ectx.ctx, np.stack([getattr(e, f).arr for e in es]))
         for f in ("xi", "v", "m")), all(e.geometric_flag for e in es))
+    # so does a stack of checked points of one base, sample by sample
+    return _derived(DeformationPoint, ectx, ys[0].base_degree, e, SeriesMatrix(
+        ectx.ctx, np.stack([y.hodge.arr for y in ys])))
 
 
 def multiply_by_p_injectivity_probe(ectx: ExtensionContext, n: int,
                                     samples: int, seed: int = 0) -> ProbeReport:
     """Sampled check that multiplication by p has trivial kernel.
 
-    For each random geometric point Y, [p]Y is computed by a binary
-    addition chain, at most 2 log2(p) sums; when its extension trivializes,
-    the torsion chain must certify Y itself trivial (at its stated precision).  Any refusal is a
-    counterexample; the expected count is zero.  The points are drawn and
-    computed at t-adic degree p(n-1), in blocks with the sample axis (see
-    the module docstring).
+    For each random geometric point Y, [p]Y is computed by ``add_points``
+    in a binary addition chain, at most 2 log2(p) sums, and must equal
+    ``scale_point(Y, p)``; when its extension trivializes, the torsion chain
+    must certify Y itself trivial (at its stated precision).  Any refusal
+    is a counterexample; the expected count is zero.  Each block of points
+    is one stack, drawn and computed at t-adic degree p(n-1) (see the
+    module docstring).
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
@@ -405,25 +411,20 @@ def multiply_by_p_injectivity_probe(ectx: ExtensionContext, n: int,
     nontrivial_py = certified = trivial_direct = 0
     issues = []
     for start in range(0, samples, size):
-        ys = [random_geometric_point(rng, ectx, n,
-                                     nontrivial=bool(rng.getrandbits(1)))
-              for _ in range(min(size, samples - start))]
-        y = _stack([pt.extension for pt in ys])
-        hodge = SeriesMatrix(ctx, np.stack([pt.hodge.arr for pt in ys]))
+        y = _stack([random_geometric_point(rng, ectx, n,
+                                           nontrivial=bool(rng.getrandbits(1)))
+                    for _ in range(min(size, samples - start))])
         trivial_direct += sum(not isinstance(w, Untrivializable)
-                              for w in trivialize(y))
-        # [p]Y by a binary addition chain: double, and add Y at each set
-        # bit; at p=3 these are the sums (Y, Y) and (2Y, Y) of p-1 additions
-        py, p_hodge = y, hodge
+                              for w in trivialize(y.extension))
+        # [p]Y by a binary addition chain; at p=3, the sums (Y, Y), (2Y, Y)
+        py = y
         for bit in bin(p)[3:]:
-            py, p_hodge = baer_sum(py, py), p_hodge + p_hodge
+            py = add_points(py, py)
             if bit == "1":
-                py, p_hodge = baer_sum(py, y), p_hodge + hodge
-        # scale_point(Y, p) != [p]Y, sample by sample
-        nonlinear = _differs(int_scale(y, p), py).any(axis=1) | (
-            hodge.scale_int(p).arr != p_hodge.arr).any(axis=(1, 2, 3))
-        outcomes = trivialize(py)
-        del py, p_hodge  # freed before the torsion check
+                py = add_points(py, y)
+        nonlinear = _point_differs(scale_point(y, p), py)
+        outcomes = trivialize(py.extension)
+        del py  # freed before the torsion check
         found = {}
         for k, w in enumerate(outcomes):
             if nonlinear[k]:
@@ -440,9 +441,8 @@ def multiply_by_p_injectivity_probe(ectx: ExtensionContext, n: int,
             # the witnesses of one precision, each checked, stacked
             w = _derived(TrivializationWitness, group[0][1].ectx, SeriesMatrix(
                 c, np.stack([w.alpha.arr for _, w in group])))
-            if len(group) < len(ys):
-                y = _stack([ys[k].extension for k, _ in group])
-            for (k, _), outcome in zip(group, p_torsion_check(y, w)):
+            ys = _samples_of(y, [k for k, _ in group])
+            for (k, _), outcome in zip(group, p_torsion_check(ys.extension, w)):
                 if isinstance(outcome, TorsionCertificate):
                     certified += 1
                 else:

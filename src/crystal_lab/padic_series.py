@@ -26,6 +26,7 @@ matrices alike.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -215,7 +216,7 @@ class TruncatedSeries:
         self.context = context
         arr = np.zeros(context.M + 1, dtype=storage_dtype(context))
         for n, c in zip(range(context.M + 1), coefficients):
-            arr[n] = int(c) % context.modulus
+            arr[n] = operator.index(c) % context.modulus
         arr.setflags(write=False)
         self._arr = arr
 
@@ -263,18 +264,26 @@ class TruncatedSeries:
         return _of(self._matrix().truncate_degree(d))
 
     def __add__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         return _of(self._matrix() + other._matrix())
 
     def __sub__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         return _of(self._matrix() - other._matrix())
 
     def __neg__(self):
         return _of(-self._matrix())
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _of(self._matrix().scale_int(other))
-        return _of(self._matrix() @ other._matrix())
+        if isinstance(other, TruncatedSeries):
+            return _of(self._matrix() @ other._matrix())
+        try:
+            k = operator.index(other)
+        except TypeError:
+            return NotImplemented
+        return _of(self._matrix().scale_int(k))
 
     __rmul__ = __mul__
 

@@ -68,7 +68,9 @@ def _coefficients(ctx: PrecisionContext, obj) -> list:
         try:
             out.append(int(c) % ctx.modulus)
         except ValueError:
-            raise SchemaError(f"bad decimal string {c!r}") from None
+            # a bounded quote: the string may be any length
+            raise SchemaError(f"bad decimal string {c[:64]!r}" + (
+                f"... ({len(c)} characters)" if len(c) > 64 else "")) from None
     return out + [0] * (ctx.M + 1 - len(out))
 
 

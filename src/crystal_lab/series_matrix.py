@@ -114,6 +114,7 @@ checkers compare through degree M-1 explicitly.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -190,7 +191,8 @@ class SeriesMatrix:
     @classmethod
     def identity(cls, context, n, scale=1):
         arr = zeros_array(context, n, n)
-        arr[np.arange(n), np.arange(n), 0] = scale % context.modulus
+        arr[np.arange(n), np.arange(n), 0] = (operator.index(scale)
+                                              % context.modulus)
         return cls(context, arr)
 
     @classmethod
@@ -211,7 +213,7 @@ class SeriesMatrix:
                             f"entry context {s.context} differs from {context}")
                     arr[i, j, :] = s._arr
                 else:
-                    arr[i, j, 0] = int(s) % context.modulus
+                    arr[i, j, 0] = operator.index(s) % context.modulus
         return cls(context, arr)
 
     # -- accessors ---------------------------------------------------------
@@ -239,11 +241,15 @@ class SeriesMatrix:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, SeriesMatrix):
+            return NotImplemented
         _check_same_context(self, other)
         ctx = self.context
         return SeriesMatrix(ctx, reduce_mod(self.arr + other.arr, ctx.modulus, (0, 2)))
 
     def __sub__(self, other):
+        if not isinstance(other, SeriesMatrix):
+            return NotImplemented
         _check_same_context(self, other)
         ctx = self.context
         return SeriesMatrix(ctx, reduce_mod(self.arr - other.arr, ctx.modulus, (-1, 1)))
@@ -257,6 +263,8 @@ class SeriesMatrix:
             self.arr, k % self.context.modulus, self.context))
 
     def __matmul__(self, other):
+        if not isinstance(other, SeriesMatrix):
+            return NotImplemented
         _check_same_context(self, other)
         self._unstacked("a product")
         other._unstacked("a product")

@@ -596,6 +596,20 @@ def test_decimal_strings_parse_as_int_does(text):
     assert m.arr[0, 0].tolist() == [0, expected] + [0] * (FUZZ_CTX.M - 1)
 
 
+@pytest.mark.parametrize("text, quoted", [
+    ("1.5", "'1.5'"), ("x" * 64, repr("x" * 64)),
+    ("9" * 200_000, repr("9" * 64) + "... (200000 characters)"),
+    ("1" * 64 + "x", repr("1" * 64) + "... (65 characters)")])
+def test_bad_decimal_strings_are_quoted_in_bounds(capsys, tmp_path, text,
+                                                  quoted):
+    # a 200,000-digit coefficient used to be quoted in full on stderr
+    doc = replaced(FUZZ_DOCS["crystal"], ("frobenius", 0, 0, 0), text)
+    path = write_json(tmp_path / "big.json", doc)
+    code, out, err = run_cli(capsys, "check", "horizontality", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad decimal string {quoted}\n"
+
+
 # -- one parser per process ------------------------------------------------------
 
 PROBE = ["probe", "--p", "3", "--h", "10", "--n", "6", "--N", "8",

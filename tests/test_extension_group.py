@@ -428,20 +428,6 @@ class TestClosureChecks:
         with pytest.raises(NotStable, match=match):
             _readout(ectx3, *mats.values(), False)
 
-    @pytest.mark.parametrize("which, match", [("frobenius", "output"),
-                                              ("connection", "connection"),
-                                              ("pairing", "pairing")])
-    def test_presentation_of_another_shape(self, ectx3, which, match):
-        # a matrix with a row too many is not in the frame, even where its
-        # first rows are
-        c = assemble_crystal(ExtensionData.zero(ectx3))
-        mats = {"frobenius": c.frobenius, "connection": c.connection,
-                "pairing": c.pairing}
-        arr = mats[which].arr
-        mats[which] = SeriesMatrix(ectx3.ctx, np.concatenate([arr, arr[:1]]))
-        with pytest.raises(NotStable, match=match):
-            _readout(ectx3, *mats.values(), False)
-
 
 class TestTrivialize:
     def test_zero(self, ectx3):

@@ -149,6 +149,16 @@ class TestTangent:
             ctx, *[TruncatedSeries.monomial(ctx, 1, v) for v in expected], 0)
         assert tangent_coordinates(pt) == (2, 2, 2**70 % 3)
 
+    @pytest.mark.parametrize("values", [[0.5, 1.9], [[1, Fraction(1, 2)]],
+                                        [1, "2"]])
+    def test_non_integers_are_refused(self, values):
+        # [0.5, 1.9] used to give the coordinates [0, 1]
+        ectx = ExtensionContext(PrecisionContext(3, 8, 4), 3)
+        with pytest.raises(TypeError):
+            point_from_tangent(ectx, values)
+        pt = point_from_tangent(ectx, [np.int64(4), True])
+        assert tangent_coordinates(pt) == (1, 1)
+
 
 class TestTruncation:
     def test_functoriality(self, ectx3):
@@ -529,6 +539,28 @@ def test_a_linearity_failure_is_pinned(monkeypatch, h):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("h", [2, 10])
+def test_a_faulty_point_sum_is_pinned(monkeypatch, h):
+    ectx = ExtensionContext(PrecisionContext(3, 8, 32), h)
+    set_block(monkeypatch, ectx, 6)
+    # the points the probe draws, with its flag before each point
+    rng = random.Random(5)
+    hodges = [random_geometric_point(rng, _point_context(ectx, 6), 6,
+                                     nontrivial=bool(rng.getrandbits(1))
+                                     ).hodge.arr for _ in range(7)]
+    y4 = hodges[4]
+    assert sum(np.array_equal(arr, y4) for arr in hodges) == 1
+    # only the doubling Y + Y of sample 4, the second of the second block,
+    # is shifted, in its hodge column: the extensions of [p]Y stay right
+    monkeypatch.setattr(moduli, "add_points",
+                        keyed_fault(moduli.add_points, (y4, y4), 1))
+    reports = [probe(ectx, 6, 7, seed=5)
+               for probe in (multiply_by_p_injectivity_probe, per_sample_probe)]
+    assert reports[0].counterexamples == (
+        ProbeSampleIssue(4, "linearity", "iterated sum disagrees with scaling"),)
+    assert reports[0] == reports[1]
+
+
 def misflagged_point(ectx, n):
     """A point whose extension claims the rank-1-mod-p hypothesis falsely:
     e = from_alpha(alpha) / p for alpha = t^p (E_01 - E_10), so p*e is
@@ -707,6 +739,19 @@ class TestStackedPoints:
             assert self.sample(negate_point(y), k) == negate_point(yk)
             assert self.sample(scale_point(y, 7), k) == scale_point(yk, 7)
             assert self.sample(truncate_point(y, 3), k) == truncate_point(yk, 3)
+
+    @pytest.mark.parametrize("N", [8, 40], ids=["int64", "object"])
+    @pytest.mark.parametrize("index", [[1, 2, 3], [0, 2], [3, 0], [2]])
+    def test_samples_by_an_index_list(self, N, index):
+        ectx = ExtensionContext(PrecisionContext(3, N, 32), 3)
+        y = self.stack(ectx, 4, 6)
+        got = moduli._samples_of(y, index)
+        assert got.hodge.arr.shape[0] == len(index)
+        for j, k in enumerate(index):
+            assert self.sample(got, j) == self.sample(y, k)
+        # one run of samples is a view of the stack, others are copies
+        run = index == list(range(index[0], index[-1] + 1))
+        assert np.shares_memory(got.hodge.arr, y.hodge.arr) == run
 
     def test_the_comparison_is_per_sample(self, ectx3):
         y = self.stack(ectx3, 4, 5)

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -270,6 +271,32 @@ class TestSeriesArith:
         # equal coefficients over different contexts are different series
         assert TruncatedSeries.one(ctx3) != TruncatedSeries.one(ctx5)
         assert TruncatedSeries.one(ctx3) != 1
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("value", [Fraction(1, 3), 0.5, 1.9, "1"])
+    def test_non_integers_are_refused(self, p, value):
+        # 1/3 used to become 0, also at p=5, where it is a unit
+        ctx = PrecisionContext(p, 8, 4)
+        with pytest.raises(TypeError):
+            TruncatedSeries(ctx, [1, value])
+        ints = TruncatedSeries(ctx, [True, np.int64(-2), np.uint8(3)])
+        assert ints.coeffs() == (1, ctx.modulus - 2, 3, 0, 0)
+
+    def test_operands_of_another_type_are_refused(self, ctx3):
+        s = TruncatedSeries(ctx3, [1, 2])
+        for op in (lambda: s + 1, lambda: 1 + s, lambda: s - 1,
+                   lambda: 1 - s, lambda: s * 2.5, lambda: 2.5 * s,
+                   lambda: s * Fraction(1, 3),
+                   lambda: s * SeriesMatrix.identity(ctx3, 1)):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
+
+    def test_integral_scalars_scale_from_both_sides(self, ctx3):
+        s = TruncatedSeries(ctx3, [1, 2])
+        expected = TruncatedSeries(ctx3, [3, 6])
+        for k in (3, np.int64(3), np.uint16(3)):
+            assert s * k == expected and k * s == expected
+        assert s * True == s and s * np.int64(-1) == -s
 
     def test_str(self, ctx3):
         s = TruncatedSeries(ctx3, (2, 0, -1, 0, 5))

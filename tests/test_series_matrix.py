@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,6 +165,33 @@ def test_matmul_checks_the_inner_dimension(small_ctx, case):
 def test_ragged_rows_are_refused(small_ctx, rows):
     with pytest.raises(ValueError, match="do not form a matrix"):
         SeriesMatrix.from_series_rows(small_ctx, rows)
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(7, 2), "1"])
+def test_non_integer_entries_are_refused(small_ctx, value):
+    # 1.5 and 7/2 used to be floored to the constants 1 and 3
+    with pytest.raises(TypeError):
+        SeriesMatrix.from_series_rows(small_ctx, [[1, value]])
+    m = SeriesMatrix.from_series_rows(small_ctx, [[True, np.int64(-1)]])
+    assert m.constant_layer() == [[1, small_ctx.modulus - 1]]
+
+
+@pytest.mark.parametrize("scale", [2.5, Fraction(1, 3), "2"])
+def test_non_integer_identity_scales_are_refused(small_ctx, scale):
+    # 2.5 used to put 2 on the diagonal
+    with pytest.raises(TypeError):
+        SeriesMatrix.identity(small_ctx, 2, scale=scale)
+    assert (SeriesMatrix.identity(small_ctx, 2, scale=np.int64(2))
+            == SeriesMatrix.identity(small_ctx, 2, scale=2))
+
+
+def test_operands_of_another_type_are_refused(small_ctx):
+    m = SeriesMatrix.identity(small_ctx, 2)
+    for op in (lambda: m + 1, lambda: 1 + m, lambda: m - 1, lambda: m @ 2,
+               lambda: 2 @ m, lambda: m @ np.int64(2),
+               lambda: m + TruncatedSeries.one(small_ctx)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
 
 
 def test_phi_pullback_keeps_constants(small_ctx):
