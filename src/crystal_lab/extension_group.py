@@ -19,6 +19,7 @@ quotient (``_pushout``); the constant maps are +-identity blocks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -40,12 +41,14 @@ class ExtensionContext:
 
     It owns what these determine, each built on first use and freed with
     it: the standard crystals sub1, super1 and pair, and the block maps of
-    the Baer diagrams.  Equality, hash and repr read (ctx, h) only."""
+    the Baer diagrams.  Equality, hash and repr read (ctx, h) only.  h
+    passes through ``operator.index``, so a float raises TypeError."""
 
     ctx: PrecisionContext
     h: int
 
     def __post_init__(self):
+        object.__setattr__(self, "h", operator.index(self.h))
         _check_height(self.h)
 
     @cached_property

@@ -284,9 +284,9 @@ def _draw_points(rng: random.Random, ectx: ExtensionContext, n: int,
         pending += step - size
     chunks.append(_draw_residues(rng, ctx.modulus, pending))
     flat = np.concatenate(chunks).reshape(len(nontrivial), step)
-    alpha = np.zeros((len(flat), h, h, ctx.M + 1), dtype=flat.dtype)
+    alpha = np.zeros((len(flat), h, h, ctx.M + 1), dtype=storage_dtype(ctx))
     alpha[..., degrees] = flat[:, :size].reshape(-1, h, h, len(degrees))
-    hodge = np.zeros((len(flat), h, 1, ctx.M + 1), dtype=flat.dtype)
+    hodge = np.zeros((len(flat), h, 1, ctx.M + 1), dtype=storage_dtype(ctx))
     # n - 1 <= M / p, so every degree below n is stored
     hodge[:, :h - 1, :, 1:n] = flat[:, size:].reshape(-1, h - 1, 1, n - 1)
     return alpha, hodge, tuple(noise)

@@ -7,12 +7,15 @@ t |-> t^p with the identity on coefficients, so the lift acts on series by
 monomial substitution.
 
 Coefficient arrays are numpy int64 when p^N < 2^62 and object arrays of
-Python integers otherwise (``storage_dtype``).  On int64 storage a sum or
-difference of two residues stays below 2^63, so add, sub and neg never
-overflow, and ``reduce_mod`` folds them back to residues without a
-division.  A multiply by integers compares a bound on its result with a
-constant of the PrecisionContext before it uses int64, and forms the
-product in Python integers when int64 could overflow (``mul_mod``).
+Python integers otherwise.  ``storage_dtype`` is the one switch: every
+array of coefficients, in this module and the rest of the package, takes
+its dtype from it, and no other code compares p^N with the limit.  On
+int64 storage a sum or difference of two residues stays below 2^63, so
+add, sub and neg never overflow, and ``reduce_mod`` folds them back to
+residues without a division.  A multiply by integers compares a bound on
+its result with a constant of the PrecisionContext before it uses int64,
+and forms the product in Python integers when int64 could overflow
+(``mul_mod``).
 
 TruncatedSeries is a read-only view of one (M+1,) coefficient array, and
 OneForm wraps one as a body.  Each of their operations, and the derivative
@@ -89,11 +92,13 @@ def p_valuation(n: int, p: int) -> int:
 class PrecisionContext:
     """Working precisions: odd prime p, residues mod p^N, series mod t^(M+1).
 
-    Raises ValueError unless p is an odd prime below MAX_PRIME (about
-    3.3e24, the range where the primality test is proven exact),
-    2 <= N with N * bitlen(p) <= MAX_MODULUS_BITS (so N <= 512 at p = 3),
-    and 0 <= M <= MAX_M.  The bound on N is checked first, before p^N is
-    computed.
+    p, N and M pass through ``operator.index`` before any other check: a
+    float, even 40.0, raises TypeError, and a numpy integer becomes a
+    Python int, so that p^N is always exact.  Then ValueError is raised
+    unless p is an odd prime below MAX_PRIME (about 3.3e24, the range where
+    the primality test is proven exact), 2 <= N with N * bitlen(p) <=
+    MAX_MODULUS_BITS (so N <= 512 at p = 3), and 0 <= M <= MAX_M.  The
+    bound on N is checked first, before p^N is computed.
 
     The derived constants are computed once and take no part in equality:
 
@@ -110,6 +115,8 @@ class PrecisionContext:
     int64_scalar_max: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("p", "N", "M"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.N * self.p.bit_length() > MAX_MODULUS_BITS:
             raise ValueError(
                 f"N * bitlen(p) must be at most {MAX_MODULUS_BITS}, got "

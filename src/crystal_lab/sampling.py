@@ -16,6 +16,7 @@ lossless and the noise stays visible at the comparison precision.
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 
@@ -24,8 +25,7 @@ import numpy as np
 from .errors import InvalidExtension
 from .extension_group import (ExtensionContext, ExtensionData,
                               TrivializationWitness, from_alpha)
-from .padic_series import (_INT64_STORAGE_LIMIT, PrecisionContext,
-                           p_valuation)
+from .padic_series import PrecisionContext, p_valuation
 from .series_matrix import SeriesMatrix, zeros_array
 
 # below this many draws one numpy round costs more than the randrange loop
@@ -34,8 +34,11 @@ _BULK_MIN = 32
 
 def _draw_residues(rng: random.Random, n: int, count: int) -> np.ndarray:
     """The next `count` values of rng.randrange(n), in order, as a 1-D
-    array: int64 when n < 2^62, Python integers in an object array
-    otherwise.  The generator is left as the randrange loop leaves it.
+    array: int64 when n < 2^62, so that a sum of two draws stays in int64,
+    Python integers in an object array otherwise.  The dtype follows n, not
+    a context: a caller that builds coefficients writes the draws into an
+    array of its context's storage dtype.  The generator is left as the
+    randrange loop leaves it.
 
     On CPython, for n < 2^62, the draws are taken in bulk.  There
     randrange(n) is getrandbits(k) with k = bitlen(n), drawn again while it
@@ -49,7 +52,7 @@ def _draw_residues(rng: random.Random, n: int, count: int) -> np.ndarray:
     not take.  This depends on CPython's word order, so other interpreters
     use the loop, as does a remainder below _BULK_MIN draws.
     """
-    if n >= _INT64_STORAGE_LIMIT:
+    if n >= 2**62:
         return np.array([rng.randrange(n) for _ in range(count)], dtype=object)
     out = np.empty(count, dtype=np.int64)
     done = 0
@@ -109,16 +112,17 @@ def add_noise(rng: random.Random, e: ExtensionData, field: str, degree: int,
     identity survives, v stays zero mod p, and the class becomes nontrivial
     at full precision while p times it is trivial.  That needs
     1 <= v_p(degree) < N: at v_p(degree) >= N the noise is a unit or zero.
-    A degree outside [1, M] or a given entry outside [0, h) raises
-    ValueError before any draw.
+    Before any draw, a non-integer degree or entry raises TypeError, and a
+    degree outside [1, M] or an entry outside [0, h) ValueError.
     """
     if field not in ("v", "m"):
         raise ValueError(f"noise goes on v or m, not {field!r}")
     ctx = e.context
+    degree = operator.index(degree)
     if not 1 <= degree <= ctx.M:
         raise ValueError(f"noise degree {degree} lies outside [1, M={ctx.M}]")
     if entry is not None:
-        _check_indices(entry, e.h)
+        entry = _check_indices(entry, e.h)
     vp = p_valuation(degree, ctx.p)
     if not 1 <= vp < ctx.N:
         raise ValueError(f"noise degree {degree} needs 1 <= v_p < N={ctx.N}")
@@ -130,11 +134,14 @@ def add_noise(rng: random.Random, e: ExtensionData, field: str, degree: int,
     return ExtensionData(e.ectx, e.xi, v, m, e.geometric_flag)
 
 
-def _check_indices(entry: tuple, h: int) -> None:
-    """Refuse an entry (i, j) of an h x h matrix outside [0, h): a negative
-    index would wrap around."""
+def _check_indices(entry: tuple, h: int) -> tuple:
+    """The entry (i, j) of an h x h matrix as ints: TypeError for a
+    non-integer, and ValueError outside [0, h), where a negative index would
+    wrap around."""
+    entry = tuple(map(operator.index, entry))
     if not all(0 <= k < h for k in entry):
-        raise ValueError(f"entry {tuple(entry)} lies outside [0, {h})")
+        raise ValueError(f"entry {entry} lies outside [0, {h})")
+    return entry
 
 
 def _noise_draws(rng: random.Random, h: int, p: int, entry=None) -> tuple:
@@ -167,12 +174,16 @@ def perturb_xi_antisym(e: ExtensionData, i0: int, j0: int,
     coefficient, so the result is never geometric; when p^2 exceeds M and
     the ghost would be silently truncated the construction refuses, since
     that regime fabricates torsion classes that only exist at truncation.
-    Indices outside [0, h) raise ValueError.
+    A non-integer index or unit raises TypeError, and indices outside
+    [0, h) or a unit divisible by p ValueError.
     """
     ctx = e.context
     h = e.h
     p = ctx.p
-    _check_indices((i0, j0), h)
+    i0, j0 = _check_indices((i0, j0), h)
+    unit = operator.index(unit)
+    if unit % p == 0:
+        raise ValueError(f"unit {unit} is divisible by p={p}")
     if i0 == j0:
         raise ValueError("perturbation must be off-diagonal (antisymmetric)")
     if p - 1 > ctx.M - 1:

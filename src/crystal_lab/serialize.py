@@ -11,6 +11,7 @@ matrix is read.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -69,8 +70,13 @@ def _coefficients(ctx: PrecisionContext, obj) -> list:
             out.append(int(c) % ctx.modulus)
         except ValueError:
             # a bounded quote: the string may be any length
-            raise SchemaError(f"bad decimal string {c[:64]!r}" + (
-                f"... ({len(c)} characters)" if len(c) > 64 else "")) from None
+            quote = f"{c[:64]!r}" + (
+                f"... ({len(c)} characters)" if len(c) > 64 else "")
+            limit = sys.get_int_max_str_digits()
+            if limit and sum(map(str.isdigit, c)) > limit:
+                raise SchemaError(f"decimal string {quote} is too long: int() "
+                                  f"reads at most {limit} digits") from None
+            raise SchemaError(f"bad decimal string {quote}") from None
     return out + [0] * (ctx.M + 1 - len(out))
 
 
@@ -87,7 +93,9 @@ def _decimals(modulus: int) -> np.ndarray:
 
 def matrix_to_json(m: SeriesMatrix) -> list:
     if m.context.modulus <= DECIMAL_TABLE_MAX:
-        return _decimals(m.context.modulus)[m.arr].tolist()
+        # the residues index the table in int64 whatever their storage
+        return _decimals(m.context.modulus)[
+            m.arr.astype(np.int64, copy=False)].tolist()
     # only the non-zero residues are formatted: the zeros share "0"
     return [[[str(c) if c else "0" for c in cell] for cell in row]
             for row in m.arr.tolist()]

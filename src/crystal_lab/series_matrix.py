@@ -90,7 +90,8 @@ c = p^N - 1.
 
 * bound < 2^53: float64, through BLAS.  Every partial sum is an integer of
   magnitude below 2^53, and every such integer is a float64, so no rounding
-  happens in any summation order and the result is bit-exact;
+  happens in any summation order and the result is bit-exact.  It is
+  reduced in int64 and returned in the storage dtype;
 * otherwise, on int64 storage: limb splitting.  Each residue is cut into L
   limbs of s bits, with inner dimension x degree pairs x (2^s - 1)^2 <
   2^53.  One float64 product of the stacked limbs (left limbs along rows,
@@ -415,8 +416,8 @@ def _product(a: np.ndarray, b: np.ndarray, context: PrecisionContext,
             a = const
         elif right:
             b = const
-        return reduce_mod(_float_product(a, b).astype(np.int64, order="C"),
-                          mod)
+        return residues(_float_product(a, b).astype(np.int64, order="C"),
+                        context)
     if dtype is np.int64:
         return _limb_product(a, b, k * pairs, context)
     return reduce_mod(_convolve_pairs(a, b), mod)

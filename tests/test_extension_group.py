@@ -264,6 +264,12 @@ class TestBaerSum:
         assert int_scale(e, 1) == e
         assert int_scale(e, 0).is_zero()
 
+    def test_height_must_be_an_integer(self, ctx3):
+        with pytest.raises(TypeError):
+            ExtensionContext(ctx3, 3.0)
+        ectx = ExtensionContext(ctx3, np.int64(3))
+        assert type(ectx.h) is int and ectx == ExtensionContext(ctx3, 3)
+
     def test_context_mismatch(self, ctx3, ctx5):
         e1 = ExtensionData.zero(ExtensionContext(ctx3, 2))
         e2 = ExtensionData.zero(ExtensionContext(ctx5, 2))

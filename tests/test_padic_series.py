@@ -173,6 +173,24 @@ class TestPrecisionContext:
         with pytest.raises(ValueError, match="bitlen"):
             PrecisionContext(MAX_PRIME - 2, MAX_MODULUS_BITS // 82 + 1, 0)
 
+    @pytest.mark.parametrize("args", [(3.0, 40, 4), (3, 40.0, 4),
+                                      (3, 40, 4.0)], ids=["p", "N", "M"])
+    def test_rejects_a_float_in_each_field(self, args):
+        # at N=40.0, p^N would be a float whose residues are not exact
+        with pytest.raises(TypeError):
+            PrecisionContext(*args)
+
+    @pytest.mark.parametrize("field", ["p", "N", "M"])
+    def test_numpy_integers_become_python_ints(self, field):
+        values = {"p": 3, "N": 40, "M": 4}
+        values[field] = np.int64(values[field])
+        ctx = PrecisionContext(**values)
+        assert ctx == PrecisionContext(3, 40, 4)
+        assert type(getattr(ctx, field)) is int
+        assert type(ctx.modulus) is int and ctx.modulus == 3**40
+        top = TruncatedSeries(ctx, [3**40 - 1])
+        assert (top * top).coeffs()[0] == 1
+
     def test_modulus(self, ctx3):
         assert ctx3.modulus == 3**8
 

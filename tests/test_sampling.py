@@ -14,7 +14,8 @@ import random
 import numpy as np
 import pytest
 
-from crystal_lab import ExtensionContext, ExtensionData, PrecisionContext
+from crystal_lab import (ExtensionContext, ExtensionData, PrecisionContext,
+                         Untrivializable, trivialize)
 from crystal_lab.errors import InvalidExtension
 from crystal_lab.sampling import (_BULK_MIN, _draw_residues, add_noise,
                                   perturb_xi_antisym, random_extension,
@@ -121,6 +122,42 @@ def test_noise_input_is_checked_before_any_draw(degree, entry, match):
         with pytest.raises(ValueError, match=match):
             add_noise(rng, zero, field, degree, entry)
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("degree, entry", [
+    (3.0, None), (3, (0.0, 1)), (3, (0, 1.5)), (3, ("0", 1))])
+def test_noise_refuses_non_integers_before_any_draw(degree, entry):
+    zero = ExtensionData.zero(ExtensionContext(PrecisionContext(3, 8, 12), 3))
+    rng = random.Random(0)
+    state = rng.getstate()
+    for field in ("v", "m"):
+        with pytest.raises(TypeError):
+            add_noise(rng, zero, field, degree, entry)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("i0, j0, unit", [
+    (0.0, 1, 1), (0, 1.0, 1), (0, 1, 1.5), (0, 1, "1")])
+def test_perturbation_refuses_non_integers(i0, j0, unit):
+    zero = ExtensionData.zero(ExtensionContext(PrecisionContext(3, 8, 12), 3))
+    with pytest.raises(TypeError):
+        perturb_xi_antisym(zero, i0, j0, unit)
+
+
+# a unit divisible by p gives a class that trivialize splits, and 0 or
+# p^N gives e itself
+@pytest.mark.parametrize("unit", [0, 3, -3, 3**8])
+def test_perturbation_unit_must_be_a_unit(unit):
+    zero = ExtensionData.zero(ExtensionContext(PrecisionContext(3, 8, 12), 3))
+    with pytest.raises(ValueError, match=f"unit {unit} is divisible by p=3"):
+        perturb_xi_antisym(zero, 0, 1, unit)
+
+
+@pytest.mark.parametrize("unit", [1, 2, -1, np.int64(4), 3**8 + 1])
+def test_perturbation_by_a_unit_cannot_be_trivialized(unit):
+    e = perturb_xi_antisym(ExtensionData.zero(ExtensionContext(
+        PrecisionContext(3, 8, 12), 3)), 0, 1, unit)
+    assert isinstance(trivialize(e), Untrivializable)
 
 
 @pytest.mark.parametrize("p, M", [(5, 4), (37, 32)])
