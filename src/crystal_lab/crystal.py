@@ -337,36 +337,36 @@ def newton_slopes(c: FCrystalPresentation) -> SlopeMultiset:
 # -- internal hom with a Tate twist ------------------------------------------
 
 
-def _fraction_inverse(rows):
+def _adjugate(rows):
+    """(adj, det) of a square integer matrix given as rows: A adj = det I,
+    with adj an n x n object array of Python integers.
+
+    Cayley-Hamilton: if det(xI - A) = x^n + c1 x^(n-1) + ... + cn, then
+    adj = (-1)^(n-1) (A^(n-1) + c1 A^(n-2) + ... + c(n-1) I) and
+    det = (-1)^n cn, run by Horner's rule in n - 1 integer products.  The
+    polynomial comes from the cycle fast path or division-free Berkowitz,
+    not charpoly_int: DENSE_CHARPOLY_BUDGET bounds slopes, and would refuse
+    dense F1 that hom_crystal inverts (rank 49 at 64 bits, 17 at 1024).
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise NonInvertible("zero determinant at the working precision")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            inv[k], inv[piv] = inv[piv], inv[k]
-        f = a[k][k]
-        a[k] = [x / f for x in a[k]]
-        inv[k] = [x / f for x in inv[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                g = a[i][k]
-                a[i] = [x - g * y for x, y in zip(a[i], a[k])]
-                inv[i] = [x - g * y for x, y in zip(inv[i], inv[k])]
-    return inv
+    coeffs = (_charpoly_generalized_permutation(rows)
+              or _charpoly_berkowitz(rows))
+    a = np.array(rows, dtype=object).reshape(n, n)
+    adj = eye = np.identity(n, dtype=object)
+    for c in coeffs[1:n]:
+        adj = a @ adj + c * eye
+    return (adj if n % 2 else -adj), (-1) ** n * coeffs[n]
 
 
 def hom_crystal(c1: FCrystalPresentation, c2: FCrystalPresentation,
                 twist: int) -> FCrystalPresentation:
     """Internal hom on r1*r2 basis vectors with Frobenius
-    p^twist * (F1^(-T) kron F2), computed over the fraction-field lift.
+    p^twist * (F1^(-T) kron F2), computed over the integers.
 
-    If the twist leaves negative p-valuations, the stored matrix is scaled
-    p-integral and the deficit is recorded in frobenius_shift, so slope
-    arithmetic still reports twist + s2 - s1.
+    With det F1 = p^v u, u a unit, F1^-1 = p^-v u^-1 adj F1.  If the twist
+    leaves negative p-valuations, the stored matrix is scaled p-integral
+    and the deficit is recorded in frobenius_shift, so slope arithmetic
+    still reports twist + s2 - s1.
     """
     if c1.context != c2.context:
         raise ContextMismatch("hom_crystal requires a shared context")
@@ -374,23 +374,19 @@ def hom_crystal(c1: FCrystalPresentation, c2: FCrystalPresentation,
         raise NotConstant("hom_crystal requires constant presentations")
     ctx = c1.context
     p, mod = ctx.p, ctx.modulus
-    r1, r2 = c1.rank, c2.rank
-    n = r1 * r2
-    tw = Fraction(p) ** twist if twist >= 0 else Fraction(1, p ** (-twist))
-    # zeros stay int 0, so only the non-zero entries of F1^-1 take Fractions
-    inv1 = [[x * tw if x else 0 for x in row]
-            for row in _fraction_inverse(c1.frobenius.constant_layer())]
-    kron = np.kron(np.array(inv1, dtype=object).reshape(r1, r1).T,
-                   np.array(c2.frobenius.constant_layer(), dtype=object
-                            ).reshape(r2, r2)).reshape(n, n)
-    entries = [(i, j, x) for (i, j), x in np.ndenumerate(kron) if x]
-    shift = min([0] + [p_valuation(x.numerator, p) -
-                       p_valuation(x.denominator, p) for _, _, x in entries])
-    scale = p ** (-shift)
+    r2 = c2.rank
+    n = c1.rank * r2
+    adj, det = _adjugate(c1.frobenius.constant_layer())
+    if det == 0:
+        raise NonInvertible("zero determinant at the working precision")
+    v = p_valuation(det, p)
+    kron = np.kron(adj.T, np.array(c2.frobenius.constant_layer(), dtype=object
+                                   ).reshape(r2, r2))
+    shift = min([0] + [twist - v + p_valuation(x, p) for x in kron.flat if x])
+    e = twist - v - shift  # when negative, p^-e divides every entry
+    scaled = kron * p ** e if e >= 0 else kron // p ** -e
     arr = zeros_array(ctx, n, n)
-    for i, j, x in entries:
-        y = x * scale  # p-integral by the choice of shift
-        arr[i, j, 0] = (y.numerator % mod) * pow(y.denominator, -1, mod) % mod
+    arr[:, :, 0] = scaled * pow(det // p ** v, -1, mod) % mod
     z = SeriesMatrix.zeros(ctx, n, n)
     return FCrystalPresentation(ctx, n, SeriesMatrix(ctx, arr), z, z, 0, shift)
 

@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -7,12 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import crystal_lab
 from crystal_lab import (FCrystalPresentation, TruncatedSeries, check_horizontality,
                          check_pairing_compat, direct_sum, hom_crystal,
                          make_standard_crystal, newton_slopes,
                          orthogonal_complement)
 from crystal_lab import crystal
-from crystal_lab.crystal import (SlopeMultiset, charpoly_int,
+from crystal_lab.crystal import (SlopeMultiset, charpoly_int, _adjugate,
                                  _charpoly_berkowitz,
                                  _charpoly_generalized_permutation,
                                  induced_maps)
@@ -22,6 +25,8 @@ from crystal_lab.errors import (ContextMismatch, NonInvertible, NotConstant,
 from crystal_lab.padic_series import PrecisionContext, p_valuation
 from crystal_lab.series_matrix import SeriesMatrix, zeros_array
 from test_series_matrix import naive_matmul, random_matrix
+
+PACKAGE = pathlib.Path(crystal_lab.__file__).resolve().parent
 
 
 def constant_crystal(ctx, rows, weight=2):
@@ -293,13 +298,37 @@ class TestHomCrystal:
             hom_crystal(c, ok, 2)
 
 
+def fraction_inverse(rows):
+    """The former crystal._fraction_inverse, Gauss-Jordan over Fractions:
+    it shares no code with the adjugate that hom_crystal inverts by."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            raise NonInvertible("zero determinant at the working precision")
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            inv[k], inv[piv] = inv[piv], inv[k]
+        f = a[k][k]
+        a[k] = [x / f for x in a[k]]
+        inv[k] = [x / f for x in inv[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                g = a[i][k]
+                a[i] = [x - g * y for x, y in zip(a[i], a[k])]
+                inv[i] = [x - g * y for x, y in zip(inv[i], inv[k])]
+    return inv
+
+
 def loop_hom_crystal(c1, c2, twist):
     """The former hom_crystal, a four-deep loop over the entries of F1^-T
-    and F2: the reference for the np.kron form."""
+    and F2 over the fraction field: the reference for the adjugate form."""
     ctx = c1.context
     p = ctx.p
     f2 = c2.frobenius.constant_layer()
-    inv1 = crystal._fraction_inverse(c1.frobenius.constant_layer())
+    inv1 = fraction_inverse(c1.frobenius.constant_layer())
     r1, r2 = c1.rank, c2.rank
     n = r1 * r2
     tw = Fraction(p) ** twist if twist >= 0 else Fraction(1, p ** (-twist))
@@ -376,6 +405,134 @@ def test_kron_hom_matches_the_loop(p, n_digits):
                                  "rank 0")) > 0
 
 
+def fraction_det(rows):
+    """Determinant by elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            g = a[i][k] / a[k][k]
+            a[i] = [x - g * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def random_integer_rows(rng, n, kind):
+    """An n x n integer matrix with negative entries: "dense" (Berkowitz),
+    "permutation" (a generalized permutation, the cycle fast path, singular
+    when one of its entries is zero) or "singular" (a dense matrix whose
+    last row is an integer combination of the others)."""
+    def entry():
+        return rng.randrange(-99, 100)
+
+    if kind == "permutation":
+        perm = rng.sample(range(n), n)
+        return [[entry() if j == perm[i] else 0 for j in range(n)]
+                for i in range(n)]
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if kind == "singular" and n:
+        coeffs = [rng.randrange(-3, 4) for _ in range(n - 1)]
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows))
+                    for j in range(n)]
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["dense", "permutation", "singular"])
+def test_adjugate_against_fractions(kind):
+    # A adj = adj A = det I on ranks 0-12; adj = det A^-1 against the
+    # Gauss-Jordan reference when det != 0, and every entry is its cofactor
+    # (by elimination over Fractions) up to rank 6
+    rng = random.Random(kind)
+    seen = Counter()
+    for n in range(13):
+        for _ in range(4):
+            rows = random_integer_rows(rng, n, kind)
+            fast = _charpoly_generalized_permutation(rows) is not None
+            assert fast == (kind == "permutation" or n <= 1)
+            adj, det = _adjugate(rows)
+            assert det == fraction_det(rows)
+            a = np.array(rows, dtype=object).reshape(n, n)
+            eye = np.identity(n, dtype=object) * det
+            assert np.array_equal(a @ adj, eye)
+            assert np.array_equal(adj @ a, eye)
+            if det:
+                assert adj.tolist() == [[det * x for x in row]
+                                        for row in fraction_inverse(rows)]
+            if n <= 6:
+                assert adj.tolist() == [
+                    [(-1) ** (i + j) * fraction_det(
+                        [r[:i] + r[i + 1:] for k, r in enumerate(rows)
+                         if k != j]) for j in range(n)] for i in range(n)]
+            seen["singular" if det == 0 else "invertible"] += 1
+    if kind == "permutation":  # singular where an entry drew 0
+        assert min(seen["singular"], seen["invertible"]) > 0
+    else:  # rank 0 has det 1
+        assert seen["singular"] == (48 if kind == "singular" else 0)
+
+
+@pytest.mark.parametrize("twist", [-3, 2])
+def test_dense_hom_matches_the_loop(twist):
+    # a dense rank-20 F1 with 64-bit residues at N=40, far past the ranks
+    # of the generator above: the same residues and shift
+    ctx = PrecisionContext(3, 40, 0)
+    rng = random.Random(twist)
+    c1 = constant_crystal(ctx, [[rng.randrange(ctx.modulus) for _ in range(20)]
+                                for _ in range(20)])
+    c2 = constant_crystal(ctx, random_constant_rows(rng, 3, 2, False))
+    got = hom_outcome(hom_crystal, c1, c2, twist)
+    want = hom_outcome(loop_hom_crystal, c1, c2, twist)
+    assert got[0] == want[0] == 40 and got[2] == want[2]
+    assert np.array_equal(got[1], want[1])
+    assert got[1].dtype == want[1].dtype
+
+
+# the slope code, the only code of the package that names Fraction
+FRACTION_SCOPES = {("crystal.py", "SlopeMultiset"),
+                   ("crystal.py", "newton_slopes"),
+                   ("moduli.py", "SlopeReport")}
+
+
+def fraction_names(file_name: str, source: str) -> list:
+    """Where a module names Fraction outside its imports and the slope code."""
+    found = []
+    for top in ast.parse(source).body:
+        if (isinstance(top, (ast.Import, ast.ImportFrom))
+                or (file_name, getattr(top, "name", None)) in FRACTION_SCOPES):
+            continue
+        found += [f"{getattr(top, 'name', '?')} (line {node.lineno})"
+                  for node in ast.walk(top)
+                  if "Fraction" in (getattr(node, "id", None),
+                                    getattr(node, "attr", None))]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_slope_code_takes_fractions(path):
+    assert fraction_names(path.name, path.read_text()) == []
+
+
+def test_the_fraction_rule_is_reported():
+    source = ("from fractions import Fraction\n"
+              "import fractions\n"
+              "def newton_slopes(c):\n"
+              "    return Fraction(1)\n"
+              "def hom_crystal(c1, c2, twist):\n"
+              "    return fractions.Fraction(c1) ** twist\n"
+              "class SlopeReport:\n"
+              "    slope: Fraction\n")
+    assert fraction_names("crystal.py", source) == [
+        "hom_crystal (line 6)", "SlopeReport (line 8)"]
+    assert fraction_names("moduli.py", source) == [
+        "newton_slopes (line 4)", "hom_crystal (line 6)"]
+
+
 class TestOrthogonalComplement:
     def build(self, ctx, h=2, rho=3):
         pair = make_standard_crystal(ctx, h, "pair")
@@ -435,15 +592,11 @@ class TestOrthogonalComplement:
             if det_mod_p(rows, 3) != 0:
                 break
         t = SeriesMatrix.from_series_rows(ctx3, rows)
-        t_rows = [[Fraction(x) for x in row] for row in rows]
-        from crystal_lab.crystal import _fraction_inverse
-        inv_rows = _fraction_inverse(t_rows)
+        adj, det = _adjugate(rows)
         mod = ctx3.modulus
-        inv_int = [[(f.numerator * pow(f.denominator, -1, mod)) % mod
-                    if f.denominator % 3 else None for f in row]
-                   for row in inv_rows]
-        assert all(x is not None for row in inv_int for x in row)
-        t_inv = SeriesMatrix.from_series_rows(ctx3, inv_int)
+        t_inv = SeriesMatrix.from_series_rows(
+            ctx3, (adj * pow(det, -1, mod) % mod).tolist())
+        assert t_inv @ t == SeriesMatrix.identity(ctx3, n)
         conj = FCrystalPresentation(
             ctx3, n, t_inv @ c.frobenius @ t, SeriesMatrix.zeros(ctx3, n, n),
             t.transpose() @ c.pairing @ t, c.weight)

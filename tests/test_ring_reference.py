@@ -9,14 +9,13 @@ eliminates on the whole (d, rank, M+1) coefficient array.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from crystal_lab import (FCrystalPresentation, PrecisionContext,
                          SeriesMatrix, TruncatedSeries, direct_sum,
                          make_standard_crystal, orthogonal_complement)
-from crystal_lab.crystal import (_fraction_inverse, annihilator_basis,
+from crystal_lab.crystal import (_adjugate, annihilator_basis,
                                  induced_subpresentation)
 from crystal_lab.errors import NotPerfect
 from crystal_lab.padic_series import p_valuation
@@ -189,12 +188,10 @@ def conjugate(c, rng):
         rows = [[rng.randrange(ctx.modulus) for _ in range(n)] for _ in range(n)]
         if det_mod_p(rows, ctx.p):
             break
-    mod = ctx.modulus
-    inv = [[f.numerator * pow(f.denominator, -1, mod) % mod for f in row]
-           for row in _fraction_inverse([[Fraction(x) for x in row]
-                                         for row in rows])]
+    adj, det = _adjugate(rows)
     t = SeriesMatrix.from_series_rows(ctx, rows)
-    t_inv = SeriesMatrix.from_series_rows(ctx, inv)
+    t_inv = SeriesMatrix.from_series_rows(
+        ctx, (adj * pow(det, -1, ctx.modulus) % ctx.modulus).tolist())
     conj = FCrystalPresentation(ctx, n, t_inv @ c.frobenius @ t,
                                 SeriesMatrix.zeros(ctx, n, n),
                                 t.transpose() @ c.pairing @ t, c.weight)
