@@ -32,7 +32,7 @@ from .errors import (ContextMismatch, HypothesisMissing, InvalidExtension,
 from .padic_series import (PrecisionContext, _divisibility,
                            _integration_tables, integrate, mul_mod, reduce_mod,
                            residues)
-from .series_matrix import SeriesMatrix, zeros_array
+from .series_matrix import SeriesMatrix, _run, zeros_array
 
 
 @dataclass(frozen=True)
@@ -315,7 +315,10 @@ def _readout(ectx: ExtensionContext, f_fin: SeriesMatrix, a_fin: SeriesMatrix,
         if differs.any():
             raise NotStable(
                 f"Baer-sum {what} does not reduce to the standard frame")
-    m_arr = _scale_diagonal(data["pairing"].arr, pow(2, -1, ctx.modulus), ctx)
+    m_arr, diag = data["pairing"].arr.copy(), np.arange(ectx.h)
+    g = m_arr[diag, diag]
+    # halved in the storage dtype: p^N is odd, and g + p^N < 2^63 on int64
+    m_arr[diag, diag] = (g + (g & 1) * ctx.modulus) >> 1
     return ExtensionData(ectx, data["connection"].transpose(),
                          data["frobenius"].transpose(),
                          SeriesMatrix(ctx, m_arr), geometric_flag=flag)
@@ -446,10 +449,12 @@ def trivialize(e: ExtensionData):
         else:
             groups.setdefault(loss, []).append(s)
     for idx in groups.values():
-        a = integrate(SeriesMatrix(ctx, xi[idx]))
+        # a group of one run, such as every sample, is cut as a view
+        at = _run(np.array(idx))
+        a = integrate(SeriesMatrix(ctx, xi[at]))
         for name, expect, given, what in (("v", _v_from_alpha, v, "Frobenius"),
                                           ("m", _m_from_alpha, m, "pairing")):
-            wrong = (expect(a).arr != SeriesMatrix(ctx, given[idx])
+            wrong = (expect(a).arr != SeriesMatrix(ctx, given[at])
                      .reduce_precision(a.context.N).arr).any(axis=-1)
             for k in np.flatnonzero(wrong.any(axis=(1, 2))):
                 if outcomes[idx[k]] is None:
@@ -583,14 +588,15 @@ def p_torsion_check(e: ExtensionData, w: TrivializationWitness):
                            in _congruence_chain(h, zero[s], sym) if not ok)
 
     ok = [s for s, outcome in enumerate(outcomes) if outcome is None]
-    beta_mat = _divide_matrix_by_p(SeriesMatrix(alpha.context, a[ok]))
+    at = _run(np.array(ok, dtype=np.intp))
+    beta_mat = _divide_matrix_by_p(SeriesMatrix(alpha.context, a[at]))
     beta_ctx = beta_mat.context
     # the quotient by p of t-ideal h x h matrices lies in the t-ideal
     beta = _derived(TrivializationWitness, ExtensionContext(beta_ctx, h),
                     beta_mat)
 
     nb = beta_ctx.N
-    wrong = _differs(from_alpha(beta), e.reduce_precision(nb), ok).any(axis=1)
+    wrong = _differs(from_alpha(beta), e.reduce_precision(nb), at).any(axis=1)
     for k, s in enumerate(ok):
         # one sample of the checked stack
         sample = _derived(TrivializationWitness, beta.ectx,

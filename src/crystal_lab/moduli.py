@@ -300,10 +300,9 @@ def _build_points(ectx: ExtensionContext, n: int, draws: tuple,
     column whose last coordinate isotropy sets."""
     ctx, h = ectx.ctx, ectx.h
     alpha, hodge, noise = draws
-    e = from_alpha(TrivializationWitness(ectx, SeriesMatrix(ctx, alpha)))
-    # columns 2..h of v are p phi*(alpha) - p alpha or p phi*(alpha) -
-    # p^2 alpha (_v_from_alpha), so they vanish mod p: the image is geometric
-    e = _derived(ExtensionData, ectx, e.xi, e.v, e.m, True)
+    # alpha, drawn at witness_support degrees >= 1, lies in the t-ideal
+    e = from_alpha(_derived(TrivializationWitness, ectx,
+                            SeriesMatrix(ctx, alpha)))
     arrs = [e.xi.arr, e.v.arr, e.m.arr]
     if noise:
         arrs[1:] = [a.copy() for a in arrs[1:]]
@@ -312,13 +311,12 @@ def _build_points(ectx: ExtensionContext, n: int, draws: tuple,
                        entry, unit, ctx)
     hodge[:, h - 1, 0] = -arrs[2][:, h - 1, h - 1] % ctx.modulus
     lead = slice(None) if stack else 0
-    if noise:
-        e = ExtensionData(ectx, *(SeriesMatrix(ctx, a[lead]) for a in arrs),
-                          True)
-    elif not stack:
-        # the one sample of a checked geometric stack
-        e = _derived(ExtensionData, ectx, *(SeriesMatrix(ctx, a[0])
-                                            for a in arrs), True)
+    # columns 2..h of v are p phi*(alpha) - p alpha or p phi*(alpha) -
+    # p^2 alpha (_v_from_alpha), zero mod p: the image is geometric.  The
+    # noise (add_noise) is divisible by p, of zero derivative mod p^N, and
+    # symmetric on m, so it keeps every condition
+    e = _derived(ExtensionData, ectx, *(SeriesMatrix(ctx, a[lead])
+                                        for a in arrs), True)
     return DeformationPoint(ectx, n, e, SeriesMatrix(ctx, hodge[lead]))
 
 

@@ -193,15 +193,17 @@ def reduce_mod(arr: np.ndarray, mod: int, bands: tuple | None = None
 
 def mul_mod(arr: np.ndarray, k, context: PrecisionContext, k_max: int | None = None
             ) -> np.ndarray:
-    """arr * k mod p^N, exactly, for a residue array arr and 0 <= k <= k_max.
+    """arr * k mod p^N, exactly, for a residue array arr and |k| <= k_max.
 
-    k is an int (k_max defaults to k) or an integer array that broadcasts
-    against arr.  The product is formed in arr's dtype when
-    (p^N - 1) k_max < 2^63, and in Python integers otherwise.
+    k is an int (k_max defaults to |k|) or an integer array that broadcasts
+    against arr.  The product is formed in arr's dtype when k_max <
+    int64_scalar_max, and in Python integers otherwise.  Then (p^N - 1)
+    (k_max + 1) <= (p^N - 1) int64_scalar_max < 2^63, so |arr k| <= 2^63 -
+    p^N: no product overflows, and reduce_mod divides a negative one exactly.
     """
     if k_max is None:
-        k_max = k
-    if k_max <= context.int64_scalar_max:
+        k_max = abs(k)
+    if k_max < context.int64_scalar_max:
         return reduce_mod(arr * k, context.modulus)
     return residues(np.multiply(arr, k, dtype=object), context)
 

@@ -97,8 +97,8 @@ c = p^N - 1.
   2^53.  One float64 product of the stacked limbs (left limbs along rows,
   right limbs along columns) gives all L^2 limb products exactly, and they
   are recombined mod p^N in int64 (``_limb_product``);
-* otherwise (object storage): Python integers, one product per pair of
-  non-zero degrees.
+* otherwise (object storage): the degree loop of the float64 route
+  (``_degree_product``), in Python integers.
 
 Every array is reduced mod p^N by ``padic_series.reduce_mod``.  A sum or
 difference of residues, and a gather of P <= 2, Q <= 1, lies within two
@@ -260,8 +260,11 @@ class SeriesMatrix:
         return SeriesMatrix(ctx, reduce_mod(-self.arr, ctx.modulus, (-1, 1)))
 
     def scale_int(self, k: int) -> "SeriesMatrix":
+        # the balanced representative keeps -1 (p^N - 1) within int64
+        mod = self.context.modulus
+        k %= mod
         return SeriesMatrix(self.context, mul_mod(
-            self.arr, k % self.context.modulus, self.context))
+            self.arr, k - mod if k > mod // 2 else k, self.context))
 
     def __matmul__(self, other):
         if not isinstance(other, SeriesMatrix):
@@ -411,16 +414,14 @@ def _product(a: np.ndarray, b: np.ndarray, context: PrecisionContext,
         if left:
             return _signed_gather(b, const[:, :, 0], 0, mod)
         return _signed_gather(a, const[:, :, 0].T, 1, mod)
-    if dtype is np.float64:
-        if left:
-            a = const
-        elif right:
-            b = const
-        return residues(_float_product(a, b).astype(np.int64, order="C"),
-                        context)
     if dtype is np.int64:
         return _limb_product(a, b, k * pairs, context)
-    return reduce_mod(_convolve_pairs(a, b), mod)
+    if dtype is np.float64 and (left or right):
+        # the bound is the lift's; Python integers sum residues faster
+        a, b = (const, b) if left else (a, const)
+    out = _degree_product(a, b, dtype)
+    return residues(out.astype(np.int64 if dtype is np.float64 else object,
+                               order="C"), context)
 
 
 def _balanced(layer: np.ndarray, mod: int) -> tuple:
@@ -592,30 +593,36 @@ def _signed_gather(src: np.ndarray, signs: np.ndarray, axis: int, mod: int
                       if plus <= 2 and minus <= 1 else None)
 
 
-def _float_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unreduced a @ b in float64, for integer arrays whose partial sums stay
-    below 2^53 in magnitude.  With an operand of one layer, one GEMM over
-    every degree at once; otherwise one GEMM per non-zero degree x of a,
-    out[..., x:] += a[x] @ b[..., :D-x]."""
-    if b.shape[2] == 1 < a.shape[2]:
-        # (ab)^T = b^T a^T puts the one-layer operand on the left
-        return _float_product(b.transpose(1, 0, 2),
-                              a.transpose(1, 0, 2)).transpose(1, 0, 2)
-    (r, k, d), c = a.shape, b.shape[1]
-    if d == 1:
+def _degree_product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
+    """Unreduced a @ b in `dtype`: float64 when every partial sum stays below
+    2^53 in magnitude, else object.  With a one-layer a, one product over
+    every degree; otherwise one per non-zero degree x of a, out[..., x:x+n]
+    += a[x] @ b[..., :n], with n ending at the top non-zero degree of b.  A
+    one-layer operand goes left in float64, for one GEMM over every degree,
+    and right in object, so that the loop skips the zero degrees of the
+    other, which an object product over every degree would multiply."""
+    lone, other = (b, a) if dtype is np.float64 else (a, b)
+    if lone.shape[2] == 1 < other.shape[2]:
+        # (ab)^T = b^T a^T moves the one-layer operand to the other side
+        return _degree_product(b.transpose(1, 0, 2), a.transpose(1, 0, 2),
+                               dtype).transpose(1, 0, 2)
+    (r, k, da), (c, db) = a.shape, b.shape[1:]
+    if da == 1:
         # (r, k) x (k, c*D)
-        bf = b.astype(np.float64, order="C").reshape(k, -1)
-        return np.dot(a[:, :, 0].astype(np.float64), bf).reshape(r, c, -1)
+        bf = b.astype(dtype, order="C").reshape(k, -1)
+        return np.dot(a[:, :, 0].astype(dtype), bf).reshape(r, c, -1)
     # degree-major a and degree-middle b make every operand a plain view
-    af = np.empty((d, r, k))
+    af = np.empty((da, r, k), dtype=dtype)
     af[...] = a.transpose(2, 0, 1)
-    bf = np.empty((k, d, c))
+    bf = np.empty((k, db, c), dtype=dtype)
     bf[...] = b.transpose(0, 2, 1)
-    out = np.zeros((r, d, c))
+    top = int(np.flatnonzero(bf.any(axis=(0, 2))).max(initial=-1)) + 1
+    d = max(da, db)
+    out = np.zeros((r, d, c), dtype=dtype)
     for x in np.flatnonzero(af.any(axis=(1, 2))):
-        n = d - x
-        out[:, x:, :] += np.dot(af[x], bf[:, :n, :].reshape(k, n * c)
-                                ).reshape(r, n, c)
+        n = min(d - x, top)
+        out[:, x:x + n, :] += np.dot(af[x], bf[:, :n, :].reshape(k, n * c)
+                                     ).reshape(r, n, c)
     return out.transpose(0, 2, 1)
 
 
@@ -640,7 +647,7 @@ def _limb_product(a: np.ndarray, b: np.ndarray, terms: int,
     mask = (1 << s) - 1
     al = np.concatenate([(a >> (s * i)) & mask for i in range(count)], axis=0)
     bl = np.concatenate([(b >> (s * i)) & mask for i in range(count)], axis=1)
-    prod = _float_product(al, bl).astype(np.int64, order="C")
+    prod = _degree_product(al, bl, np.float64).astype(np.int64, order="C")
     prod = prod.reshape(count, r, count, c, d)
     shift = 63 - (mod - 1).bit_length()
     acc = None
@@ -654,21 +661,6 @@ def _limb_product(a: np.ndarray, b: np.ndarray, terms: int,
             part += acc
         acc = reduce_mod(part, mod)
     return acc
-
-
-def _convolve_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Degree convolution of two object coefficient arrays, unreduced: one
-    product per pair of non-zero degrees whose sum stays in range.  Either
-    operand may come as one layer, a constant."""
-    d = max(a.shape[2], b.shape[2])
-    out = np.zeros((a.shape[0], b.shape[1], d), dtype=object)
-    nz_b = np.flatnonzero(b.any(axis=(0, 1)))
-    for x in np.flatnonzero(a.any(axis=(0, 1))):
-        for y in nz_b:
-            if x + y >= d:
-                break
-            out[:, :, x + y] += np.dot(a[:, :, x], b[:, :, y])
-    return out
 
 
 def det_mod_p(rows, p) -> int:

@@ -434,6 +434,22 @@ class TestClosureChecks:
         with pytest.raises(NotStable, match=match):
             _readout(ectx3, *mats.values(), False)
 
+    @pytest.mark.parametrize("n", [8, 24, 40])
+    def test_readout_halves_the_pairing_diagonal_exactly(self, n):
+        # the assembled pairing diagonal is 2 m mod p^N: even where
+        # 2 m < p^N and odd elsewhere; the read-off halves both parities
+        ctx = PrecisionContext(3, n, 32)
+        ectx = ExtensionContext(ctx, 3)
+        e = random_extension(random.Random(n), ectx)
+        c = assemble_crystal(e)
+        diag = np.arange(3)
+        g = c.pairing.arr[3:, 3:][diag, diag]
+        assert {int(x) % 2 for x in g[g != 0]} == {0, 1}
+        m = _readout(ectx, c.frobenius, c.connection, c.pairing, False).m
+        assert m == e.m
+        assert np.array_equal(m.arr[diag, diag],
+                              mul_mod(g, pow(2, -1, ctx.modulus), ctx))
+
 
 class TestTrivialize:
     def test_zero(self, ectx3):

@@ -560,9 +560,12 @@ def test_elementwise_multiplies_match_reference(n, fill, seed):
     cells = a.arr.tolist()
     results = []
 
-    # SeriesMatrix.scale_int and TruncatedSeries * int, the `* inv2` of the
-    # Baer-sum readout and the `* p`, `* p^2` of the Frobenius defect
-    for k in (mod - 1, pow(2, -1, mod), p, p * p, rng.randrange(mod)):
+    # SeriesMatrix.scale_int and TruncatedSeries * int, and the `* p`,
+    # `* p^2` of the Frobenius defect; scale_int multiplies by the balanced
+    # representative, which is -1 for -1 and p^N - 1, and a negative one
+    # needs Python integers on int64 at -2 int64_scalar_max
+    for k in (mod - 1, pow(2, -1, mod), p, p * p, rng.randrange(mod), -1, -2,
+              -mod, -2**40, -2 * ctx.int64_scalar_max):
         results.append(a.scale_int(k))
         assert results[-1].arr.tolist() == map_cells(
             a.arr, lambda cell: [x * k % mod for x in cell])
@@ -619,6 +622,69 @@ def test_limb_products_at_storage_edges(monkeypatch, n):
         assert kernel is expected
         assert out.arr.dtype == storage_dtype(ctx)
         assert out == naive_matmul(a, b)
+
+
+# -- the object route against the pair loop ------------------------------------
+
+
+def convolve_pairs(a, b):
+    """Degree convolution of two object coefficient arrays, unreduced: one
+    product per pair of non-zero degrees whose sum stays in range.  Either
+    operand may come as one layer, a constant.  The reference of the object
+    route, which runs the degree loop of the float64 route instead."""
+    d = max(a.shape[2], b.shape[2])
+    out = np.zeros((a.shape[0], b.shape[1], d), dtype=object)
+    nz_b = np.flatnonzero(b.any(axis=(0, 1)))
+    for x in np.flatnonzero(a.any(axis=(0, 1))):
+        for y in nz_b:
+            if x + y >= d:
+                break
+            out[:, :, x + y] += np.dot(a[:, :, x], b[:, :, y])
+    return out
+
+
+def degree_operand(ctx, rows, cols, degrees, rng):
+    """A random object coefficient array non-zero on `degrees`: "constant"
+    (one layer), "dense" (all M+1), "sparse" (8 of them) or "zero"."""
+    layers = 1 if degrees == "constant" else ctx.M + 1
+    on = (rng.sample(range(layers), 8) if degrees == "sparse" else
+          {"constant": [0], "dense": range(layers), "zero": []}[degrees])
+    arr = np.zeros((rows, cols, layers), dtype=object)
+    for x in on:
+        for i in range(rows):
+            for j in range(cols):
+                arr[i, j, x] = rng.randrange(ctx.modulus)
+    return arr
+
+
+# (rows, inner, cols) and the degrees of the left and right operands
+OBJECT_SHAPES = {
+    "constant-left": ((10, 10, 10), "constant", "sparse"),
+    "constant-right": ((10, 10, 10), "sparse", "constant"),
+    "constant-left-dense": ((4, 4, 4), "constant", "dense"),
+    "constant-right-dense": ((4, 4, 4), "dense", "constant"),
+    "sparse": ((10, 10, 10), "sparse", "sparse"),
+    "dense": ((4, 4, 4), "dense", "dense"),
+    "zero-left": ((4, 4, 4), "zero", "dense"),
+    "zero-right": ((4, 4, 4), "dense", "zero"),
+    "one-degree-pair": ((4, 4, 4), "constant", "constant"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OBJECT_SHAPES))
+@pytest.mark.parametrize("n", [40, 80])
+def test_object_route_matches_the_pair_loop(monkeypatch, n, case):
+    ctx = PrecisionContext(3, n, 32)
+    rng = random.Random(f"{n}-{case}")
+    (r, k, c), left, right = OBJECT_SHAPES[case]
+    a = degree_operand(ctx, r, k, left, rng)
+    b = degree_operand(ctx, k, c, right, rng)
+    out, seen = chosen_kernels(
+        monkeypatch, lambda: series_matrix._product(a, b, ctx))
+    assert seen == [object]
+    assert out.dtype == object and out.flags.c_contiguous
+    assert out.shape == (r, c, max(a.shape[2], b.shape[2]))
+    assert np.array_equal(out, convolve_pairs(a, b) % ctx.modulus)
 
 
 # -- general products on their support -----------------------------------------
